@@ -8,10 +8,13 @@ serving layer's per-worker regime).
 
 Two kinds of gate:
 
-* **Hard** — the vectorized CRC-32C and Huffman-decode kernels must beat the
-  retained scalar reference loops by ``REQUIRED_KERNEL_SPEEDUP``x at the
-  4 KiB size class. This is architectural (numpy fold vs per-byte Python
-  loop), not machine-dependent, so it fails the build.
+* **Hard** — the vectorized CRC-32C and Huffman-decode kernels, zstd
+  sequence execution (windowed extra bits + the shared match-copy kernel)
+  and the column-built FSE decode table must beat their retained scalar
+  references by ``REQUIRED_KERNEL_SPEEDUP``x at the 4 KiB size class (the
+  table build at zstd's default accuracy log). This is architectural
+  (vectorized or slice work vs per-byte/per-field/per-row Python loops), not
+  machine-dependent, so it fails the build.
 * **Soft** — cell-by-cell comparison against the *committed* baseline. CI
   machines vary, so a throughput drop beyond ``SOFT_REGRESSION_RATIO``x
   emits a prominent warning for the reviewer rather than failing the build.
@@ -145,6 +148,8 @@ def test_codec_throughput_matrix_and_baseline(results_dir):
     # never silently commit a de-vectorized kernel.
     assert kernels["crc32c_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
     assert kernels["huffman_decode_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
+    assert kernels["zstd_sequence_exec_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
+    assert kernels["fse_table_build_speedup"] >= REQUIRED_KERNEL_SPEEDUP
 
     # Graph presets register as ordinary codecs, so their one-shot and
     # streaming cells must appear in the matrix alongside the monoliths.
@@ -179,13 +184,104 @@ def _kernel_speedups():
     encoder = Lz77Encoder(Lz77Params())
     lz77_mbps = _mbps(lambda: encoder.encode(raw), size)
 
+    seq_new, seq_old = _sequence_exec_pair(raw)
+    assert seq_new() == seq_old() == raw
+    seq_new_mbps = _mbps(seq_new, size)
+    seq_old_mbps = _mbps(seq_old, size)
+
+    table_new, table_old = _fse_table_build_pair(raw)
+    # Rates in tables per microsecond (``_mbps`` over one unit per call).
+    table_new_rate = _mbps(table_new, 1)
+    table_old_rate = _mbps(table_old, 1)
+
     return {
         "crc32c_4KiB_mbps": round(crc_new, 3),
         "crc32c_4KiB_speedup": round(crc_new / crc_old, 2),
         "huffman_decode_4KiB_mbps": round(huff_new, 3),
         "huffman_decode_4KiB_speedup": round(huff_new / huff_old, 2),
         "lz77_encode_4KiB_mbps": round(lz77_mbps, 3),
+        "zstd_sequence_exec_4KiB_mbps": round(seq_new_mbps, 3),
+        "zstd_sequence_exec_4KiB_speedup": round(seq_new_mbps / seq_old_mbps, 2),
+        "fse_table_build_us": round(1 / table_new_rate, 1),
+        "fse_table_build_speedup": round(table_new_rate / table_old_rate, 2),
     }
+
+
+def _sequence_exec_pair(raw: bytes):
+    """zstd sequence execution from decoded codes: the windowed extra-bits
+    decoder + shared kernel vs the per-field reader + byte-loop copy."""
+    from repro.algorithms.lz77 import execute_sequences, reference_copy_match
+    from repro.algorithms.zstd import (
+        ZstdCodec,
+        code_to_value,
+        decode_code_values,
+        encode_code_values,
+        tokens_to_sequences,
+    )
+    from repro.common.bitio import BitReader
+
+    sequences, literals, trailing = tokens_to_sequences(ZstdCodec().tokenize(raw).tokens)
+    ll, ml, off, writer = encode_code_values(sequences)
+    extra = writer.getvalue()
+
+    def new():
+        literal_lengths, offsets, match_lengths, error = decode_code_values(extra, ll, ml, off)
+        assert error is None
+        out = bytearray()
+        execute_sequences(
+            out, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=0,
+            max_offset=len(raw),
+            end=len(raw),
+            bad_offset="bad offset {offset}",
+            bad_trailing="bad trailing",
+            wrong_size="wrong size",
+        )
+        return bytes(out)
+
+    def old():
+        reader = BitReader(extra)
+        out = bytearray()
+        lit_pos = 0
+        for triple in zip(ll, ml, off):
+            literal_length, match_length, offset = (
+                code_to_value(code, reader.read(code - 1) if code > 1 else 0)
+                for code in triple
+            )
+            out += literals[lit_pos : lit_pos + literal_length]
+            lit_pos += literal_length
+            reference_copy_match(out, offset, match_length)
+        out += literals[lit_pos:]
+        return bytes(out)
+
+    return new, old
+
+
+def _fse_table_build_pair(raw: bytes):
+    """One fresh decode table at zstd's default accuracy log: the numpy
+    column build vs the retained row-by-row reference."""
+    from repro.algorithms.fse import (
+        DEFAULT_ACCURACY_LOG,
+        FseTable,
+        normalize_counts,
+        reference_decode_entries,
+    )
+
+    frequencies = {}
+    for byte in raw:
+        frequencies[byte] = frequencies.get(byte, 0) + 1
+    normalized = normalize_counts(frequencies, DEFAULT_ACCURACY_LOG)
+    assert FseTable(normalized, DEFAULT_ACCURACY_LOG).decode_entries == (
+        reference_decode_entries(normalized, DEFAULT_ACCURACY_LOG)
+    )
+
+    def new():
+        return FseTable(normalized, DEFAULT_ACCURACY_LOG)._decode_columns
+
+    def old():
+        return reference_decode_entries(normalized, DEFAULT_ACCURACY_LOG)
+
+    return new, old
 
 
 @pytest.mark.bench

@@ -14,7 +14,7 @@ Like the real library: compression levels 0-11, configurable window.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import (
@@ -23,24 +23,21 @@ from repro.algorithms.container import (
     split_content_checksum,
     verify_content_checksum,
 )
-from repro.algorithms.flate import _decode_codes_huffman, _encode_codes_huffman
-from repro.algorithms.huffman import (
-    HuffmanTable,
-    byte_frequencies,
-    decode_symbols,
-    deserialize_lengths,
-    encode_symbols,
-    serialize_lengths,
+from repro.algorithms.flate import (
+    _decode_codes_huffman,
+    _decode_literal_section,
+    _encode_codes_huffman,
+    _encode_literal_section,
 )
-from repro.algorithms.lz77 import Lz77Encoder, Lz77Params
+from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, execute_sequences
 from repro.algorithms.zstd import (
     SequenceTriple,
-    code_to_value,
+    decode_code_values,
+    encode_code_values,
     tokens_to_sequences,
-    value_to_code,
 )
 from repro.algorithms.zstd_dict import strip_prefix_tokens
-from repro.common.bitio import BitReader, BitWriter
+from repro.common.bitio import BitWriter, read_fields
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, is_power_of_two
 from repro.common.varint import decode_varint, encode_varint
@@ -121,18 +118,7 @@ def _encode_sequences(sequences: List[SequenceTriple]) -> bytes:
     Real Brotli avoids per-stream table headers on small inputs with
     predefined code tables; the raw 6-bit mode plays that role here.
     """
-    ll, ml, off = [], [], []
-    extra = BitWriter()
-    for seq in sequences:
-        for value, codes in (
-            (seq.literal_length, ll),
-            (seq.match_length, ml),
-            (seq.offset, off),
-        ):
-            code, width, bits = value_to_code(value)
-            codes.append(code)
-            extra.write(bits, width)
-
+    ll, ml, off, extra = encode_code_values(sequences)
     out = bytearray()
     out += encode_varint(len(sequences))
     if not sequences:
@@ -153,33 +139,32 @@ def _encode_sequences(sequences: List[SequenceTriple]) -> bytes:
     return bytes(out)
 
 
-def _decode_sequences(data: bytes, pos: int):
+def _decode_sequences(data: bytes, pos: int) -> Tuple[List[int], List[int], List[int], int]:
+    """The sequence section as ``(literal_lengths, offsets, match_lengths,
+    end)`` columns."""
     count, pos = decode_varint(data, pos)
     if count == 0:
-        return [], pos
+        return [], [], [], pos
     if pos >= len(data):
         raise CorruptStreamError("missing sequence mode byte")
     mode = data[pos]
     pos += 1
-    ll: List[int] = []
-    ml: List[int] = []
-    off: List[int] = []
     if mode == 0:
         packed_bytes = (count * 18 + 7) // 8
         if pos + packed_bytes > len(data):
             raise CorruptStreamError("truncated raw sequence codes")
-        reader = BitReader(data[pos : pos + packed_bytes])
-        for _ in range(count):
-            ll.append(reader.read(6))
-            ml.append(reader.read(6))
-            off.append(reader.read(6))
+        # Sized above, so every 6-bit field is present.
+        codes = read_fields(data[pos : pos + packed_bytes], [6] * (3 * count))[0].tolist()
+        ll, ml, off = codes[0::3], codes[1::3], codes[2::3]
         pos += packed_bytes
     elif mode == 1:
-        for codes in (ll, ml, off):
+        streams = []
+        for _ in range(3):
             decoded, pos = _decode_codes_huffman(data, pos)
             if len(decoded) != count:
                 raise CorruptStreamError("sequence stream length mismatch")
-            codes.extend(decoded)
+            streams.append(decoded)
+        ll, ml, off = streams
     else:
         raise CorruptStreamError(f"unknown sequence mode {mode}")
 
@@ -187,18 +172,15 @@ def _decode_sequences(data: bytes, pos: int):
     extra_bytes = (extra_bits + 7) // 8
     if pos + extra_bytes > len(data):
         raise CorruptStreamError("truncated extra-bits stream")
-    reader = BitReader(data[pos : pos + extra_bytes])
-    pos += extra_bytes
-    sequences: List[SequenceTriple] = []
-    for triple in zip(ll, ml, off):
-        values = []
-        for code in triple:
-            width = max(0, code - 1)
-            values.append(code_to_value(code, reader.read(width) if width else 0))
-        if values[2] <= 0:
-            raise CorruptStreamError("sequence offset must be positive")
-        sequences.append(SequenceTriple(values[0], values[2], values[1]))
-    return sequences, pos
+    literal_lengths, offsets, match_lengths, error = decode_code_values(
+        data[pos : pos + extra_bytes], ll, ml, off
+    )
+    # A zero offset is caught in sequence order, ahead of a later underflow.
+    if 0 in off[: len(offsets)]:
+        raise CorruptStreamError("sequence offset must be positive")
+    if error is not None:
+        raise error
+    return literal_lengths, offsets, match_lengths, pos + extra_bytes
 
 
 def _level_lz77(level: int, window: int) -> Lz77Params:
@@ -252,19 +234,7 @@ class BrotliCodec(Codec):
         tokens = strip_prefix_tokens(stream.tokens, len(dict_tail))
         sequences, literals, trailing = tokens_to_sequences(tokens)
 
-        body = bytearray()
-        freqs = byte_frequencies(literals)
-        if len(freqs) > 1 and len(literals) >= 32:
-            table = HuffmanTable.from_frequencies(freqs)
-            header = serialize_lengths(table, 256)
-            payload = encode_symbols(literals, table)
-            encoded = b"\x01" + encode_varint(len(literals)) + header + encode_varint(len(payload)) + payload
-            if len(encoded) >= len(literals) + 2:
-                encoded = b"\x00" + encode_varint(len(literals)) + literals
-        else:
-            encoded = b"\x00" + encode_varint(len(literals)) + literals
-        body += encoded
-
+        body = bytearray(_encode_literal_section(literals))
         body += _encode_sequences(sequences)
         body += encode_varint(trailing)
 
@@ -300,49 +270,20 @@ class BrotliCodec(Codec):
         if mode != 1:
             raise CorruptStreamError(f"unknown body mode {mode}")
 
-        if pos >= len(data):
-            raise CorruptStreamError("truncated literal-mode byte")
-        lit_mode = data[pos]
-        pos += 1
-        lit_count, pos = decode_varint(data, pos)
-        if lit_mode == 0:
-            if lit_count > len(data) - pos:
-                raise CorruptStreamError("truncated raw literals")
-            literals = data[pos : pos + lit_count]
-            pos += lit_count
-        elif lit_mode == 1:
-            table, consumed = deserialize_lengths(data[pos:], 256)
-            pos += consumed
-            payload_len, pos = decode_varint(data, pos)
-            if payload_len > len(data) - pos:
-                raise CorruptStreamError("truncated literal payload")
-            literals = bytes(decode_symbols(data[pos : pos + payload_len], lit_count, table))
-            pos += payload_len
-        else:
-            raise CorruptStreamError(f"unknown literal mode {lit_mode}")
-
-        sequences, pos = _decode_sequences(data, pos)
+        literals, pos = _decode_literal_section(data, pos)
+        literal_lengths, offsets, match_lengths, pos = _decode_sequences(data, pos)
         trailing, pos = decode_varint(data, pos)
 
         # Execute against a scratch seeded with the static dictionary.
-        dict_tail = STATIC_DICTIONARY[-window:]
-        scratch = bytearray(dict_tail)
+        scratch = bytearray(STATIC_DICTIONARY[-window:])
         base = len(scratch)
-        lit_pos = 0
-        for seq in sequences:
-            if lit_pos + seq.literal_length > len(literals):
-                raise CorruptStreamError("sequences overrun literal buffer")
-            scratch += literals[lit_pos : lit_pos + seq.literal_length]
-            lit_pos += seq.literal_length
-            if seq.offset <= 0 or seq.offset > len(scratch):
-                raise CorruptStreamError("invalid match offset")
-            start = len(scratch) - seq.offset
-            for j in range(seq.match_length):
-                scratch.append(scratch[start + j])
-        if lit_pos + trailing != len(literals):
-            raise CorruptStreamError("trailing literal mismatch")
-        scratch += literals[lit_pos:]
-        out = bytes(scratch[base:])
-        if len(out) != expected:
-            raise CorruptStreamError("decoded length mismatch")
-        return out
+        execute_sequences(
+            scratch, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=0,
+            max_offset=base + expected,
+            end=base + expected,
+            bad_offset="invalid match offset",
+            bad_trailing="trailing literal mismatch",
+            wrong_size="decoded length mismatch",
+        )
+        return bytes(scratch[base:])

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.huffman import HuffmanTable, _reverse_bits, build_code_lengths
-from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Lz77Params, Token
+from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Lz77Params, Token, copy_match
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB
@@ -421,9 +421,7 @@ def _inflate_block(
             raise CorruptStreamError(
                 f"deflate: distance {distance} reaches before stream start"
             )
-        start = len(out) - distance
-        for offset in range(length):
-            out.append(out[start + offset])
+        copy_match(out, distance, length)
 
 
 def inflate_raw(data: bytes) -> bytes:

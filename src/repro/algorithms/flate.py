@@ -27,15 +27,13 @@ from repro.algorithms.huffman import (
     encode_symbols,
     serialize_lengths,
 )
-from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, TokenStream
+from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, TokenStream, execute_sequences
 from repro.algorithms.zstd import (
     CODE_ALPHABET,
-    SequenceTriple,
-    code_to_value,
+    decode_code_values,
+    encode_code_values,
     tokens_to_sequences,
-    value_to_code,
 )
-from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, is_power_of_two
 from repro.common.varint import decode_varint, encode_varint
@@ -108,6 +106,41 @@ def _decode_codes_huffman(data: bytes, pos: int) -> Tuple[List[int], int]:
     return codes, pos + payload_len
 
 
+def _encode_literal_section(literals: bytes) -> bytes:
+    """Literals section: Huffman (mode 1) when profitable, else raw (mode 0)."""
+    freqs = byte_frequencies(literals)
+    if len(freqs) > 1 and len(literals) >= 32:
+        table = HuffmanTable.from_frequencies(freqs)
+        header = serialize_lengths(table, 256)
+        payload = encode_symbols(literals, table)
+        coded = b"\x01" + encode_varint(len(literals)) + header + encode_varint(len(payload)) + payload
+        if len(coded) < len(literals) + 2:
+            return coded
+    return b"\x00" + encode_varint(len(literals)) + literals
+
+
+def _decode_literal_section(data: bytes, pos: int) -> Tuple[bytes, int]:
+    """Inverse of :func:`_encode_literal_section`: ``(literals, end)``."""
+    if pos >= len(data):
+        raise CorruptStreamError("truncated literal-mode byte")
+    lit_mode = data[pos]
+    pos += 1
+    lit_count, pos = decode_varint(data, pos)
+    if lit_mode == 0:
+        if lit_count > len(data) - pos:
+            raise CorruptStreamError("truncated raw literals")
+        return data[pos : pos + lit_count], pos + lit_count
+    if lit_mode == 1:
+        table, consumed = deserialize_lengths(data[pos:], 256)
+        pos += consumed
+        payload_len, pos = decode_varint(data, pos)
+        if payload_len > len(data) - pos:
+            raise CorruptStreamError("truncated literal payload")
+        literals = bytes(decode_symbols(data[pos : pos + payload_len], lit_count, table))
+        return literals, pos + payload_len
+    raise CorruptStreamError(f"unknown literal mode {lit_mode}")
+
+
 class FlateCodec(Codec):
     """LZ77 + Huffman codec with levels and a configurable window."""
 
@@ -152,29 +185,9 @@ class FlateCodec(Codec):
             )
         )
 
-        body = bytearray()
-        # Literals: Huffman when profitable, else raw.
-        freqs = byte_frequencies(literals)
-        literal_payload: bytes
-        if len(freqs) > 1 and len(literals) >= 32:
-            table = HuffmanTable.from_frequencies(freqs)
-            header = serialize_lengths(table, 256)
-            payload = encode_symbols(literals, table)
-            literal_payload = b"\x01" + encode_varint(len(literals)) + header + encode_varint(len(payload)) + payload
-            if len(literal_payload) >= len(literals) + 2:
-                literal_payload = b"\x00" + encode_varint(len(literals)) + literals
-        else:
-            literal_payload = b"\x00" + encode_varint(len(literals)) + literals
-        body += literal_payload
-
+        body = bytearray(_encode_literal_section(literals))
         # Sequences: three Huffman-coded code streams + raw extra bits.
-        ll, ml, off = [], [], []
-        extra = BitWriter()
-        for seq in sequences:
-            for value, codes in ((seq.literal_length, ll), (seq.match_length, ml), (seq.offset, off)):
-                code, width, bits = value_to_code(value)
-                codes.append(code)
-                extra.write(bits, width)
+        ll, ml, off, extra = encode_code_values(sequences)
         for codes in (ll, ml, off):
             body += _encode_codes_huffman(codes)
         body += encode_varint(extra.bit_length)
@@ -213,28 +226,7 @@ class FlateCodec(Codec):
         if mode != 1:
             raise CorruptStreamError(f"unknown body mode {mode}")
 
-        # Literals section.
-        if pos >= len(data):
-            raise CorruptStreamError("truncated literal-mode byte")
-        lit_mode = data[pos]
-        pos += 1
-        lit_count, pos = decode_varint(data, pos)
-        if lit_mode == 0:
-            if lit_count > len(data) - pos:
-                raise CorruptStreamError("truncated raw literals")
-            literals = data[pos : pos + lit_count]
-            pos += lit_count
-        elif lit_mode == 1:
-            table, consumed = deserialize_lengths(data[pos:], 256)
-            pos += consumed
-            payload_len, pos = decode_varint(data, pos)
-            if payload_len > len(data) - pos:
-                raise CorruptStreamError("truncated literal payload")
-            literals = bytes(decode_symbols(data[pos : pos + payload_len], lit_count, table))
-            pos += payload_len
-        else:
-            raise CorruptStreamError(f"unknown literal mode {lit_mode}")
-
+        literals, pos = _decode_literal_section(data, pos)
         streams: List[List[int]] = []
         for _ in range(3):
             codes, pos = _decode_codes_huffman(data, pos)
@@ -243,34 +235,27 @@ class FlateCodec(Codec):
         extra_bytes = (extra_bits + 7) // 8
         if extra_bytes > len(data) - pos:
             raise CorruptStreamError("truncated extra-bits stream")
-        reader = BitReader(data[pos : pos + extra_bytes])
+        extra_payload = data[pos : pos + extra_bytes]
         pos += extra_bytes
         trailing, pos = decode_varint(data, pos)
 
         ll, ml, off = streams
         if not len(ll) == len(ml) == len(off):
             raise CorruptStreamError("sequence streams have mismatched lengths")
+        literal_lengths, offsets, match_lengths, underflow = decode_code_values(
+            extra_payload, ll, ml, off
+        )
         out = bytearray()
-        lit_pos = 0
-        for i in range(len(ll)):
-            values = []
-            for code in (ll[i], ml[i], off[i]):
-                width = max(0, code - 1)
-                values.append(code_to_value(code, reader.read(width) if width else 0))
-            literal_length, match_length, offset = values
-            seq = SequenceTriple(literal_length, offset, match_length)
-            if lit_pos + seq.literal_length > len(literals):
-                raise CorruptStreamError("sequences overrun literal buffer")
-            out += literals[lit_pos : lit_pos + seq.literal_length]
-            lit_pos += seq.literal_length
-            if seq.offset <= 0 or seq.offset > len(out) or seq.offset > window:
-                raise CorruptStreamError("invalid match offset")
-            start = len(out) - seq.offset
-            for j in range(seq.match_length):
-                out.append(out[start + j])
-        if lit_pos + trailing != len(literals):
-            raise CorruptStreamError("trailing literal mismatch")
-        out += literals[lit_pos:]
-        if len(out) != expected:
-            raise CorruptStreamError("decoded length mismatch")
+        # The sequences whose extra bits were all present execute before an
+        # underflow is reported, as in a per-sequence read loop.
+        execute_sequences(
+            out, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=0,
+            max_offset=window,
+            end=expected,
+            bad_offset="invalid match offset",
+            bad_trailing="trailing literal mismatch",
+            wrong_size="decoded length mismatch",
+            pending=underflow,
+        )
         return bytes(out)

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
-from repro.common.bitio import BitReader, BitWriter, u32_windows
+from repro.common.bitio import BitWriter, read_fields, u64_windows
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -89,8 +91,28 @@ class DecodeEntry:
     baseline: int
 
 
+def reference_decode_entries(normalized: Dict[int, int], accuracy_log: int) -> List[DecodeEntry]:
+    """Row-by-row decode-table build: the specification the vectorized
+    column build in :class:`FseTable` is tested and benchmarked against."""
+    table_size = 1 << accuracy_log
+    occurrence: Dict[int, int] = {s: 0 for s in normalized}
+    entries: List[DecodeEntry] = []
+    for symbol in spread_symbols(normalized, accuracy_log):
+        count = normalized[symbol]
+        x_top = count + occurrence[symbol]
+        occurrence[symbol] += 1
+        num_bits = accuracy_log - (x_top.bit_length() - 1)
+        baseline = (x_top << num_bits) - table_size
+        entries.append(DecodeEntry(symbol, num_bits, baseline))
+    return entries
+
+
 class FseTable:
-    """Encode/decode tables built from a normalized count distribution."""
+    """Encode/decode tables built from a normalized count distribution.
+
+    Construction only validates the counts; each direction builds its own
+    table lazily, from one vectorized spread, on first use.
+    """
 
     def __init__(self, normalized: Dict[int, int], accuracy_log: int) -> None:
         table_size = 1 << accuracy_log
@@ -99,40 +121,58 @@ class FseTable:
         self.accuracy_log = accuracy_log
         self.table_size = table_size
         self.normalized = dict(normalized)
-        spread = spread_symbols(normalized, accuracy_log)
-        # Per-symbol occurrence states, in spread order: encoding transitions.
-        self._states: Dict[int, List[int]] = {s: [] for s in normalized}
-        for state, symbol in enumerate(spread):
-            self._states[symbol].append(state + table_size)
-        # Decode table: state -> (symbol, nbBits, baseline).
-        occurrence: Dict[int, int] = {s: 0 for s in normalized}
-        self.decode_entries: List[DecodeEntry] = []
-        for state, symbol in enumerate(spread):
-            count = normalized[symbol]
-            x_top = count + occurrence[symbol]
-            occurrence[symbol] += 1
-            num_bits = accuracy_log - (x_top.bit_length() - 1)
-            baseline = (x_top << num_bits) - table_size
-            self.decode_entries.append(DecodeEntry(symbol, num_bits, baseline))
 
     @classmethod
     def from_frequencies(cls, frequencies: Dict[int, int], accuracy_log: int = DEFAULT_ACCURACY_LOG) -> "FseTable":
         return cls(normalize_counts(frequencies, accuracy_log), accuracy_log)
 
     @cached_property
-    def _decode_columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """:attr:`decode_entries` split into per-field lists plus bit masks.
+    def _spread_order(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(spread, order, counts)``: the symbol at each state (the
+        sequential spread's ``k``-th placement lands on ``(k * step) & mask``,
+        so it is one scatter), the states grouped by ascending symbol in
+        state order, and each symbol's count in that symbol order."""
+        table_size = self.table_size
+        step = (table_size >> 1) + (table_size >> 3) + 3
+        symbols = sorted(self.normalized)
+        counts = np.array([self.normalized[s] for s in symbols], dtype=np.int64)
+        placements = (np.arange(table_size, dtype=np.int64) * step) & (table_size - 1)
+        spread = np.empty(table_size, dtype=np.int64)
+        spread[placements] = np.repeat(np.array(symbols, dtype=np.int64), counts)
+        order = np.argsort(spread, kind="stable")
+        return spread, order, counts
 
-        Cached per table: the decode loop then runs on plain list indexing
-        (``symbols[state]`` / ``num_bits[state]`` / ...) instead of attribute
-        access on dataclass rows — the Python analogue of the hardware
-        table reader streaming SRAM columns.
+    @cached_property
+    def _decode_columns(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """The decode table as per-field columns plus bit masks, built with
+        numpy, never row by row: the decode loop indexes plain lists — the
+        Python analogue of the hardware table reader streaming SRAM columns.
         """
-        symbols = [e.symbol for e in self.decode_entries]
-        num_bits = [e.num_bits for e in self.decode_entries]
-        baselines = [e.baseline for e in self.decode_entries]
-        masks = [(1 << e.num_bits) - 1 for e in self.decode_entries]
-        return symbols, num_bits, baselines, masks
+        table_size = self.table_size
+        spread, order, counts = self._spread_order
+        # Walking the states grouped by symbol, x_top is the symbol's count
+        # plus the state's occurrence index within its group.
+        group_start = np.cumsum(counts) - counts
+        x_top = np.empty(table_size, dtype=np.int64)
+        x_top[order] = np.repeat(counts - group_start, counts) + np.arange(table_size)
+        # frexp's exponent is the exact bit length of an integer-valued float.
+        num_bits = self.accuracy_log + 1 - np.frexp(x_top.astype(np.float64))[1]
+        baselines = (x_top << num_bits) - table_size
+        masks = (np.int64(1) << num_bits) - 1
+        return spread.tolist(), num_bits.tolist(), baselines.tolist(), masks.tolist()
+
+    @cached_property
+    def decode_entries(self) -> List[DecodeEntry]:
+        """The decode table as SRAM rows (hardware-model/test view)."""
+        symbols, num_bits, baselines, _ = self._decode_columns
+        return [DecodeEntry(*row) for row in zip(symbols, num_bits, baselines)]
+
+    @cached_property
+    def _states(self) -> Dict[int, List[int]]:
+        """Per-symbol occurrence states, in spread order: encode transitions."""
+        _, order, counts = self._spread_order
+        groups = np.split(order + self.table_size, np.cumsum(counts)[:-1])
+        return {s: g.tolist() for s, g in zip(sorted(self.normalized), groups)}
 
     def encode_cost_bits(self, symbol: int) -> float:
         """Average bits to code ``symbol`` (for cost models): -log2(p)."""
@@ -183,7 +223,7 @@ class FseTable:
             raise CorruptStreamError(f"FSE initial state {initial_state} out of range")
         with obs.stage("stage.fse.decode"):
             symbols, num_bits, baselines, masks = self._decode_columns
-            windows = u32_windows(payload)
+            windows = u64_windows(payload).tolist()
             total_bits = 8 * len(payload)
             pos = 0
             # Track the table index (state - table_size) directly; every
@@ -218,11 +258,12 @@ class FseTable:
         if self.normalized and max(self.normalized) >= alphabet_size:
             raise ValueError("symbol outside declared alphabet")
         width = self.accuracy_log + 1
-        writer = BitWriter()
-        for symbol in range(alphabet_size):
-            writer.write(self.normalized.get(symbol, 0), width)
-        writer.align_to_byte()
-        return writer.getvalue()
+        counts = np.array(
+            [self.normalized.get(symbol, 0) for symbol in range(alphabet_size)],
+            dtype=np.int64,
+        )
+        bits = (counts[:, None] >> np.arange(width)) & 1
+        return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
 
     @classmethod
     def deserialize_counts(
@@ -230,16 +271,14 @@ class FseTable:
     ) -> Tuple["FseTable", int]:
         """Inverse of :meth:`serialize_counts`; returns (table, bytes read)."""
         width = accuracy_log + 1
-        reader = BitReader(data)
-        normalized: Dict[int, int] = {}
-        for symbol in range(alphabet_size):
-            count = reader.read(width)
-            if count:
-                normalized[symbol] = count
-        reader.align_to_byte()
+        header_bytes = (alphabet_size * width + 7) // 8
+        counts, underflow = read_fields(data[:header_bytes], [width] * alphabet_size)
+        if underflow is not None:
+            raise underflow
+        normalized = {symbol: count for symbol, count in enumerate(counts.tolist()) if count}
         if sum(normalized.values()) != (1 << accuracy_log):
             raise CorruptStreamError("FSE header counts do not sum to table size")
-        return cls(normalized, accuracy_log), reader.byte_position()
+        return cls(normalized, accuracy_log), header_bytes
 
 
 # ---------------------------------------------------------------------------

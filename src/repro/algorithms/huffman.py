@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
-from repro.common.bitio import BitReader, BitWriter, u32_windows
+from repro.common.bitio import WINDOW64_MAX_WIDTH, BitReader, BitWriter, u64_windows
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -233,12 +233,12 @@ def decode_symbols(data: bytes, count: int, table: HuffmanTable) -> List[int]:
         )
     with obs.stage("stage.huffman.decode"):
         max_bits = table.max_bits
-        if max_bits > 25:
+        if max_bits > WINDOW64_MAX_WIDTH:
             out = _decode_symbols_reader(data, count, table)
             obs.counter_add("stage.huffman.decode.symbols", count)
             return out
         symbols_at, lengths_at = table._decode_arrays
-        windows = u32_windows(data)
+        windows = u64_windows(data).tolist()
         mask = (1 << max_bits) - 1
         total_bits = 8 * len(data)
         out: List[int] = []

@@ -23,6 +23,7 @@ software compression ratio by 1.1%.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -454,32 +455,107 @@ class Lz77Encoder:
         return TokenStream(tokens, n)
 
 
+def copy_match(out: bytearray, offset: int, length: int) -> None:
+    """Append ``length`` bytes copied from ``offset`` back: the one LZ77
+    match-copy kernel of every decoder here.
+
+    A non-overlapping copy is one slice append; an overlapping one repeats
+    the last ``offset`` bytes as a pattern — exactly what the byte loop
+    (:func:`reference_copy_match`) produces. Callers check ``1 <= offset
+    <= len(out)`` and bound ``length`` first: the copy is allocated at once.
+    """
+    start = len(out) - offset
+    if length <= offset:
+        out += out[start : start + length]
+    else:
+        reps, rem = divmod(length, offset)
+        pattern = out[start:]
+        out += pattern * reps + pattern[:rem]
+
+
+def reference_copy_match(out: bytearray, offset: int, length: int) -> None:
+    """Byte-at-a-time match copy: the specification :func:`copy_match` is
+    tested and benchmarked against."""
+    start = len(out) - offset
+    for i in range(length):
+        out.append(out[start + i])
+
+
+def execute_sequences(
+    out: bytearray,
+    literals: bytes,
+    literal_lengths: Sequence[int],
+    offsets: Sequence[int],
+    match_lengths: Sequence[int],
+    trailing: int,
+    *,
+    history_start: int,
+    max_offset: int,
+    end: int,
+    bad_offset: str,
+    bad_trailing: str,
+    wrong_size: str,
+    pending: Optional[CorruptStreamError] = None,
+) -> None:
+    """Execute sequences, then the ``trailing`` literals, into ``out``,
+    which must end at length ``end`` (the zstd/flate/brotli decode loop).
+
+    A match may reach back to index ``history_start`` and at most
+    ``max_offset`` bytes. A literal run or match that would pass ``end``
+    raises ``wrong_size`` *before* it is copied, so a forged length costs
+    neither time nor memory. ``pending`` (an error decoding a later
+    sequence) is raised once the complete sequences have executed.
+    """
+    lit_pos = 0
+    available = len(literals)
+    size = len(out)  # tracked, not re-measured: the loop is per sequence
+    for literal_length, offset, match_length in zip(literal_lengths, offsets, match_lengths):
+        lit_end = lit_pos + literal_length
+        if lit_end > available:
+            raise CorruptStreamError("sequences overrun literal buffer")
+        size += literal_length
+        if size > end:
+            raise CorruptStreamError(wrong_size)
+        out += literals[lit_pos:lit_end]
+        lit_pos = lit_end
+        if offset <= 0 or offset > max_offset or offset > size - history_start:
+            raise CorruptStreamError(bad_offset.format(offset=offset))
+        size += match_length
+        if size > end:
+            raise CorruptStreamError(wrong_size)
+        copy_match(out, offset, match_length)
+    if pending is not None:
+        raise pending
+    if lit_pos + trailing != available:
+        raise CorruptStreamError(bad_trailing)
+    out += literals[lit_pos:]
+    if len(out) != end:
+        raise CorruptStreamError(wrong_size)
+
+
 def decode_tokens(tokens: Iterable[Token], *, expected_length: Optional[int] = None) -> bytes:
     """Reference LZ77 decoder: reconstruct bytes from a token stream.
 
     Validates offsets (a copy may not reach before the start of output) and,
-    when given, the expected output length. Overlapping copies (offset <
+    when given, the expected output length — a copy that would overrun it
+    is rejected before it is executed. Overlapping copies (offset <
     length) replicate bytes, as in all LZ77 formats.
     """
     with obs.stage("stage.lz77.decode"):
         out = bytearray()
+        limit = sys.maxsize if expected_length is None else expected_length
         for token in tokens:
             if isinstance(token, Literal):
-                out.extend(token.data)
-            else:
-                if token.offset > len(out):
-                    raise CorruptStreamError(
-                        f"copy offset {token.offset} reaches before start of output "
-                        f"(only {len(out)} bytes produced)"
-                    )
-                start = len(out) - token.offset
-                if token.length <= token.offset:
-                    # Non-overlapping copy: one slice append instead of a
-                    # byte loop (the dominant case on real streams).
-                    out += out[start : start + token.length]
-                else:
-                    for i in range(token.length):
-                        out.append(out[start + i])
+                out += token.data
+                continue
+            if token.offset > len(out):
+                raise CorruptStreamError(
+                    f"copy offset {token.offset} reaches before start of output "
+                    f"(only {len(out)} bytes produced)"
+                )
+            if len(out) + token.length > limit:
+                raise CorruptStreamError(f"decoded length exceeds expected {expected_length}")
+            copy_match(out, token.offset, token.length)
         if expected_length is not None and len(out) != expected_length:
             raise CorruptStreamError(
                 f"decoded length {len(out)} != expected {expected_length}"

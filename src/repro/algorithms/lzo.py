@@ -31,6 +31,7 @@ from repro.algorithms.lz77 import (
     Lz77Params,
     Token,
     TokenStream,
+    copy_match,
     decode_tokens,
     split_long_copies,
 )
@@ -161,22 +162,17 @@ class _LzoDecompressContext(DecompressContext):
                 work += token.data
                 self._produced += len(token.data)
             else:
-                start = len(work) - token.offset
                 if token.offset > self._produced:
                     raise CorruptStreamError(
                         f"copy offset {token.offset} reaches before start of "
                         f"output (only {self._produced} bytes produced)"
                     )
-                if start < 0:
+                if token.offset > len(work):
                     raise CorruptStreamError(
                         f"copy offset {token.offset} reaches beyond the "
                         f"retained {_MAX_COPY_OFFSET}-byte streaming window"
                     )
-                if token.length <= token.offset:
-                    work += work[start : start + token.length]
-                else:  # overlapping copy replicates bytes
-                    for i in range(token.length):
-                        work.append(work[start + i])
+                copy_match(work, token.offset, token.length)
                 self._produced += token.length
             if self._produced > self._expected:
                 raise CorruptStreamError(

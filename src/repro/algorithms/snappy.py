@@ -27,6 +27,7 @@ from repro.algorithms.lz77 import (
     Lz77Params,
     Token,
     TokenStream,
+    copy_match,
     decode_tokens,
     split_long_copies,
 )
@@ -260,17 +261,12 @@ class _SnappyDecompressContext(DecompressContext):
                         f"copy offset {token.offset} exceeds produced output "
                         f"{self._produced}"
                     )
-                start = len(work) - token.offset
-                if start < 0:
+                if token.offset > len(work):
                     raise CorruptStreamError(
                         f"copy offset {token.offset} reaches beyond the "
                         f"retained {SNAPPY_WINDOW}-byte streaming window"
                     )
-                if token.length <= token.offset:
-                    work += work[start : start + token.length]
-                else:  # overlapping copy replicates bytes
-                    for i in range(token.length):
-                        work.append(work[start + i])
+                copy_match(work, token.offset, token.length)
                 self._produced += token.length
             if self._produced > self._expected:
                 raise CorruptStreamError(

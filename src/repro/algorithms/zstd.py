@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.fse import FseTable
 from repro.algorithms.huffman import (
@@ -40,6 +42,7 @@ from repro.algorithms.lz77 import (
     Lz77Params,
     Token,
     TokenStream,
+    execute_sequences,
 )
 from repro.algorithms.container import (
     CHECKSUM_BYTES,
@@ -54,7 +57,7 @@ from repro.algorithms.streaming import (
     CompressContext,
     DecompressContext,
 )
-from repro.common.bitio import BitReader, BitWriter
+from repro.common.bitio import BitWriter, read_fields
 from repro.common.crc32c import crc32c
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, MiB, is_power_of_two
@@ -127,6 +130,41 @@ def code_to_value(code: int, extra_bits_value: int) -> int:
     if code == 0:
         return 0
     return (1 << (code - 1)) + extra_bits_value
+
+
+def encode_code_values(
+    sequences: Sequence["SequenceTriple"],
+) -> Tuple[List[int], List[int], List[int], BitWriter]:
+    """SeqToCode conversion: ``(ll_codes, ml_codes, off_codes, extra)``,
+    the extra bits written per sequence in ``(ll, ml, off)`` order."""
+    ll_codes: List[int] = []
+    ml_codes: List[int] = []
+    off_codes: List[int] = []
+    extra = BitWriter()
+    for seq in sequences:
+        for value, codes in zip(
+            (seq.literal_length, seq.match_length, seq.offset), (ll_codes, ml_codes, off_codes)
+        ):
+            code, width, bits = value_to_code(value)
+            codes.append(code)
+            extra.write(bits, width)
+    return ll_codes, ml_codes, off_codes, extra
+
+
+def decode_code_values(
+    payload: bytes, ll_codes: Sequence[int], ml_codes: Sequence[int], off_codes: Sequence[int]
+) -> Tuple[List[int], List[int], List[int], Optional[CorruptStreamError]]:
+    """Inverse of :func:`encode_code_values`: ``(literal_lengths, offsets,
+    match_lengths, error)``, every extra-bits field in one windowed gather.
+
+    On underflow, ``error`` is what the per-field reader would have raised
+    and ``offsets`` holds exactly the sequences decoded before it.
+    """
+    codes = np.array([ll_codes, ml_codes, off_codes], dtype=np.uint64).T.ravel()
+    widths = np.maximum(codes, np.uint64(1)) - np.uint64(1)
+    extra, error = read_fields(payload, widths)
+    values = ((np.minimum(codes, np.uint64(1)) << widths)[: len(extra)] + extra).tolist()
+    return values[0::3], values[2::3], values[1::3], error
 
 
 @dataclass(frozen=True)
@@ -266,17 +304,7 @@ class SequenceCoder:
         self.accuracy_log = accuracy_log
 
     def encode(self, sequences: Sequence[SequenceTriple]) -> bytes:
-        ll_codes, ml_codes, off_codes = [], [], []
-        extra = BitWriter()
-        for seq in sequences:
-            for value, codes in (
-                (seq.literal_length, ll_codes),
-                (seq.match_length, ml_codes),
-                (seq.offset, off_codes),
-            ):
-                code, width, bits = value_to_code(value)
-                codes.append(code)
-                extra.write(bits, width)
+        ll_codes, ml_codes, off_codes, extra = encode_code_values(sequences)
         out = bytearray()
         out += encode_varint(len(sequences))
         if not sequences:
@@ -299,9 +327,19 @@ class SequenceCoder:
 
     @staticmethod
     def decode(data: bytes, pos: int) -> Tuple[List[SequenceTriple], int]:
+        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
+        triples = zip(literal_lengths, offsets, match_lengths)
+        return [SequenceTriple(*triple) for triple in triples], pos
+
+    @staticmethod
+    def decode_columns(
+        data: bytes, pos: int
+    ) -> Tuple[List[int], List[int], List[int], int]:
+        """The sequence section as ``(literal_lengths, offsets,
+        match_lengths, end)`` columns — what execution consumes."""
         num_sequences, pos = decode_varint(data, pos)
         if num_sequences == 0:
-            return [], pos
+            return [], [], [], pos
         streams: List[List[int]] = []
         for _ in range(3):
             if pos >= len(data):
@@ -315,6 +353,7 @@ class SequenceCoder:
                 raise CorruptStreamError(f"invalid FSE accuracy log {acc_log}")
             if not 1 <= alphabet <= CODE_ALPHABET:
                 raise CorruptStreamError(f"invalid sequence-code alphabet {alphabet}")
+            # Decoded codes are symbols of this table, hence < alphabet.
             table, consumed = FseTable.deserialize_counts(data[pos:], alphabet, acc_log)
             pos += consumed
             if pos + 2 > len(data):
@@ -331,25 +370,21 @@ class SequenceCoder:
         extra_bytes = (extra_bits + 7) // 8
         if pos + extra_bytes > len(data):
             raise CorruptStreamError("truncated extra-bits stream")
-        reader = BitReader(data[pos : pos + extra_bytes])
+        extra_payload = data[pos : pos + extra_bytes]
         pos += extra_bytes
         ll_codes, ml_codes, off_codes = streams
         if not len(ll_codes) == len(ml_codes) == len(off_codes) == num_sequences:
             raise CorruptStreamError("sequence streams have mismatched lengths")
-        sequences: List[SequenceTriple] = []
-        for triple in zip(ll_codes, ml_codes, off_codes):
-            values = []
-            for code in triple:
-                if code >= CODE_ALPHABET:
-                    raise CorruptStreamError(f"sequence code {code} out of range")
-                width = max(0, code - 1)
-                bits = reader.read(width) if width else 0
-                values.append(code_to_value(code, bits))
-            literal_length, match_length, offset = values
-            if offset <= 0:
-                raise CorruptStreamError("sequence offset must be positive")
-            sequences.append(SequenceTriple(literal_length, offset, match_length))
-        return sequences, pos
+        literal_lengths, offsets, match_lengths, error = decode_code_values(
+            extra_payload, ll_codes, ml_codes, off_codes
+        )
+        # Offset code 0 decodes to offset 0; it is caught in sequence order,
+        # ahead of an extra-bits underflow in a later sequence.
+        if 0 in off_codes[: len(offsets)]:
+            raise CorruptStreamError("sequence offset must be positive")
+        if error is not None:
+            raise error
+        return literal_lengths, offsets, match_lengths, pos
 
 
 def _encode_literals(literals: bytes) -> bytes:
@@ -563,29 +598,22 @@ class ZstdCodec(Codec):
     def _decode_block(
         self, data: bytes, pos: int, raw_size: int, window: int, out: bytearray
     ) -> None:
-        block_start = len(out)
+        # As for RLE blocks: the encoder never emits a larger block, and the
+        # declared size is what bounds execution below.
+        if raw_size > BLOCK_SIZE:
+            raise CorruptStreamError(f"compressed block size {raw_size} exceeds block limit")
         literals, pos = _decode_literals(data, pos)
-        sequences, pos = SequenceCoder.decode(data, pos)
+        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
         trailing, pos = decode_varint(data, pos)
-        lit_pos = 0
-        for seq in sequences:
-            if lit_pos + seq.literal_length > len(literals):
-                raise CorruptStreamError("sequences overrun literal buffer")
-            out += literals[lit_pos : lit_pos + seq.literal_length]
-            lit_pos += seq.literal_length
-            produced_in_block = len(out) - block_start
-            if seq.offset > produced_in_block or seq.offset > window:
-                raise CorruptStreamError(
-                    f"match offset {seq.offset} outside window/history"
-                )
-            start = len(out) - seq.offset
-            for i in range(seq.match_length):
-                out.append(out[start + i])
-        if lit_pos + trailing != len(literals):
-            raise CorruptStreamError("trailing literal count mismatch")
-        out += literals[lit_pos:]
-        if len(out) - block_start != raw_size:
-            raise CorruptStreamError("block decoded to wrong size")
+        execute_sequences(
+            out, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=len(out),
+            max_offset=window,
+            end=len(out) + raw_size,
+            bad_offset="match offset {offset} outside window/history",
+            bad_trailing="trailing literal count mismatch",
+            wrong_size="block decoded to wrong size",
+        )
 
 
 class _ZstdCompressContext(CompressContext):

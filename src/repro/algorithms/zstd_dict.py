@@ -25,7 +25,7 @@ from repro.algorithms.container import (
     split_content_checksum,
     verify_content_checksum,
 )
-from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Token
+from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Token, execute_sequences
 from repro.algorithms.zstd import (
     BLOCK_SIZE,
     DEFAULT_LEVEL,
@@ -228,30 +228,24 @@ class ZstdDictCodec(Codec):
         prefix: bytes,
         out: bytearray,
     ) -> None:
+        if raw_size > BLOCK_SIZE:
+            raise CorruptStreamError(f"compressed block size {raw_size} exceeds block limit")
         literals, pos = _decode_literals(data, pos)
-        sequences, pos = SequenceCoder.decode(data, pos)
+        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
         trailing, pos = decode_varint(data, pos)
         # Execute against a scratch buffer seeded with the dictionary so
         # copies may reach into it; only the produced part is appended.
         scratch = bytearray(prefix)
-        base = len(scratch)
-        lit_pos = 0
-        for seq in sequences:
-            if lit_pos + seq.literal_length > len(literals):
-                raise CorruptStreamError("sequences overrun literal buffer")
-            scratch += literals[lit_pos : lit_pos + seq.literal_length]
-            lit_pos += seq.literal_length
-            if seq.offset > len(scratch) or seq.offset > window + base:
-                raise CorruptStreamError(f"match offset {seq.offset} outside history")
-            start = len(scratch) - seq.offset
-            for i in range(seq.match_length):
-                scratch.append(scratch[start + i])
-        if lit_pos + trailing != len(literals):
-            raise CorruptStreamError("trailing literal count mismatch")
-        scratch += literals[lit_pos:]
-        if len(scratch) - base != raw_size:
-            raise CorruptStreamError("block decoded to wrong size")
-        out += scratch[base:]
+        execute_sequences(
+            scratch, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=0,
+            max_offset=window + len(prefix),
+            end=len(prefix) + raw_size,
+            bad_offset="match offset {offset} outside history",
+            bad_trailing="trailing literal count mismatch",
+            wrong_size="block decoded to wrong size",
+        )
+        out += scratch[len(prefix) :]
 
 
 def train_dictionary(samples: List[bytes], max_size: int = 4 * KiB) -> bytes:

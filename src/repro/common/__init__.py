@@ -6,6 +6,7 @@ from repro.common.errors import (
     CorruptStreamError,
     ReproError,
     UnsupportedInputError,
+    VerificationError,
 )
 from repro.common.units import GB, GiB, KiB, MiB, ceil_log2, floor_log2, format_size
 
@@ -15,6 +16,7 @@ __all__ = [
     "CorruptStreamError",
     "ReproError",
     "UnsupportedInputError",
+    "VerificationError",
     "GB",
     "GiB",
     "KiB",

@@ -11,34 +11,68 @@ paper's CDPU use different conventions:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import CorruptStreamError
 
 
-def u32_windows(data: bytes) -> List[int]:
-    """Per-byte little-endian 32-bit windows, zero-padded past the end.
+#: Widest field a :func:`u64_windows` peek can serve: a field starting at
+#: bit offset 7 of its byte must still end inside the 64-bit window.
+WINDOW64_MAX_WIDTH = 57
 
-    ``windows[i]`` holds bytes ``i..i+3`` of ``data`` as a little-endian u32
-    (missing trailing bytes read as zero), with one extra entry past the end.
-    A zero-extended ``width``-bit peek at bit position ``p`` is then just
-    ``(windows[p >> 3] >> (p & 7)) & ((1 << width) - 1)`` — valid whenever
-    ``(p & 7) + width <= 32``, i.e. ``width <= 25``. The whole gather is one
-    vectorized numpy pass, letting entropy decoders replace per-symbol
-    :class:`BitReader` calls with plain list indexing.
+
+def u64_windows(data: bytes) -> np.ndarray:
+    """Per-byte little-endian 64-bit windows, zero-padded past the end.
+
+    ``windows[i]`` holds bytes ``i..i+7`` of ``data`` (missing trailing
+    bytes read as zero), with one extra entry past the end, so a
+    zero-extended field of up to :data:`WINDOW64_MAX_WIDTH` bits at bit
+    position ``p`` is ``(windows[p >> 3] >> (p & 7)) & mask``. The
+    ``uint64`` array is a strided view over the padded bytes — no
+    per-window arithmetic — for vectorized gathers; ``.tolist()`` gives
+    the entropy decoders' per-symbol loops plain list indexing in place of
+    :class:`BitReader` calls.
     """
-    n = len(data)
-    padded = np.frombuffer(bytes(data) + b"\x00\x00\x00\x00", dtype=np.uint8)
-    arr = padded.astype(np.uint32)
-    windows = (
-        arr[0 : n + 1]
-        | (arr[1 : n + 2] << np.uint32(8))
-        | (arr[2 : n + 3] << np.uint32(16))
-        | (arr[3 : n + 4] << np.uint32(24))
-    )
-    return windows.tolist()
+    padded = bytes(data) + bytes(8)
+    return np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+
+
+def read_fields(
+    data: bytes, widths: Sequence[int]
+) -> Tuple[np.ndarray, Optional[CorruptStreamError]]:
+    """Read consecutive LSB-first bit fields of the given ``widths`` (< 64).
+
+    Equivalent to ``BitReader(data).read(w)`` for each width in turn, in
+    one vectorized gather over :func:`u64_windows`, returned as a ``uint64``
+    array; fields wider than the window fall back to the reference
+    :class:`BitReader`. Where the sequential reader would underflow, the
+    values read so far come back with the error it would have raised, so a
+    caller can act on the complete fields first and raise at exactly the
+    reference's point.
+    """
+    width_arr = np.asarray(widths, dtype=np.int64)
+    ends = np.cumsum(width_arr)
+    total = 8 * len(data)
+    complete = int(np.searchsorted(ends, total, side="right"))
+    error = None
+    if complete < len(width_arr):
+        have = total - int(ends[complete] - width_arr[complete])
+        error = CorruptStreamError(
+            f"bitstream underflow: wanted {int(width_arr[complete])}, have {have}"
+        )
+        width_arr = width_arr[:complete]
+        ends = ends[:complete]
+    if not complete:
+        return np.zeros(0, dtype=np.uint64), error
+    starts = ends - width_arr
+    windows = u64_windows(data)[starts >> 3] >> (starts & 7).astype(np.uint64)
+    values = windows & ((np.uint64(1) << width_arr.astype(np.uint64)) - np.uint64(1))
+    if int(width_arr.max()) > WINDOW64_MAX_WIDTH:
+        for i in np.flatnonzero(width_arr > WINDOW64_MAX_WIDTH).tolist():
+            values[i] = BitReader(data, int(starts[i])).read(int(width_arr[i]))
+    return values, error
 
 
 class BitWriter:

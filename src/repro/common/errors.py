@@ -25,6 +25,10 @@ class UnsupportedInputError(ReproError):
     """The input violates a documented limit (e.g. exceeds a format maximum)."""
 
 
+class VerificationError(ReproError):
+    """A hardware model's functional output disagrees with the software codec."""
+
+
 class StreamStateError(ReproError):
     """A streaming context was used out of order (e.g. feed after flush)."""
 

@@ -17,7 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.common.errors import VerificationError
 from repro.core import calibration as cal
+
+
+def verify_output(produced: bytes, reference: bytes, what: str) -> None:
+    """Byte-exact functional check of a pipeline against the software codec.
+
+    Raises :class:`VerificationError` — never a bare ``assert``, so the
+    check survives ``python -O``.
+    """
+    if produced != reference:
+        raise VerificationError(
+            f"{what}: {len(produced)} bytes differ from the software codec's "
+            f"{len(reference)}"
+        )
 
 
 @dataclass

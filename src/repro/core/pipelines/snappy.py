@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.lz77 import decode_tokens
-from repro.algorithms.snappy import emit_elements, parse_elements
+from repro.algorithms.snappy import SnappyCodec, emit_elements, parse_elements
 from repro.common.varint import encode_varint
 from repro.core.blocks.interface import CommandRouter, shared_port_cycles
 from repro.core.blocks.lz77 import Lz77DecoderBlock, Lz77EncoderBlock
 from repro.core.params import CdpuConfig
-from repro.core.pipelines.base import CallResult, CycleReport
+from repro.core.pipelines.base import CallResult, CycleReport, verify_output
 from repro.soc.memory import MemorySystem
 
 
@@ -36,13 +36,17 @@ class SnappyDecompressorPipeline:
     def run(self, compressed: bytes, *, verify: bool = False) -> CallResult:
         """Decompress one stream, returning the cycle breakdown.
 
-        With ``verify=True`` the output is reconstructed and length-checked —
-        the functional path the FireSim simulations exercise implicitly.
+        With ``verify=True`` the output is reconstructed from the parsed
+        elements and compared byte for byte with the software decompressor
+        — the functional path the FireSim simulations exercise implicitly.
         """
         expected, tokens = parse_elements(compressed)
         if verify:
-            decoded = decode_tokens(tokens.tokens, expected_length=expected)
-            assert len(decoded) == expected  # parse_elements already validates
+            verify_output(
+                decode_tokens(tokens.tokens, expected_length=expected),
+                SnappyCodec().decompress(compressed),
+                "snappy decompressor pipeline",
+            )
         return self.account(len(compressed), expected, tokens)
 
     def account(self, compressed_bytes: int, expected: int, tokens) -> CallResult:
@@ -82,8 +86,9 @@ class SnappyCompressorPipeline:
         if verify:
             # The hardware stream must decode exactly back to the input with
             # the *software* decompressor (wire-format compatibility).
-            expected, parsed = parse_elements(compressed)
-            assert decode_tokens(parsed.tokens, expected_length=expected) == data
+            verify_output(
+                SnappyCodec().decompress(compressed), data, "snappy compressor pipeline"
+            )
         return self.account(len(data), tokens, stats, len(compressed))
 
     def account(self, data_length: int, tokens, stats, compressed_bytes: int) -> CallResult:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algorithms.lz77 import Literal
+from repro.algorithms.lz77 import decode_tokens
 from repro.algorithms.zstd import ZstdCodec, tokens_to_sequences
 from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
 from repro.core.blocks.entropy import (
@@ -27,7 +27,7 @@ from repro.core.blocks.entropy import (
 from repro.core.blocks.interface import CommandRouter, shared_port_cycles
 from repro.core.blocks.lz77 import Lz77DecoderBlock, Lz77EncoderBlock
 from repro.core.params import CdpuConfig
-from repro.core.pipelines.base import CallResult, CycleReport
+from repro.core.pipelines.base import CallResult, CycleReport, verify_output
 from repro.soc.memory import MemorySystem
 
 
@@ -45,9 +45,11 @@ class ZstdDecompressorPipeline:
     def run(self, compressed: bytes, *, verify: bool = False) -> CallResult:
         stats = analyze_frame(compressed)
         if verify:
-            from repro.algorithms.lz77 import decode_tokens
-
-            assert len(decode_tokens(stats.tokens.tokens)) == stats.content_bytes
+            verify_output(
+                decode_tokens(stats.tokens.tokens, expected_length=stats.content_bytes),
+                ZstdCodec().decompress(compressed),
+                "zstd decompressor pipeline",
+            )
         return self.account(stats)
 
     def account(self, stats: FrameStats) -> CallResult:
@@ -104,7 +106,9 @@ class ZstdCompressorPipeline:
         compressed = self._hw_codec().compress(data)
         if verify:
             # Hardware output must be decodable by the software decompressor.
-            assert ZstdCodec().decompress(compressed) == data
+            verify_output(
+                ZstdCodec().decompress(compressed), data, "zstd compressor pipeline"
+            )
         return self.account(len(data), tokens, match_stats, len(compressed))
 
     def account(self, data_length: int, tokens, match_stats, compressed_bytes: int) -> CallResult:

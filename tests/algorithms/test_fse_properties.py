@@ -9,10 +9,13 @@ contract, exercised over skewed, uniform and degenerate distributions:
   counts over the whole state table;
 * every decode-table entry covers a valid ``[baseline, baseline+2^bits)``
   sub-interval of the state space;
+* the column-built (vectorized) decode table and encode transitions equal
+  the retained scalar reference build, at every accuracy log;
 * encode→decode is the identity for any symbol sequence, at any accuracy;
 * truncating the payload is always detected (sentinel-state check).
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from repro.algorithms.fse import (
     MIN_ACCURACY_LOG,
     FseTable,
     normalize_counts,
+    reference_decode_entries,
     spread_symbols,
 )
 from repro.common.errors import CorruptStreamError
@@ -137,3 +141,32 @@ def test_header_roundtrip_rebuilds_identical_tables(symbols, accuracy_log):
     assert rebuilt.decode_entries == table.decode_entries
     payload, state, _ = table.encode(symbols)
     assert rebuilt.decode(payload, state, len(symbols)) == symbols
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_frequencies(max_symbols=40), ACCURACY_LOGS)
+def test_column_built_tables_equal_reference_build(frequencies, accuracy_log):
+    assume(len(frequencies) <= 1 << accuracy_log)
+    normalized = normalize_counts(frequencies, accuracy_log)
+    table = FseTable(normalized, accuracy_log)
+    reference = reference_decode_entries(normalized, accuracy_log)
+    assert table.decode_entries == reference
+    symbols, num_bits, baselines, masks = table._decode_columns
+    assert masks == [(1 << e.num_bits) - 1 for e in reference]
+    # Encode transitions: each symbol's states in spread order.
+    spread = spread_symbols(normalized, accuracy_log)
+    table_size = 1 << accuracy_log
+    assert table._states == {
+        s: [state + table_size for state, t in enumerate(spread) if t == s]
+        for s in normalized
+    }
+
+
+@pytest.mark.parametrize("accuracy_log", range(MIN_ACCURACY_LOG, MAX_ACCURACY_LOG + 1))
+def test_column_build_covers_every_accuracy_log_with_many_symbols(accuracy_log):
+    table_size = 1 << accuracy_log
+    frequencies = {s: 1 + (s * 7919) % 97 for s in range(min(table_size, 64))}
+    normalized = normalize_counts(frequencies, accuracy_log)
+    assert FseTable(normalized, accuracy_log).decode_entries == reference_decode_entries(
+        normalized, accuracy_log
+    )

@@ -206,3 +206,50 @@ class TestGeneratorStructure:
     def test_area_accessor(self):
         instance = CdpuGenerator().generate(CdpuConfig())
         assert instance.area_mm2("snappy", Operation.DECOMPRESS) == pytest.approx(0.431, abs=0.001)
+
+
+class TestVerifyIsByteExact:
+    """``verify=True`` compares bytes with the software codec and raises a
+    typed error — a same-length wrong reconstruction must not pass, and the
+    check must not be an ``assert`` that ``python -O`` strips."""
+
+    @staticmethod
+    def _flip_first_byte(decode):
+        def wrong(*args, **kwargs):
+            out = bytearray(decode(*args, **kwargs))
+            out[0] ^= 0xFF
+            return bytes(out)
+
+        return wrong
+
+    @pytest.mark.parametrize(
+        "module,pipeline_cls,codec_cls",
+        [
+            ("snappy", SnappyDecompressorPipeline, SnappyCodec),
+            ("zstd", ZstdDecompressorPipeline, ZstdCodec),
+        ],
+    )
+    def test_decompressor_same_length_mismatch_raises(
+        self, monkeypatch, payloads, module, pipeline_cls, codec_cls
+    ):
+        import importlib
+
+        from repro.common.errors import VerificationError
+
+        pipelines = importlib.import_module(f"repro.core.pipelines.{module}")
+        stream = codec_cls().compress(payloads["text"])
+        monkeypatch.setattr(pipelines, "decode_tokens", self._flip_first_byte(pipelines.decode_tokens))
+        with pytest.raises(VerificationError, match="differ from the software codec"):
+            make(pipeline_cls).run(stream, verify=True)
+        make(pipeline_cls).run(stream)  # without verify the model still runs
+
+    @pytest.mark.parametrize(
+        "pipeline_cls,codec_cls",
+        [(SnappyCompressorPipeline, SnappyCodec), (ZstdCompressorPipeline, ZstdCodec)],
+    )
+    def test_compressor_mismatch_raises(self, monkeypatch, payloads, pipeline_cls, codec_cls):
+        from repro.common.errors import VerificationError
+
+        monkeypatch.setattr(codec_cls, "decompress", self._flip_first_byte(codec_cls.decompress))
+        with pytest.raises(VerificationError, match="software codec"):
+            make(pipeline_cls).run(payloads["text"], verify=True)

@@ -501,3 +501,99 @@ class TestHardwareModelUnderCorruption:
         frame[-1] ^= 0x01  # flip a CRC trailer bit: content no longer attested
         with pytest.raises(CorruptStreamError):
             pipeline.run(bytes(frame))
+
+
+def _bomb_frame(codec_name: str, match_length: int):
+    """A hand-assembled frame declaring 8 bytes whose one sequence (one
+    literal, offset 1) carries ``match_length``: the codec, the frame and
+    the dict/window context it decodes under."""
+    from repro.algorithms.container import append_content_checksum
+    from repro.algorithms.zstd import SequenceCoder, SequenceTriple, _encode_literals
+    from repro.common.varint import encode_varint
+
+    declared = 8
+    sequences = [SequenceTriple(literal_length=1, offset=1, match_length=match_length)]
+    if codec_name in ("zstd", "zstd-dict"):
+        from repro.algorithms.zstd import ZSTD_FRAME
+        from repro.algorithms.zstd_dict import DICT_FRAME, ZstdDictCodec
+
+        body = _encode_literals(b"a") + SequenceCoder(9).encode(sequences) + encode_varint(0)
+        block = bytes([0x82]) + encode_varint(declared) + encode_varint(len(body)) + body
+        if codec_name == "zstd":
+            codec = get_codec("zstd")
+            preamble = ZSTD_FRAME.encode_preamble(content_length=declared, window_log=16)
+        else:
+            codec = ZstdDictCodec(PAYLOAD[:512])
+            preamble = DICT_FRAME.encode_preamble(
+                content_length=declared,
+                window_log=16,
+                extra=codec._checksum.to_bytes(4, "little"),
+            )
+        frame = preamble + block
+    elif codec_name == "flate":
+        from repro.algorithms.flate import FLATE_FRAME, _encode_codes_huffman
+        from repro.algorithms.zstd import value_to_code
+        from repro.common.bitio import BitWriter
+
+        codec = get_codec("flate")
+        codes, extra = [], BitWriter()
+        for value in (1, match_length, 1):  # ll, ml, off
+            code, width, bits = value_to_code(value)
+            codes.append(code)
+            extra.write(bits, width)
+        body = b"\x01" + b"\x00" + encode_varint(1) + b"a"
+        body += b"".join(_encode_codes_huffman([code]) for code in codes)
+        body += encode_varint(extra.bit_length) + extra.getvalue() + encode_varint(0)
+        frame = FLATE_FRAME.encode_preamble(content_length=declared, window_log=15) + body
+    else:
+        from repro.algorithms.brotli import BROTLI_FRAME, _encode_sequences
+
+        codec = get_codec("brotli")
+        body = b"\x01" + b"\x00" + encode_varint(1) + b"a"
+        body += _encode_sequences(sequences) + encode_varint(0)
+        frame = BROTLI_FRAME.encode_preamble(content_length=declared, window_log=16) + body
+    return codec, append_content_checksum(frame, b"a" * declared)
+
+
+def _stream_decode(codec, data: bytes) -> bytes:
+    ctx = codec.decompress_context()
+    return ctx.feed(data) + ctx.flush()
+
+
+#: The zstd-family code alphabet (codes 0..39) caps a sequence value at
+#: 2**39 - 1; brotli's raw 6-bit code mode carries 2**40 itself.
+_BOMB_LENGTHS = {
+    "zstd": (1 << 39) - 1,
+    "zstd-dict": (1 << 39) - 1,
+    "flate": (1 << 39) - 1,
+    "brotli": 1 << 40,
+}
+
+
+class TestDecompressionBomb:
+    """A frame that declares a few bytes but carries a huge match length
+    must be rejected before the match executes: the sequence kernel bounds
+    every literal run and match by the declared size, so neither time nor
+    memory grows with the forged length."""
+
+    @pytest.mark.parametrize("codec_name", sorted(_BOMB_LENGTHS))
+    def test_huge_match_rejected_before_copying(self, codec_name):
+        import tracemalloc
+
+        codec, frame = _bomb_frame(codec_name, _BOMB_LENGTHS[codec_name])
+        for decode in (codec.decompress, lambda data: _stream_decode(codec, data)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptStreamError):
+                    decode(frame)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{codec_name}: peak {peak} B while rejecting"
+
+    @pytest.mark.parametrize("codec_name", sorted(_BOMB_LENGTHS))
+    def test_bomb_frame_is_well_formed_up_to_the_length(self, codec_name):
+        """The same frame with an honest match length decodes: the bomb is
+        rejected for its length, not for a malformed section."""
+        codec, frame = _bomb_frame(codec_name, 7)
+        assert codec.decompress(frame) == b"a" * 8

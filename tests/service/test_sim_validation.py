@@ -4,8 +4,11 @@ The closing of the loop ISSUE 7 asks for: the identical workload a live
 :class:`~repro.service.ServiceHarness` run served is replayed through
 :func:`repro.sim.queueing.simulate` and the predictions must agree with the
 measurements within the stated :class:`~repro.service.SimTolerance`. The
-comparison (both modes, predicted and measured side by side) is written to
-``results/service_sim_validation.json`` as a reviewable artifact.
+comparison (both modes, predicted and measured side by side) is the
+reviewable artifact ``results/service_sim_validation.json``; the tests
+here write it to a temporary directory, and
+``benchmarks/test_service_sim_validation.py`` regenerates the committed
+copy from the same workload.
 
 Single codec, one worker, batching off: that configuration *is* the sim's
 single-lane FIFO station, so replay-mode disagreement would be a genuine
@@ -27,8 +30,6 @@ from repro.service import (
     validate_against_sim,
 )
 
-RESULTS_DIR = Path(__file__).resolve().parents[2] / "results"
-
 SPEC = WorkloadSpec(
     seed=7,
     num_calls=80,
@@ -39,14 +40,43 @@ CONFIG = ServiceConfig(workers=1, batching=False, max_queue_depth=10_000)
 TARGET_UTILIZATION = 0.6
 
 
-@pytest.fixture(scope="module")
-def served():
-    """One calibrated live run shared by the agreement and artifact tests."""
+def serve_base_case():
+    """One calibrated live run: ``(harness, trace, report)``."""
     harness = ServiceHarness(SPEC, CONFIG)
     harness.calibrate_time_scale(TARGET_UTILIZATION)
     trace = harness.effective_trace()
     report = harness.run(verify=True)
     return harness, trace, report
+
+
+def write_validation_artifact(path: Path, report, trace) -> dict:
+    """Write the predicted-vs-measured comparison to ``path``; return it as
+    read back, after checking it records both sides."""
+    validation = validate_against_sim(report, trace)
+    payload = {
+        "load_report": report.to_payload(),
+        "sim_validation": validation.to_payload(),
+        "target_utilization": TARGET_UTILIZATION,
+    }
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    written = json.loads(path.read_text())
+    replay = written["sim_validation"]["replay"]
+    for metric in (
+        "utilization",
+        "mean_wait_seconds",
+        "p50_sojourn_seconds",
+        "p99_sojourn_seconds",
+    ):
+        assert "measured" in replay[metric] and "predicted" in replay[metric]
+    assert written["sim_validation"]["agrees"] is True
+    return written
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One calibrated live run shared by the agreement and artifact tests."""
+    return serve_base_case()
 
 
 def test_workload_preparation_is_deterministic():
@@ -80,28 +110,9 @@ def test_predictions_agree_within_tolerance(served):
     )
 
 
-def test_validation_artifact_records_both_sides(served):
+def test_validation_artifact_records_both_sides(served, tmp_path):
     _harness, trace, report = served
-    validation = validate_against_sim(report, trace)
-    payload = {
-        "load_report": report.to_payload(),
-        "sim_validation": validation.to_payload(),
-        "target_utilization": TARGET_UTILIZATION,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    artifact = RESULTS_DIR / "service_sim_validation.json"
-    artifact.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    written = json.loads(artifact.read_text())
-    replay = written["sim_validation"]["replay"]
-    for metric in (
-        "utilization",
-        "mean_wait_seconds",
-        "p50_sojourn_seconds",
-        "p99_sojourn_seconds",
-    ):
-        assert "measured" in replay[metric] and "predicted" in replay[metric]
-    assert written["sim_validation"]["agrees"] is True
+    write_validation_artifact(tmp_path / "service_sim_validation.json", report, trace)
 
 
 def test_validation_rejects_mismatched_trace(served):
