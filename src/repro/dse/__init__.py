@@ -2,7 +2,7 @@
 
 from repro.dse.cache import DseCache, runner_fingerprint
 from repro.dse.graphs import graph_candidates, sweep_graph_designs
-from repro.dse.parallel import evaluate_points, resolve_jobs
+from repro.dse.parallel import evaluate_points
 from repro.dse.pareto import best_within_area, pareto_frontier, smallest_meeting_speedup
 from repro.dse.results import FigureResult
 from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
@@ -18,7 +18,6 @@ __all__ = [
     "graph_candidates",
     "pareto_frontier",
     "sweep_graph_designs",
-    "resolve_jobs",
     "runner_fingerprint",
     "smallest_meeting_speedup",
 ]

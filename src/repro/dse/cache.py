@@ -17,28 +17,22 @@ evaluation's bytes:
   :class:`~repro.core.params.CdpuConfig` (which subsumes the
   encoder-relevant LZ77 parameters).
 
-Writes are atomic (temp file + ``os.replace``) so concurrent sweeps sharing
-one cache directory never observe torn entries, and the key schema is
-versioned: bumping :data:`CACHE_SCHEMA_VERSION` evicts every stale entry the
-first time the new schema opens the directory. A corrupt or unreadable entry
-is deleted and treated as a miss — the point is recomputed, never raised.
+The entries live in a :class:`repro.common.store.Store`, which owns the
+on-disk contract (atomic writes, schema eviction, corrupt entries recomputed).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
+import functools
 import hashlib
-import json
 import os
 import pickle
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import Optional, Union
 
 from repro import obs
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
+from repro.common.store import Store, digest
+from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
 
 #: Bump whenever the key material or entry layout changes; the first open
 #: under a new schema evicts every entry written under an old one.
@@ -48,45 +42,6 @@ CACHE_SCHEMA_VERSION = 1
 #: working directory, i.e. the repo root in normal use). Override with the
 #: ``REPRO_DSE_CACHE_DIR`` environment variable or an explicit ``root``.
 DEFAULT_CACHE_DIRNAME = os.path.join("results", ".dse-cache")
-
-_SCHEMA_FILENAME = "SCHEMA"
-_ENTRY_SUFFIX = ".pkl"
-
-
-def _jsonable(value: Any) -> Any:
-    """Convert key material into a canonical JSON-serializable form."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        converted = {}
-        for key, val in value.items():
-            if isinstance(key, tuple):
-                name = "/".join(str(_jsonable(k)) for k in key)
-            elif isinstance(key, enum.Enum):
-                name = str(key.value)
-            else:
-                name = str(key)
-            converted[name] = _jsonable(val)
-        return converted
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bytes):
-        return hashlib.sha256(value).hexdigest()
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot canonicalize {type(value).__name__} for cache key")
-
-
-def _digest(material: Any) -> str:
-    payload = json.dumps(_jsonable(material), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _calibration_snapshot() -> dict:
@@ -118,7 +73,7 @@ def _bench_digest(bench) -> str:
     return sha.hexdigest()
 
 
-def runner_fingerprint(runner: "DseRunner") -> str:
+def runner_fingerprint(runner: DseRunner) -> str:
     """Hash of everything evaluation-relevant that is *not* the design point.
 
     Memoized on the runner instance: the benchmark and baseline a runner is
@@ -129,7 +84,7 @@ def runner_fingerprint(runner: "DseRunner") -> str:
         return cached
     from repro.hcbench.suite import GENERATOR_VERSION
 
-    fingerprint = _digest(
+    fingerprint = digest(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "generator_version": GENERATOR_VERSION,
@@ -150,44 +105,19 @@ class DseCache:
         if root is None:
             root = os.environ.get("REPRO_DSE_CACHE_DIR") or DEFAULT_CACHE_DIRNAME
         self.root = Path(root)
+        self.store = Store(
+            self.root,
+            schema=CACHE_SCHEMA_VERSION,
+            suffix=".pkl",
+            on_evict=functools.partial(obs.counter_add, "dse.cache.evict", 1),
+        )
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self._opened = False
 
-    # ------------------------------------------------------------------
-    # Directory lifecycle
-    # ------------------------------------------------------------------
-
-    def _open(self) -> None:
-        """Create the directory and evict entries from older key schemas."""
-        if self._opened:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        schema_file = self.root / _SCHEMA_FILENAME
-        current = str(CACHE_SCHEMA_VERSION)
-        stale = True
-        try:
-            stale = schema_file.read_text().strip() != current
-        except OSError:
-            pass  # no schema marker yet: treat all entries as stale
-        if stale:
-            for entry in sorted(self.root.glob(f"*{_ENTRY_SUFFIX}")):
-                try:
-                    entry.unlink()
-                    obs.counter_add("dse.cache.evict", 1)
-                except OSError:
-                    pass  # concurrent eviction: another process got it first
-            schema_file.write_text(current + "\n")
-        self._opened = True
-
-    # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
-
-    def key(self, fingerprint: str, point: "DesignPoint") -> str:
+    def key(self, fingerprint: str, point: DesignPoint) -> str:
         """Content key for one design point under a runner fingerprint."""
-        return _digest(
+        return digest(
             {
                 "fingerprint": fingerprint,
                 "algorithm": point.algorithm,
@@ -196,58 +126,23 @@ class DseCache:
             }
         )
 
-    def _entry_path(self, key: str) -> Path:
-        return self.root / f"{key}{_ENTRY_SUFFIX}"
-
-    # ------------------------------------------------------------------
-    # Entry IO
-    # ------------------------------------------------------------------
-
-    def get(self, key: str) -> Optional["DesignPointResult"]:
-        """Load a cached result, or ``None`` on miss/corruption.
+    def get(self, key: str) -> Optional[DesignPointResult]:
+        """Load a cached result, or ``None`` on a miss.
 
         A damaged entry (truncated pickle, stale class layout, wrong type)
         is deleted and reported as a miss so the caller recomputes.
         """
-        from repro.dse.runner import DesignPointResult
-
-        self._open()
-        path = self._entry_path(key)
-        try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
-            if not isinstance(result, DesignPointResult):
-                raise TypeError(f"cache entry holds {type(result).__name__}")
-        except FileNotFoundError:
+        result = self.store.get(key, pickle.loads, DesignPointResult)
+        if result is None:
             self.misses += 1
             obs.counter_add("dse.cache.miss", 1)
-            return None
-        except Exception:  # repro: noqa[R002] - any unpickling failure means a corrupt entry; it is evicted and recomputed, never silently decoded
-            try:
-                path.unlink()
-                obs.counter_add("dse.cache.evict", 1)
-            except OSError:
-                pass  # already evicted by a concurrent reader
-            self.misses += 1
-            obs.counter_add("dse.cache.miss", 1)
-            return None
-        self.hits += 1
-        obs.counter_add("dse.cache.hit", 1)
+        else:
+            self.hits += 1
+            obs.counter_add("dse.cache.hit", 1)
         return result
 
-    def put(self, key: str, result: "DesignPointResult") -> None:
+    def put(self, key: str, result: DesignPointResult) -> None:
         """Store a result atomically (best-effort: IO failure is not fatal)."""
-        self._open()
-        path = self._entry_path(key)
-        tmp = path.with_suffix(f"{_ENTRY_SUFFIX}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump(result, handle)
-            os.replace(tmp, path)
+        if self.store.put(key, pickle.dumps(result)):
             self.stores += 1
             obs.counter_add("dse.cache.store", 1)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass  # temp file never materialized

@@ -9,9 +9,10 @@ results in sweep order, guaranteeing a **bit-identical**
 :class:`~repro.dse.runner.DesignPointResult` sequence regardless of worker
 count (enforced by ``tests/dse/test_parallel.py``).
 
-Worker count resolution: an explicit ``jobs`` argument wins, then the
-``REPRO_JOBS`` environment variable, then 1 — the default stays serial so
-library behaviour is unchanged unless a caller opts in.
+Worker count resolution is :func:`repro.common.parallel.resolve_jobs`: an
+explicit ``jobs`` argument wins, then the ``REPRO_JOBS`` environment
+variable, then 1 — the default stays serial so library behaviour is
+unchanged unless a caller opts in.
 
 When a :class:`~repro.dse.cache.DseCache` is supplied, cached points are
 served before any worker is spawned and fresh results are written back
@@ -27,31 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.common.errors import ConfigError
+from repro.common.parallel import resolve_jobs
 from repro.dse.cache import DseCache, runner_fingerprint
 from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
-
-#: Environment variable consulted when no explicit ``jobs`` is given.
-JOBS_ENV_VAR = "REPRO_JOBS"
 
 # Per-worker runner, built once by the pool initializer so every task in a
 # worker shares the in-process workload memos (token streams, frame stats).
 _WORKER_RUNNER: Optional[DseRunner] = None
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit arg, then ``REPRO_JOBS``, then 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _init_worker(bench, xeon) -> None:

@@ -9,14 +9,18 @@ per configuration.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import Operation
 from repro.algorithms.registry import get_codec
+from repro.common.store import Store, digest
 from repro.common.units import ceil_log2
 from repro.hcbench.generator import (
     SUITE_PAIRS,
@@ -119,14 +123,26 @@ def generate_hypercompressbench(config: GeneratorConfig = GeneratorConfig()) -> 
 GENERATOR_VERSION = 8  # v8: CRC-32C content trailers change codec output bytes
 
 
-def _cache_dir() -> "os.PathLike[str]":
-    import os
-    from pathlib import Path
-
+def _cache_dir() -> Path:
     root = os.environ.get("REPRO_CACHE_DIR")
-    path = Path(root) if root else Path.home() / ".cache" / "repro_cdpu"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(root) if root else Path.home() / ".cache" / "repro_cdpu"
+
+
+def _store() -> Store:
+    """The disk store of generated benchmarks. The generator version is part
+    of each key, so two versions share the directory without evicting each
+    other."""
+    return Store(_cache_dir() / "hcbench", schema=1, suffix=".pkl")
+
+
+def _store_key(seed: int, files_per_suite: int) -> str:
+    return digest(
+        {
+            "generator_version": GENERATOR_VERSION,
+            "seed": seed,
+            "files_per_suite": files_per_suite,
+        }
+    )
 
 
 @lru_cache(maxsize=4)
@@ -138,27 +154,12 @@ def default_benchmark(seed: int = 0, files_per_suite: int = 48) -> HyperCompress
     keyed by the generator version and parameters. Set ``REPRO_CACHE_DIR`` to
     relocate the cache; delete it to force regeneration.
     """
-    import pickle
-    from pathlib import Path
-
-    cache_file = (
-        Path(_cache_dir()) / f"hcbench-v{GENERATOR_VERSION}-s{seed}-f{files_per_suite}.pkl"
-    )
-    if cache_file.exists():
-        try:
-            with open(cache_file, "rb") as handle:
-                cached = pickle.load(handle)
-            if isinstance(cached, HyperCompressBench):
-                return cached
-        except (pickle.UnpicklingError, EOFError, OSError, ValueError,
-                AttributeError, ImportError, IndexError):
-            cache_file.unlink(missing_ok=True)  # corrupt cache: regenerate
-    bench = generate_hypercompressbench(
-        GeneratorConfig(seed=seed, files_per_suite=files_per_suite)
-    )
-    try:
-        with open(cache_file, "wb") as handle:
-            pickle.dump(bench, handle)
-    except OSError:
-        pass  # caching is best-effort
+    store = _store()
+    key = _store_key(seed, files_per_suite)
+    bench = store.get(key, pickle.loads, HyperCompressBench)
+    if bench is None:
+        bench = generate_hypercompressbench(
+            GeneratorConfig(seed=seed, files_per_suite=files_per_suite)
+        )
+        store.put(key, pickle.dumps(bench))
     return bench

@@ -13,25 +13,21 @@ replays the stored findings. Any edited file, added file, removed file,
 or rule-logic change (via :data:`~repro.lint.registry.RULESET_VERSION`)
 changes the key and misses.
 
-The on-disk layout mirrors :mod:`repro.dse.cache`: one JSON file per key
-under ``results/.lint-cache/``, a ``SCHEMA`` marker that evicts the whole
-store on layout changes, atomic writes (temp file + ``os.replace``), and
-corrupt entries treated as misses and deleted.
+Entries are JSON files under ``results/.lint-cache/`` in a
+:class:`repro.common.store.Store`, which owns the on-disk contract.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
+from repro.common.store import Store, digest
+
 #: Bump to evict every entry written with an older cache layout.
 CACHE_SCHEMA_VERSION = 2
-
-_SCHEMA_FILENAME = "SCHEMA"
-_ENTRY_SUFFIX = ".json"
 
 #: Default store location relative to the project root.
 DEFAULT_CACHE_DIR = Path("results") / ".lint-cache"
@@ -45,80 +41,25 @@ class LintCache:
     """Keyed store of complete lint results under one directory."""
 
     def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self._opened = False
-
-    def _open(self) -> None:
-        if self._opened:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        schema_file = self.root / _SCHEMA_FILENAME
-        current = str(CACHE_SCHEMA_VERSION)
-        existing = None
-        if schema_file.exists():
-            try:
-                existing = schema_file.read_text(encoding="utf-8").strip()
-            except OSError:
-                existing = None
-        if existing != current:
-            for entry in sorted(self.root.glob(f"*{_ENTRY_SUFFIX}")):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-            schema_file.write_text(current, encoding="utf-8")
-        self._opened = True
+        self.store = Store(root, schema=CACHE_SCHEMA_VERSION, suffix=".json")
 
     def key(
         self, ruleset_version: int, rule_codes: Sequence[str], files: Sequence[Tuple[str, str]]
     ) -> str:
         """Cache key for one run: rule identity plus every file's digest."""
-        material = json.dumps(
+        return digest(
             {
                 "schema": CACHE_SCHEMA_VERSION,
                 "ruleset": ruleset_version,
                 "rules": sorted(rule_codes),
                 "files": sorted(files),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _entry_path(self, key: str) -> Path:
-        return self.root / f"{key}{_ENTRY_SUFFIX}"
 
     def get(self, key: str) -> Optional[dict]:
         """The stored payload for ``key``, or ``None`` (corrupt = miss)."""
-        self._open()
-        path = self._entry_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(payload, dict):
-            return None
-        return payload
+        return self.store.get(key, json.loads, dict)
 
     def put(self, key: str, payload: dict) -> None:
-        """Atomically store ``payload`` under ``key``."""
-        self._open()
-        path = self._entry_path(key)
-        tmp = path.with_suffix(f"{_ENTRY_SUFFIX}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
-        except OSError:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        """Atomically store ``payload`` under ``key`` (best-effort)."""
+        self.store.put(key, json.dumps(payload, separators=(",", ":")).encode("utf-8"))

@@ -10,45 +10,25 @@ to a fallback for functions the flow layer could not model.
 
 Pass one is the expensive part and is embarrassingly parallel per file, so
 ``jobs > 1`` fans it out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` (the same idiom as :mod:`repro.dse.parallel`: explicit
-argument wins, then ``REPRO_JOBS``, then serial; order-preserving ``map``
-keeps results byte-identical for any worker count). Whole runs are also
+ProcessPoolExecutor` (width from :func:`repro.common.parallel.resolve_jobs`:
+explicit argument wins, then ``REPRO_JOBS``, then serial; order-preserving
+``map`` keeps results byte-identical for any worker count). Whole runs are also
 memoizable by content hash via :mod:`repro.lint.cache`.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.common.errors import ConfigError
+from repro.common.parallel import resolve_jobs
 from repro.lint.cache import LintCache, digest_text
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow import ProjectSummaries, assemble, collect_module_flow
 from repro.lint.registry import RULESET_VERSION, Rule, all_rules
-
-#: Environment variable consulted when no explicit ``jobs`` is given
-#: (shared with the DSE sweep pool).
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit arg, then ``REPRO_JOBS``, then 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 #: ``# repro: noqa`` or ``# repro: noqa[R001,R003]`` suppresses findings on
 #: the annotated line (the line the finding is reported at).

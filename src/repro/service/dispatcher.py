@@ -109,7 +109,7 @@ class CompressionService:
 
     @property
     def workers(self) -> int:
-        """Resolved per-codec pool width (see ``dse.parallel.resolve_jobs``)."""
+        """Resolved per-codec pool width (see ``common.parallel.resolve_jobs``)."""
         return self._pool.workers
 
     # -- submission ----------------------------------------------------------

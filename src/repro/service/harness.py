@@ -29,6 +29,7 @@ import numpy as np
 from repro.algorithms.base import Operation
 from repro.algorithms.registry import available_codecs, get_codec
 from repro.common.errors import ConfigError, ServiceOverloadError
+from repro.common.parallel import resolve_jobs
 from repro.common.rng import make_rng
 from repro.common.units import KiB
 from repro.fleet.profile import FleetProfile, generate_fleet_profile
@@ -416,7 +417,6 @@ class ServiceHarness:
         prepared = self.prepare()
         if len(prepared) < 2 or prepared[-1].arrival_time <= 0:
             return self
-        from repro.dse.parallel import resolve_jobs
 
         mean_service = self.library.mean_service_seconds()
         if not mean_service > 0:

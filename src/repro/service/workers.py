@@ -1,7 +1,7 @@
 """Per-codec process-pool workers for the serving layer.
 
 Reuses the conventions of :mod:`repro.dse.parallel` (the DSE sweep pool):
-worker counts resolve through :func:`~repro.dse.parallel.resolve_jobs`
+worker counts resolve through :func:`~repro.common.parallel.resolve_jobs`
 (explicit arg, then ``REPRO_JOBS``, then serial), the dispatched callable is
 an importable top-level function with plain-data arguments (lint rule R010),
 and timings ride back with the result as ``(pid, seconds, payload)`` tuples
@@ -25,7 +25,7 @@ from repro.algorithms.base import Operation
 from repro.algorithms.registry import get_codec
 from repro.algorithms.streaming import StreamContext
 from repro.common.errors import ReproError, ServiceInternalError, StreamStateError
-from repro.dse.parallel import resolve_jobs
+from repro.common.parallel import resolve_jobs
 
 #: One work item crossing the process boundary: (operation value, payload,
 #: level). Plain data only — the codec object is rebuilt worker-side.

@@ -5,13 +5,10 @@ field exactly: the assertions below demand *bit-identical* results across
 worker counts and cache states, not approximate agreement.
 """
 
-import pytest
-
 from repro.algorithms.base import Operation
-from repro.common.errors import ConfigError
 from repro.core.params import CdpuConfig
 from repro.dse.cache import DseCache
-from repro.dse.parallel import JOBS_ENV_VAR, evaluate_points, resolve_jobs
+from repro.dse.parallel import evaluate_points
 from repro.dse.runner import DesignPoint, DseRunner
 from repro.soc.placement import Placement
 
@@ -34,34 +31,6 @@ def small_sweep():
             ),
         ),
     ]
-
-
-class TestResolveJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert resolve_jobs(None) == 1
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "8")
-        assert resolve_jobs(2) == 2
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "3")
-        assert resolve_jobs(None) == 3
-
-    @pytest.mark.parametrize("bad", ["zero", "1.5", ""])
-    def test_malformed_environment_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(JOBS_ENV_VAR, bad)
-        if bad == "":
-            assert resolve_jobs(None) == 1  # unset-equivalent
-        else:
-            with pytest.raises(ConfigError):
-                resolve_jobs(None)
-
-    @pytest.mark.parametrize("bad", [0, -4])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            resolve_jobs(bad)
 
 
 class TestDeterminism:

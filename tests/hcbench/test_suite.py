@@ -1,11 +1,14 @@
 """Unit tests for the suite container and benchmark caching."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.hcbench.suite as suite_module
 from repro.algorithms.base import Operation
 from repro.hcbench import default_benchmark
-from repro.hcbench.suite import GENERATOR_VERSION
+from repro.hcbench.suite import HyperCompressBench
 
 
 class TestBenchmarkStructure:
@@ -73,10 +76,44 @@ class TestDiskCache:
         assert default_benchmark() is bench
 
     def test_cache_file_exists(self, bench):
-        import os
-        from pathlib import Path
+        store = suite_module._store()
+        assert store.path(suite_module._store_key(0, 48)).exists()
 
-        root = os.environ.get("REPRO_CACHE_DIR")
-        cache_dir = Path(root) if root else Path.home() / ".cache" / "repro_cdpu"
-        expected = cache_dir / f"hcbench-v{GENERATOR_VERSION}-s0-f48.pkl"
-        assert expected.exists()
+    def test_truncated_entry_is_regenerated_and_replaced(self, cheap_generation):
+        store = suite_module._store()
+        key = suite_module._store_key(0, 1)
+        store.put(key, b"\x80\x04truncated")
+        bench = default_benchmark.__wrapped__(0, 1)
+        assert len(cheap_generation) == 1
+        assert store.get(key, pickle.loads, HyperCompressBench) == bench
+        assert [p.name for p in store.root.iterdir() if ".tmp." in p.name] == []
+
+    def test_generator_versions_share_the_store(self, cheap_generation, monkeypatch):
+        store = suite_module._store()
+        default_benchmark.__wrapped__(0, 1)
+        monkeypatch.setattr(suite_module, "GENERATOR_VERSION", suite_module.GENERATOR_VERSION + 1)
+        default_benchmark.__wrapped__(0, 1)
+        assert len(cheap_generation) == 2
+        assert len(list(store.root.glob("*.pkl"))) == 2
+
+    def test_uncreatable_cache_dir_still_generates(self, cheap_generation, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("in the way")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        assert default_benchmark.__wrapped__(0, 1).config.files_per_suite == 1
+        assert len(cheap_generation) == 1
+
+
+@pytest.fixture()
+def cheap_generation(monkeypatch, tmp_path):
+    """A disk cache under ``tmp_path`` and a generator that returns an empty
+    benchmark at once; yields the configs it was asked to generate."""
+    calls = []
+
+    def generate(config):
+        calls.append(config)
+        return HyperCompressBench(suites={}, config=config)
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(suite_module, "generate_hypercompressbench", generate)
+    return calls
