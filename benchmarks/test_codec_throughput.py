@@ -9,12 +9,15 @@ serving layer's per-worker regime).
 Two kinds of gate:
 
 * **Hard** — the vectorized CRC-32C and Huffman-decode kernels, zstd
-  sequence execution (windowed extra bits + the shared match-copy kernel)
-  and the column-built FSE decode table must beat their retained scalar
+  sequence execution (windowed extra bits + the shared match-copy kernel),
+  the column-built FSE decode table, the table-driven FSE encode and the
+  vectorized SeqToCode conversion must beat their retained scalar
   references by ``REQUIRED_KERNEL_SPEEDUP``x at the 4 KiB size class (the
   table build at zstd's default accuracy log). This is architectural
   (vectorized or slice work vs per-byte/per-field/per-row Python loops), not
-  machine-dependent, so it fails the build.
+  machine-dependent, so it fails the build. A snappy-framed 1 KiB compress
+  must also stay within ``FRAMED_SNAPPY_MAX_RATIO``x of plain snappy: the
+  framing adds a header and a CRC, not a per-call matcher set-up.
 * **Soft** — cell-by-cell comparison against the *committed* baseline. CI
   machines vary, so a throughput drop beyond ``SOFT_REGRESSION_RATIO``x
   emits a prominent warning for the reviewer rather than failing the build.
@@ -37,6 +40,8 @@ from repro.corpus.sources import mixed_source
 
 #: Hard gate: vectorized kernel vs retained scalar reference at 4 KiB.
 REQUIRED_KERNEL_SPEEDUP = 3.0
+#: Hard gate: snappy-framed 1 KiB compress time over plain snappy's.
+FRAMED_SNAPPY_MAX_RATIO = 1.5
 #: Soft gate: warn (don't fail) when a cell is this much slower than the
 #: committed baseline.
 SOFT_REGRESSION_RATIO = 3.0
@@ -150,6 +155,9 @@ def test_codec_throughput_matrix_and_baseline(results_dir):
     assert kernels["huffman_decode_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
     assert kernels["zstd_sequence_exec_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
     assert kernels["fse_table_build_speedup"] >= REQUIRED_KERNEL_SPEEDUP
+    assert kernels["fse_encode_4KiB_speedup"] >= REQUIRED_KERNEL_SPEEDUP
+    assert kernels["seq_to_code_speedup"] >= REQUIRED_KERNEL_SPEEDUP
+    assert kernels["snappy_framed_1KiB_compress_ratio"] <= FRAMED_SNAPPY_MAX_RATIO
 
     # Graph presets register as ordinary codecs, so their one-shot and
     # streaming cells must appear in the matrix alongside the monoliths.
@@ -194,6 +202,21 @@ def _kernel_speedups():
     table_new_rate = _mbps(table_new, 1)
     table_old_rate = _mbps(table_old, 1)
 
+    fse_new, fse_old = _fse_encode_pair(raw)
+    assert fse_new() == fse_old()
+    fse_new_mbps = _mbps(fse_new, size)
+    fse_old_mbps = _mbps(fse_old, size)
+
+    stc_new, stc_old = _seq_to_code_pair(raw)
+    assert stc_new() == stc_old()
+    stc_new_mbps = _mbps(stc_new, size)
+    stc_old_mbps = _mbps(stc_old, size)
+
+    small = _payload(SIZE_CLASSES["1KiB"])
+    framed, plain = get_codec("snappy-framed"), get_codec("snappy")
+    framed_mbps = _mbps(lambda: framed.compress(small), len(small))
+    plain_mbps = _mbps(lambda: plain.compress(small), len(small))
+
     return {
         "crc32c_4KiB_mbps": round(crc_new, 3),
         "crc32c_4KiB_speedup": round(crc_new / crc_old, 2),
@@ -204,6 +227,11 @@ def _kernel_speedups():
         "zstd_sequence_exec_4KiB_speedup": round(seq_new_mbps / seq_old_mbps, 2),
         "fse_table_build_us": round(1 / table_new_rate, 1),
         "fse_table_build_speedup": round(table_new_rate / table_old_rate, 2),
+        "fse_encode_4KiB_mbps": round(fse_new_mbps, 3),
+        "fse_encode_4KiB_speedup": round(fse_new_mbps / fse_old_mbps, 2),
+        "seq_to_code_4KiB_mbps": round(stc_new_mbps, 3),
+        "seq_to_code_speedup": round(stc_new_mbps / stc_old_mbps, 2),
+        "snappy_framed_1KiB_compress_ratio": round(plain_mbps / framed_mbps, 2),
     }
 
 
@@ -221,8 +249,7 @@ def _sequence_exec_pair(raw: bytes):
     from repro.common.bitio import BitReader
 
     sequences, literals, trailing = tokens_to_sequences(ZstdCodec().tokenize(raw).tokens)
-    ll, ml, off, writer = encode_code_values(sequences)
-    extra = writer.getvalue()
+    ll, ml, off, extra, _ = encode_code_values(sequences)
 
     def new():
         literal_lengths, offsets, match_lengths, error = decode_code_values(extra, ll, ml, off)
@@ -282,6 +309,44 @@ def _fse_table_build_pair(raw: bytes):
         return reference_decode_entries(normalized, DEFAULT_ACCURACY_LOG)
 
     return new, old
+
+
+def _fse_encode_pair(raw: bytes):
+    """FSE-encode the 4 KiB payload's bytes at zstd's default accuracy log:
+    the table-driven ``symbolTT`` loop + one ``pack_fields`` vs the
+    step-by-step reference through ``BitWriter``. The table is built (and
+    its lazy encode tables warmed) outside the timed region."""
+    from repro.algorithms.fse import DEFAULT_ACCURACY_LOG, FseTable
+    from repro.algorithms.huffman import byte_frequencies
+
+    table = FseTable.from_frequencies(byte_frequencies(raw), DEFAULT_ACCURACY_LOG)
+    return (lambda: table.encode(raw)), (lambda: table.reference_encode(raw))
+
+
+def _seq_to_code_pair(raw: bytes):
+    """SeqToCode over the 4 KiB payload's zstd sequences: the vectorized
+    ``encode_code_values`` vs per-field ``value_to_code`` + ``BitWriter``."""
+    from repro.algorithms.zstd import (
+        ZstdCodec,
+        encode_code_values,
+        tokens_to_sequences,
+        value_to_code,
+    )
+    from repro.common.bitio import BitWriter
+
+    sequences, _, _ = tokens_to_sequences(ZstdCodec().tokenize(raw).tokens)
+
+    def old():
+        columns = ([], [], [])
+        writer = BitWriter()
+        for seq in sequences:
+            for value, codes in zip((seq.literal_length, seq.match_length, seq.offset), columns):
+                code, width, bits = value_to_code(value)
+                codes.append(code)
+                writer.write(bits, width)
+        return (*columns, writer.getvalue(), writer.bit_length)
+
+    return (lambda: encode_code_values(sequences)), old
 
 
 @pytest.mark.bench

@@ -37,7 +37,7 @@ from repro.algorithms.zstd import (
     tokens_to_sequences,
 )
 from repro.algorithms.zstd_dict import strip_prefix_tokens
-from repro.common.bitio import BitWriter, read_fields
+from repro.common.bitio import pack_fields, read_fields
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, is_power_of_two
 from repro.common.varint import decode_varint, encode_varint
@@ -118,24 +118,21 @@ def _encode_sequences(sequences: List[SequenceTriple]) -> bytes:
     Real Brotli avoids per-stream table headers on small inputs with
     predefined code tables; the raw 6-bit mode plays that role here.
     """
-    ll, ml, off, extra = encode_code_values(sequences)
+    ll, ml, off, extra, extra_bits = encode_code_values(sequences)
     out = bytearray()
     out += encode_varint(len(sequences))
     if not sequences:
         return bytes(out)
     if len(sequences) < _SMALL_SEQUENCE_LIMIT:
         out.append(0)  # raw mode
-        packed = BitWriter()
-        for i in range(len(sequences)):
-            for codes in (ll, ml, off):
-                packed.write(codes[i], 6)
-        out += packed.getvalue()
+        codes = [code for triple in zip(ll, ml, off) for code in triple]
+        out += pack_fields(codes, [6] * len(codes))[0]
     else:
         out.append(1)  # huffman mode
         for codes in (ll, ml, off):
             out += _encode_codes_huffman(codes)
-    out += encode_varint(extra.bit_length)
-    out += extra.getvalue()
+    out += encode_varint(extra_bits)
+    out += extra
     return bytes(out)
 
 

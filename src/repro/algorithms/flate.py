@@ -187,11 +187,11 @@ class FlateCodec(Codec):
 
         body = bytearray(_encode_literal_section(literals))
         # Sequences: three Huffman-coded code streams + raw extra bits.
-        ll, ml, off, extra = encode_code_values(sequences)
+        ll, ml, off, extra, extra_bits = encode_code_values(sequences)
         for codes in (ll, ml, off):
             body += _encode_codes_huffman(codes)
-        body += encode_varint(extra.bit_length)
-        body += extra.getvalue()
+        body += encode_varint(extra_bits)
+        body += extra
         body += encode_varint(trailing)
 
         if len(body) >= len(data) + 2:

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.common.bitio import BitWriter, read_fields, u64_windows
+from repro.common.bitio import BitWriter, pack_fields, read_fields, u64_windows
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -169,10 +169,39 @@ class FseTable:
 
     @cached_property
     def _states(self) -> Dict[int, List[int]]:
-        """Per-symbol occurrence states, in spread order: encode transitions."""
+        """Per-symbol occurrence states, in spread order: encode transitions
+        for the reference step."""
         _, order, counts = self._spread_order
         groups = np.split(order + self.table_size, np.cumsum(counts)[:-1])
         return {s: g.tolist() for s, g in zip(sorted(self.normalized), groups)}
+
+    @cached_property
+    def _symbol_transforms(self) -> Tuple[List[int], List[int], List[int], np.ndarray]:
+        """zstd's ``symbolTT`` and state table, as lists indexed by symbol.
+
+        Returns ``(delta_nb_bits, delta_find_state, next_state,
+        delta_nb_bits_array)``. For a symbol of count ``c`` whose states
+        start at ``start`` in the symbol-grouped state table, a state ``x``
+        in ``[T, 2T)`` emits ``(x + delta_nb_bits) >> 16`` bits — the
+        smallest ``nb`` with ``x >> nb < 2c`` — and moves to
+        ``next_state[(x >> nb) + delta_find_state]``, where
+        ``delta_find_state = start - c``. Absent symbols hold zeros.
+        """
+        _, order, counts = self._spread_order
+        size = max(self.normalized) + 1
+        delta_nb = [0] * size
+        delta_find = [0] * size
+        start = 0
+        for symbol, count in zip(sorted(self.normalized), counts.tolist()):
+            # ``(count - 1).bit_length() - 1`` is zstd's highbit(count - 1);
+            # at count 1 it is -1, which still yields accuracy_log bits for
+            # every state below 2T.
+            max_bits_out = self.accuracy_log + 1 - (count - 1).bit_length()
+            delta_nb[symbol] = (max_bits_out << 16) - (count << max_bits_out)
+            delta_find[symbol] = start - count
+            start += count
+        next_state = (order + self.table_size).tolist()
+        return delta_nb, delta_find, next_state, np.array(delta_nb, dtype=np.int64)
 
     def encode_cost_bits(self, symbol: int) -> float:
         """Average bits to code ``symbol`` (for cost models): -log2(p)."""
@@ -193,25 +222,52 @@ class FseTable:
         new_state = self._states[symbol][x_top - count]
         return new_state, bits_value, num_bits
 
+    def reference_encode(self, symbols: Sequence[int]) -> Tuple[bytes, int, int]:
+        """Step-by-step encode through :class:`BitWriter`: the specification
+        :meth:`encode` is tested and benchmarked against."""
+        state = self.table_size
+        ops: List[Tuple[int, int]] = []
+        for symbol in reversed(symbols):
+            state, bits_value, num_bits = self._encode_step(state, symbol)
+            ops.append((bits_value, num_bits))
+        writer = BitWriter()
+        for bits_value, num_bits in reversed(ops):
+            writer.write(bits_value, num_bits)
+        return writer.getvalue(), state, writer.bit_length
+
     def encode(self, symbols: Sequence[int]) -> Tuple[bytes, int, int]:
         """Encode a symbol sequence.
 
         Returns ``(payload, final_state, bit_length)``. Symbols are processed
         in reverse (ANS is LIFO) but the payload is laid out so a decoder
         starting from ``final_state`` reads bits forward and emits symbols in
-        the original order.
+        the original order. Each step is one add, two shifts and one
+        next-state lookup over zstd's ``symbolTT``; the bit fields follow
+        from the visited states and are packed at once.
         """
         with obs.stage("stage.fse.encode"):
+            absent = set(symbols).difference(self.normalized)
+            if absent:
+                first = next(s for s in reversed(symbols) if s in absent)
+                raise ValueError(f"symbol {first} absent from FSE table")
+            delta_nb, delta_find, next_state, delta_nb_array = self._symbol_transforms
             state = self.table_size  # lowest valid state as the sentinel start
-            ops: List[Tuple[int, int]] = []
+            visited: List[int] = []
+            append = visited.append
             for symbol in reversed(symbols):
-                state, bits_value, num_bits = self._encode_step(state, symbol)
-                ops.append((bits_value, num_bits))
-            writer = BitWriter()
-            for bits_value, num_bits in reversed(ops):
-                writer.write(bits_value, num_bits)
+                append(state)
+                num_bits = (state + delta_nb[symbol]) >> 16
+                state = next_state[(state >> num_bits) + delta_find[symbol]]
+            # The decoder reads forward: fields go out in symbol order.
+            states = np.array(visited[::-1], dtype=np.int64)
+            if isinstance(symbols, (bytes, bytearray)):
+                symbol_arr = np.frombuffer(symbols, dtype=np.uint8)
+            else:
+                symbol_arr = np.asarray(symbols, dtype=np.int64)
+            widths = (states + delta_nb_array[symbol_arr]) >> 16
+            payload, bit_length = pack_fields(states & ((1 << widths) - 1), widths)
             obs.counter_add("stage.fse.encode.symbols", len(symbols))
-        return writer.getvalue(), state, writer.bit_length
+        return payload, state, bit_length
 
     def decode(self, payload: bytes, initial_state: int, count: int) -> List[int]:
         """Decode exactly ``count`` symbols starting from ``initial_state``.

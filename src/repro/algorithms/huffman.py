@@ -18,8 +18,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
-from repro.common.bitio import WINDOW64_MAX_WIDTH, BitReader, BitWriter, u64_windows
+from repro.common.bitio import (
+    WINDOW64_MAX_WIDTH,
+    BitReader,
+    BitWriter,
+    pack_fields,
+    u64_windows,
+)
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -159,6 +167,18 @@ class HuffmanTable:
             for symbol, (code, length) in self.codes.items()
         }
 
+    @cached_property
+    def _encode_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reversed_codes, lengths)`` indexed by symbol; an absent
+        symbol has length 0 (every present code is at least one bit)."""
+        size = max(self.codes, default=-1) + 1
+        reversed_codes = np.zeros(size, dtype=np.int64)
+        lengths = np.zeros(size, dtype=np.int64)
+        for symbol, (reversed_code, length) in self._encode_pairs.items():
+            reversed_codes[symbol] = reversed_code
+            lengths[symbol] = length
+        return reversed_codes, lengths
+
 
 def serialize_lengths(table: HuffmanTable, alphabet_size: int) -> bytes:
     """Serialize code lengths as the table header (4 bits per symbol).
@@ -172,11 +192,9 @@ def serialize_lengths(table: HuffmanTable, alphabet_size: int) -> bytes:
         raise ValueError("serialized code lengths are limited to 15 bits")
     if lengths and max(lengths) >= alphabet_size:
         raise ValueError("symbol outside declared alphabet")
-    writer = BitWriter()
-    for symbol in range(alphabet_size):
-        writer.write(lengths.get(symbol, 0), 4)
-    writer.align_to_byte()
-    return writer.getvalue()
+    fields = np.zeros(alphabet_size, dtype=np.int64)
+    fields[list(lengths)] = list(lengths.values())
+    return pack_fields(fields, np.full(alphabet_size, 4))[0]
 
 
 def deserialize_lengths(
@@ -200,19 +218,35 @@ def deserialize_lengths(
 
 
 def encode_symbols(symbols: Sequence[int], table: HuffmanTable) -> bytes:
-    """Entropy-code ``symbols`` with ``table`` (LSB-first bitstream)."""
+    """Entropy-code ``symbols`` with ``table`` (LSB-first bitstream): one
+    column lookup per symbol, packed at once."""
     with obs.stage("stage.huffman.encode"):
-        writer = BitWriter()
-        pairs = table._encode_pairs
-        for symbol in symbols:
-            try:
-                reversed_code, length = pairs[symbol]
-            except KeyError:
-                raise ValueError(f"symbol {symbol} not present in table") from None
-            writer.write(reversed_code, length)
-        out = writer.getvalue()
+        reversed_codes, lengths = table._encode_columns
+        if isinstance(symbols, (bytes, bytearray)):
+            symbol_arr = np.frombuffer(symbols, dtype=np.uint8)
+        else:
+            symbol_arr = np.asarray(symbols, dtype=np.int64)
+        known = (symbol_arr >= 0) & (symbol_arr < len(lengths))
+        if not known.all() or not lengths[symbol_arr].all():
+            missing = next(s for s in symbols if s not in table.codes)
+            raise ValueError(f"symbol {missing} not present in table")
+        out, _ = pack_fields(reversed_codes[symbol_arr], lengths[symbol_arr])
         obs.counter_add("stage.huffman.encode.symbols", len(symbols))
     return out
+
+
+def reference_encode_symbols(symbols: Sequence[int], table: HuffmanTable) -> bytes:
+    """Per-symbol :class:`BitWriter` encode: the specification
+    :func:`encode_symbols` is tested and benchmarked against."""
+    writer = BitWriter()
+    pairs = table._encode_pairs
+    for symbol in symbols:
+        try:
+            reversed_code, length = pairs[symbol]
+        except KeyError:
+            raise ValueError(f"symbol {symbol} not present in table") from None
+        writer.write(reversed_code, length)
+    return writer.getvalue()
 
 
 def decode_symbols(data: bytes, count: int, table: HuffmanTable) -> List[int]:

@@ -24,14 +24,15 @@ software compression ratio by 1.1%.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import DefaultDict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.common.errors import ConfigError, CorruptStreamError
-from repro.common.hashing import get_hash_function, get_vectorized_hash, load_u32le
+from repro.common.hashing import get_hash_function, get_vectorized_hash
 from repro.common.units import is_power_of_two
 
 MIN_MATCH = 4
@@ -175,6 +176,7 @@ class Lz77Params:
     associativity: int = 1
     hash_table_contents: str = "position"  # or "position_and_tag"
     hash_function: str = "multiplicative"
+    #: Longest copy the encoder emits; ``None`` leaves copies unbounded.
     max_match_length: Optional[int] = None
     use_skipping: bool = False
     #: Minimum match length. Snappy-family formats need 4; zstd accepts 3,
@@ -198,6 +200,11 @@ class Lz77Params:
             raise ConfigError(f"associativity must be >= 1, got {self.associativity}")
         if self.min_match not in (3, 4):
             raise ConfigError(f"min_match must be 3 or 4, got {self.min_match}")
+        if self.max_match_length is not None and self.max_match_length < self.min_match:
+            raise ConfigError(
+                f"max_match_length must be None (unlimited) or >= min_match "
+                f"{self.min_match}, got {self.max_match_length}"
+            )
         if self.hash_table_contents not in ("position", "position_and_tag"):
             raise ConfigError(
                 f"hash_table_contents must be 'position' or 'position_and_tag', "
@@ -224,12 +231,6 @@ class Lz77Encoder:
     def __init__(self, params: Lz77Params = Lz77Params()) -> None:
         self.params = params
         self._hash = get_hash_function(params.hash_function)
-        # Reusable probe scratch (built lazily, reset per encode call): the
-        # bucket lists survive across calls so repeated small encodes — the
-        # fleet's dominant regime — stop paying the table allocation.
-        self._table: Optional[List[List[int]]] = None
-        self._tag_table: Optional[List[List[int]]] = None
-        self._touched: List[int] = []
 
     def encode(self, data: bytes, *, collect_stats: bool = False) -> TokenStream:
         """Produce the token stream for ``data`` (never raises on any input)."""
@@ -250,16 +251,19 @@ class Lz77Encoder:
 
     def _hash_positions(
         self, data: bytes, n: int
-    ) -> Tuple[List[int], List[int], Optional[List[int]]]:
-        """Per-position hash slots (masked + raw) and tags for ``data``.
+    ) -> Tuple[List[int], List[int], List[int], Optional[List[int]]]:
+        """Per-position hash slots (masked + raw), masked words and tags.
 
-        Returns ``(slots, slots_raw, tags)``: ``slots[p]`` is the bucket the
-        probe at ``p`` indexes (word masked to ``min_match`` bytes),
-        ``slots_raw[p]`` the bucket the in-match insertion indexes (raw
-        32-bit word — identical to ``slots`` when ``min_match == 4``), and
-        ``tags`` the low byte per position (``None`` unless the table stores
-        tags). Large inputs batch-hash every position with numpy; small ones
-        use the scalar hash. Both paths are bit-identical by construction.
+        Returns ``(slots, slots_raw, words, tags)``: ``words[p]`` is the
+        little-endian word at ``p`` masked to ``min_match`` bytes (so two
+        probe positions share a ``min_match`` prefix exactly when their
+        words are equal), ``slots[p]`` the bucket the probe at ``p`` indexes
+        (the hash of ``words[p]``), ``slots_raw[p]`` the bucket the in-match
+        insertion indexes (hash of the raw 32-bit word — identical to
+        ``slots`` when ``min_match == 4``), and ``tags`` the low byte per
+        position (``None`` unless the table stores tags). Large inputs
+        batch-hash every position with numpy; small ones use the scalar
+        hash. Both paths are bit-identical by construction.
         """
         params = self.params
         min_match = params.min_match
@@ -269,49 +273,26 @@ class Lz77Encoder:
         if n >= _VECTOR_MIN_BYTES:
             padded = np.frombuffer(bytes(data) + b"\x00\x00\x00", dtype=np.uint8)
             arr = padded.astype(np.uint64)
-            words = (
+            raw = (
                 arr[0:n]
                 | (arr[1 : n + 1] << np.uint64(8))
                 | (arr[2 : n + 2] << np.uint64(16))
                 | (arr[3 : n + 3] << np.uint64(24))
             )
+            masked = raw & np.uint64(hash_mask)
             vec_hash = get_vectorized_hash(params.hash_function)
-            slots = vec_hash(words & np.uint64(hash_mask), hash_bits).tolist()
-            slots_raw = (
-                vec_hash(words, hash_bits).tolist() if min_match < 4 else slots
-            )
-            tags = (words & np.uint64(0xFF)).tolist() if tagged else None
-            return slots, slots_raw, tags
+            slots = vec_hash(masked, hash_bits).tolist()
+            slots_raw = vec_hash(raw, hash_bits).tolist() if min_match < 4 else slots
+            tags = (raw & np.uint64(0xFF)).tolist() if tagged else None
+            return slots, slots_raw, masked.tolist(), tags
         hash_fn = self._hash
-        slots = []
-        slots_raw = slots if min_match >= 4 else []
-        tags = [] if tagged else None
-        for pos in range(n):
-            word = load_u32le(data, pos)
-            slots.append(hash_fn(word & hash_mask, hash_bits))
-            if min_match < 4:
-                slots_raw.append(hash_fn(word, hash_bits))
-            if tags is not None:
-                tags.append(word & 0xFF)
-        return slots, slots_raw, tags
-
-    def _scratch_table(self) -> Tuple[List[List[int]], Optional[List[List[int]]], List[int]]:
-        """The reusable hash table, with buckets touched last call cleared."""
-        table = self._table
-        if table is None:
-            entries = self.params.hash_table_entries
-            self._table = table = [[] for _ in range(entries)]
-            if self.params.hash_table_contents == "position_and_tag":
-                self._tag_table = [[] for _ in range(entries)]
-            self._touched = []
-        else:
-            tag_table = self._tag_table
-            for slot in self._touched:
-                table[slot].clear()
-                if tag_table is not None:
-                    tag_table[slot].clear()
-            self._touched.clear()
-        return table, self._tag_table, self._touched
+        # load_u32le's little-endian 32-bit words, zero-padded past the end.
+        raw_words = [int.from_bytes(data[pos : pos + 4], "little") for pos in range(n)]
+        words = raw_words if min_match >= 4 else [w & hash_mask for w in raw_words]
+        slots = [hash_fn(w, hash_bits) for w in words]
+        slots_raw = slots if min_match >= 4 else [hash_fn(w, hash_bits) for w in raw_words]
+        tags = [w & 0xFF for w in raw_words] if tagged else None
+        return slots, slots_raw, words, tags
 
     def _encode(self, data: bytes, stats: Optional[MatcherStats]) -> TokenStream:
         params = self.params
@@ -327,10 +308,15 @@ class Lz77Encoder:
 
         ways = params.associativity
         window = params.window_size
-        max_match = params.max_match_length or n
-        slots_list, slots_raw, tags_list = self._hash_positions(data, n)
-        table, tag_table, touched = self._scratch_table()
-        tagged = tag_table is not None
+        max_match = n if params.max_match_length is None else params.max_match_length
+        slots_list, slots_raw, words, tags_list = self._hash_positions(data, n)
+        tagged = tags_list is not None
+        # Sparse per-call hash table: a bucket comes into being the first
+        # time a position indexes it, so a call pays for the slots it
+        # touches, not for the table size, and nothing survives the call.
+        # A stored tag is always its position's low byte, so tags are read
+        # from ``tags_list`` rather than kept alongside the positions.
+        table: DefaultDict[int, List[int]] = defaultdict(list)
 
         literal_start = 0
         pos = 0
@@ -340,27 +326,25 @@ class Lz77Encoder:
 
         def probe(at: int) -> Tuple[int, int]:
             """Find the best match at ``at`` and insert it into the table."""
-            slot = slots_list[at]
-            tag = tags_list[at] if tagged else 0
             if stats is not None:
                 stats.positions_hashed += 1
             best_len = 0
             best_off = 0
-            bucket = table[slot]
-            bucket_tags = tag_table[slot] if tagged else None
+            bucket = table[slots_list[at]]
             if bucket:
-                at_prefix = data[at : at + min_match]
+                word = words[at]
+                tag = tags_list[at] if tagged else 0
                 max_here = min(max_match, n - at)
-                for i, cand in enumerate(bucket):
+                for cand in bucket:
                     dist = at - cand
                     if dist <= 0 or dist > window:
                         continue
-                    if bucket_tags is not None and bucket_tags[i] != tag:
+                    if tagged and tags_list[cand] != tag:
                         # Tag mismatch filters the probe without a history read.
                         continue
                     if stats is not None:
                         stats.candidates_checked += 1
-                    if data[cand : cand + min_match] != at_prefix:
+                    if words[cand] != word:
                         if stats is not None:
                             stats.candidates_rejected += 1
                         continue
@@ -388,13 +372,7 @@ class Lz77Encoder:
             # Insert current position (LRU within the set).
             if len(bucket) >= ways:
                 bucket.pop(0)
-                if bucket_tags is not None:
-                    bucket_tags.pop(0)
-            if not bucket:
-                touched.append(slot)
             bucket.append(at)
-            if bucket_tags is not None:
-                bucket_tags.append(tag)
             return best_len, best_off
 
         while pos < limit:
@@ -422,18 +400,10 @@ class Lz77Encoder:
                 step = max(1, best_len // 2)
                 inner = pos + step
                 if inner < limit:
-                    s2 = slots_raw[inner]
-                    b2 = table[s2]
-                    t2 = tag_table[s2] if tagged else None
+                    b2 = table[slots_raw[inner]]
                     if len(b2) >= ways:
                         b2.pop(0)
-                        if t2 is not None:
-                            t2.pop(0)
-                    if not b2:
-                        touched.append(s2)
                     b2.append(inner)
-                    if t2 is not None:
-                        t2.append(tags_list[inner])
                 pos += best_len
                 literal_start = pos
                 skip_credit = 32

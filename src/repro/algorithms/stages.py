@@ -33,7 +33,7 @@ layer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
@@ -488,13 +488,8 @@ class Lz77Stage(Stage):
         use_skipping=False,
     )
 
-    def __init__(self) -> None:
-        self._encoder: Optional[Lz77Encoder] = None
-
     def _forward(self, data: bytes) -> bytes:
-        if self._encoder is None:
-            self._encoder = Lz77Encoder(self._PARAMS)
-        stream = self._encoder.encode(data)
+        stream = Lz77Encoder(self._PARAMS).encode(data)
         preamble = SNAPPY_FRAME.encode_preamble(content_length=len(data))
         return preamble + emit_elements(stream.tokens)
 

@@ -57,7 +57,7 @@ from repro.algorithms.streaming import (
     CompressContext,
     DecompressContext,
 )
-from repro.common.bitio import BitWriter, read_fields
+from repro.common.bitio import pack_fields, read_fields
 from repro.common.crc32c import crc32c
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, MiB, is_power_of_two
@@ -134,21 +134,26 @@ def code_to_value(code: int, extra_bits_value: int) -> int:
 
 def encode_code_values(
     sequences: Sequence["SequenceTriple"],
-) -> Tuple[List[int], List[int], List[int], BitWriter]:
-    """SeqToCode conversion: ``(ll_codes, ml_codes, off_codes, extra)``,
-    the extra bits written per sequence in ``(ll, ml, off)`` order."""
-    ll_codes: List[int] = []
-    ml_codes: List[int] = []
-    off_codes: List[int] = []
-    extra = BitWriter()
-    for seq in sequences:
-        for value, codes in zip(
-            (seq.literal_length, seq.match_length, seq.offset), (ll_codes, ml_codes, off_codes)
-        ):
-            code, width, bits = value_to_code(value)
-            codes.append(code)
-            extra.write(bits, width)
-    return ll_codes, ml_codes, off_codes, extra
+) -> Tuple[List[int], List[int], List[int], bytes, int]:
+    """SeqToCode conversion: ``(ll_codes, ml_codes, off_codes, extra,
+    extra_bits)``, the extra bits packed per sequence in ``(ll, ml, off)``
+    order — one :func:`value_to_code` per field, vectorized."""
+    columns = [
+        [seq.literal_length for seq in sequences],
+        [seq.match_length for seq in sequences],
+        [seq.offset for seq in sequences],
+    ]
+    values = np.array(columns, dtype=np.int64).T.reshape(-1)
+    if values.size and int(values.min()) < 0:
+        value_to_code(int(values[np.argmax(values < 0)]))  # raises, as the reference would
+    # frexp's exponent is the bit length of an integer-valued float; above
+    # 2**53 the float may round up to the next power of two, one too long.
+    codes = np.frexp(values.astype(np.float64))[1].astype(np.int64)
+    codes -= (codes > 0) & ((values >> np.maximum(codes - 1, 0)) == 0)
+    widths = np.maximum(codes - 1, 0)
+    extra, extra_bits = pack_fields(values - ((codes > 0) << widths), widths)
+    code_list = codes.tolist()
+    return code_list[0::3], code_list[1::3], code_list[2::3], extra, extra_bits
 
 
 def decode_code_values(
@@ -304,7 +309,7 @@ class SequenceCoder:
         self.accuracy_log = accuracy_log
 
     def encode(self, sequences: Sequence[SequenceTriple]) -> bytes:
-        ll_codes, ml_codes, off_codes, extra = encode_code_values(sequences)
+        ll_codes, ml_codes, off_codes, extra, extra_bits = encode_code_values(sequences)
         out = bytearray()
         out += encode_varint(len(sequences))
         if not sequences:
@@ -320,9 +325,8 @@ class SequenceCoder:
             out += state.to_bytes(2, "little")
             out += encode_varint(len(payload))
             out += payload
-        extra_payload = extra.getvalue()
-        out += encode_varint(extra.bit_length)
-        out += extra_payload
+        out += encode_varint(extra_bits)
+        out += extra
         return bytes(out)
 
     @staticmethod

@@ -35,6 +35,7 @@ from repro.common.units import KiB
 from repro.fleet.profile import FleetProfile, generate_fleet_profile
 from repro.service.dispatcher import CompressionService
 from repro.service.types import ServiceConfig
+from repro.service.workers import CodecWorkerPool
 from repro.sim.arrivals import (
     DEFAULT_OFFERED_BYTES_PER_SECOND,
     CallArrival,
@@ -44,7 +45,7 @@ from repro.sim.arrivals import (
 #: Smallest payload size class; below this the frame preamble dominates.
 MIN_PAYLOAD_BYTES = 64
 
-#: Floor for the measured mean one-shot service time used by
+#: Floor for the measured mean per-call service time used by
 #: :meth:`ServiceHarness.calibrate_time_scale`. A microsecond is already far
 #: below any real codec call; anything smaller is clock-resolution noise.
 MIN_CALIBRATION_SERVICE_SECONDS = 1e-6
@@ -162,20 +163,32 @@ class PayloadLibrary:
         )
 
     def mean_service_seconds(self) -> float:
-        """Sequential one-shot timing over the library (pacing calibration)."""
+        """Mean per-call cost of the library as a service lane pays it
+        (pacing calibration).
+
+        Each entry is timed as one single-call round trip through a
+        one-worker pool: dispatch, IPC and the in-worker service, which is
+        what occupies a lane per call. For calls of well under a
+        millisecond the dispatch is as large as the codec work, so timing
+        the codec alone would pace arrivals faster than a lane can serve
+        them. An untimed call per entry first starts the pool and the
+        worker's context for it.
+        """
         if not self._entries:
             raise ConfigError("payload library is empty; prepare a workload first")
+        pool = CodecWorkerPool(1)
         total = 0.0
-        for (algorithm, op_value, _size), (payload, _expected) in sorted(
-            self._entries.items()
-        ):
-            codec = get_codec(algorithm)
-            begin = time.perf_counter()
-            if op_value == Operation.COMPRESS.value:
-                codec.compress(payload)
-            else:
-                codec.decompress(payload)
-            total += time.perf_counter() - begin
+        try:
+            for (algorithm, op_value, _size), (payload, _expected) in sorted(
+                self._entries.items()
+            ):
+                item = [(op_value, payload, None)]
+                pool.submit_batch(algorithm, item).result()
+                begin = time.perf_counter()
+                pool.submit_batch(algorithm, item).result()
+                total += time.perf_counter() - begin
+        finally:
+            pool.shutdown()
         return total / len(self._entries)
 
 
@@ -405,8 +418,9 @@ class ServiceHarness:
     def calibrate_time_scale(self, target_utilization: float) -> "ServiceHarness":
         """Rescale arrivals so offered work ≈ ``target_utilization`` here.
 
-        Measures the library's mean one-shot service time on *this* machine,
-        then sets the arrival rate to ``target × workers / mean_service``.
+        Measures the library's mean per-call cost through a worker on *this*
+        machine (:meth:`PayloadLibrary.mean_service_seconds`), then sets the
+        arrival rate to ``target × workers / mean_service``.
         The trace shape (call mix, relative gaps) stays deterministic; only
         the absolute time base adapts to machine speed.
         """
@@ -421,7 +435,7 @@ class ServiceHarness:
         mean_service = self.library.mean_service_seconds()
         if not mean_service > 0:
             raise ConfigError(
-                "measured one-shot service time is zero or negative "
+                "measured per-call service time is zero or negative "
                 f"({mean_service!r}); the calibration payloads are too small "
                 "for this machine's clock resolution — use larger payloads"
             )

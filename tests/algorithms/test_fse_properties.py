@@ -11,6 +11,8 @@ contract, exercised over skewed, uniform and degenerate distributions:
   sub-interval of the state space;
 * the column-built (vectorized) decode table and encode transitions equal
   the retained scalar reference build, at every accuracy log;
+* the table-driven encode (zstd's ``symbolTT``) equals the step-by-step
+  ``reference_encode`` in payload, final state and bit length;
 * encode→decode is the identity for any symbol sequence, at any accuracy;
 * truncating the payload is always detected (sentinel-state check).
 """
@@ -170,3 +172,44 @@ def test_column_build_covers_every_accuracy_log_with_many_symbols(accuracy_log):
     assert FseTable(normalized, accuracy_log).decode_entries == reference_decode_entries(
         normalized, accuracy_log
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(skewed_frequencies(max_symbols=40), ACCURACY_LOGS, st.data())
+def test_table_driven_encode_equals_reference(frequencies, accuracy_log, data):
+    assume(len(frequencies) <= 1 << accuracy_log)
+    table = FseTable.from_frequencies(frequencies, accuracy_log)
+    symbols = data.draw(st.lists(st.sampled_from(sorted(frequencies)), max_size=200))
+    assert table.encode(symbols) == table.reference_encode(symbols)
+
+
+@pytest.mark.parametrize("accuracy_log", range(MIN_ACCURACY_LOG, MAX_ACCURACY_LOG + 1))
+def test_table_driven_encode_with_count_one_symbols(accuracy_log):
+    # Every symbol but one normalizes to count 1: the deltaNbBits corner.
+    frequencies = {s: 1 for s in range(min(1 << accuracy_log, 64) - 1)}
+    frequencies[99] = 1 << 20
+    table = FseTable.from_frequencies(frequencies, accuracy_log)
+    assert 1 in table.normalized.values()
+    symbols = [(i * 37) % 99 if (i * 37) % 99 in frequencies else 99 for i in range(500)]
+    assert table.encode(symbols) == table.reference_encode(symbols)
+    assert table.encode(bytes(symbols)) == table.reference_encode(bytes(symbols))
+
+
+@pytest.mark.parametrize("accuracy_log", [MIN_ACCURACY_LOG, MAX_ACCURACY_LOG])
+def test_table_driven_encode_single_symbol_table(accuracy_log):
+    table = FseTable({7: 1 << accuracy_log}, accuracy_log)
+    for symbols in ([], [7], [7] * 300):
+        assert table.encode(symbols) == table.reference_encode(symbols)
+        payload, state, bits = table.encode(symbols)
+        assert (payload, bits) == (b"", 0)
+        assert table.decode(payload, state, len(symbols)) == symbols
+
+
+@pytest.mark.parametrize("symbols", [[1, 9, 7, 8], [1, -1], [2**40]])
+def test_table_driven_encode_rejects_absent_symbol_like_reference(symbols):
+    table = FseTable.from_frequencies({1: 5, 7: 3}, MIN_ACCURACY_LOG)
+    with pytest.raises(ValueError) as expected:
+        table.reference_encode(symbols)
+    with pytest.raises(ValueError) as actual:
+        table.encode(symbols)
+    assert str(actual.value) == str(expected.value)

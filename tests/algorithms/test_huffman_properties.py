@@ -10,12 +10,15 @@ uniform and degenerate symbol distributions:
   ties by symbol) — the property that lets decoders rebuild codes from
   lengths alone;
 * the flat decode table agrees with the code table on every entry;
-* encode→decode is the identity, and never beats the entropy bound.
+* encode→decode is the identity, and never beats the entropy bound;
+* the column-lookup ``encode_symbols`` and the packed ``serialize_lengths``
+  equal their per-symbol ``BitWriter`` references, error for error.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +29,10 @@ from repro.algorithms.huffman import (
     canonical_codes,
     decode_symbols,
     encode_symbols,
+    reference_encode_symbols,
+    serialize_lengths,
 )
-from repro.common.bitio import BitReader
+from repro.common.bitio import BitReader, BitWriter
 
 MAX_BITS_CHOICES = [8, 11, 15]
 
@@ -140,3 +145,39 @@ def test_stream_decodes_incrementally(data):
         reader.skip(length)
         out.append(symbol)
     assert bytes(out) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_frequencies(), st.sampled_from(MAX_BITS_CHOICES), st.data())
+def test_column_encode_equals_per_symbol_writer(freqs, max_bits, data):
+    table = HuffmanTable.from_frequencies(freqs, max_bits=max_bits)
+    symbols = data.draw(st.lists(st.sampled_from(sorted(freqs)), max_size=300))
+    assert encode_symbols(symbols, table) == reference_encode_symbols(symbols, table)
+    assert encode_symbols(bytes(symbols), table) == reference_encode_symbols(symbols, table)
+
+
+def test_column_encode_beyond_the_byte_alphabet():
+    table = HuffmanTable.from_frequencies({3: 9, 300: 4, 4095: 1}, max_bits=15)
+    symbols = [4095, 3, 300, 3, 3, 4095]
+    assert encode_symbols(symbols, table) == reference_encode_symbols(symbols, table)
+
+
+@pytest.mark.parametrize("symbols", [[1, 2, 9], [1, -1], [70000], b"\x01\x05"])
+def test_column_encode_rejects_absent_symbol_like_reference(symbols):
+    table = HuffmanTable.from_frequencies({1: 5, 2: 3, 7: 1})
+    with pytest.raises(ValueError) as expected:
+        reference_encode_symbols(symbols, table)
+    with pytest.raises(ValueError) as actual:
+        encode_symbols(symbols, table)
+    assert str(actual.value) == str(expected.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_frequencies(), st.sampled_from([256, 257, 300]))
+def test_packed_header_equals_per_field_writer(freqs, alphabet_size):
+    table = HuffmanTable.from_frequencies(freqs, max_bits=15)
+    writer = BitWriter()
+    for symbol in range(alphabet_size):
+        writer.write(table.lengths.get(symbol, 0), 4)
+    writer.align_to_byte()
+    assert serialize_lengths(table, alphabet_size) == writer.getvalue()

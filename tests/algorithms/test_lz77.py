@@ -64,6 +64,13 @@ class TestEncoderRoundTrip:
         stream = roundtrip(b"z" * 1000, params)
         assert all(c.length <= 16 for c in stream.tokens if isinstance(c, Copy))
 
+    @pytest.mark.parametrize("min_match", [3, 4])
+    def test_max_match_length_equal_to_min_match_is_the_cap(self, min_match):
+        params = Lz77Params(min_match=min_match, max_match_length=min_match)
+        stream = roundtrip(b"abcdefgh" * 20, params)
+        copies = [c for c in stream.tokens if isinstance(c, Copy)]
+        assert copies and all(c.length == min_match for c in copies)
+
     @pytest.mark.parametrize("assoc", [1, 2, 4])
     def test_associativity_roundtrips(self, assoc):
         data = b"the rain in spain " * 100
@@ -203,6 +210,15 @@ class TestParamsValidation:
         with pytest.raises(KeyError):
             Lz77Params(hash_function="md5")
 
+    @pytest.mark.parametrize("max_match_length", [0, 2, 3, -3])
+    def test_max_match_length_below_min_match_rejected(self, max_match_length):
+        # 0 must not silently mean "unlimited", nor 2 let 4-byte copies pass.
+        with pytest.raises(ConfigError, match="max_match_length"):
+            Lz77Params(max_match_length=max_match_length)
+
+    def test_max_match_length_three_allowed_with_min_match_three(self):
+        assert Lz77Params(min_match=3, max_match_length=3).max_match_length == 3
+
     def test_bad_min_match_rejected(self):
         with pytest.raises(ConfigError):
             Lz77Params(min_match=2)
@@ -231,7 +247,7 @@ class TestVectorizedPrecompute:
 
     ``Lz77Encoder._hash_positions`` switches on input size; the golden wire
     vectors pin the large-input behaviour, and these tests pin the two paths
-    against each other directly (and the scratch table against fresh state).
+    against each other directly (and a reused encoder against a fresh one).
     """
 
     PARAM_GRID = [
@@ -255,23 +271,25 @@ class TestVectorizedPrecompute:
             (1 << (8 * params.min_match)) - 1 if params.min_match < 4 else 0xFFFFFFFF
         )
         tagged = params.hash_table_contents == "position_and_tag"
-        slots, slots_raw, tags = [], [], [] if tagged else None
+        slots, slots_raw, words, tags = [], [], [], [] if tagged else None
         for pos in range(len(data)):
             word = load_u32le(data, pos)
+            words.append(word & hash_mask)
             slots.append(hash_fn(word & hash_mask, params.hash_bits))
             slots_raw.append(hash_fn(word, params.hash_bits))
             if tags is not None:
                 tags.append(word & 0xFF)
-        return slots, slots_raw, tags
+        return slots, slots_raw, words, tags
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_hash_positions_matches_scalar_reference(self, params):
         data = bytes((i * 131 + i // 7) & 0xFF for i in range(3000))
         encoder = Lz77Encoder(params)
-        slots, slots_raw, tags = encoder._hash_positions(data, len(data))
-        ref_slots, ref_raw, ref_tags = self.scalar_reference(data, params)
+        slots, slots_raw, words, tags = encoder._hash_positions(data, len(data))
+        ref_slots, ref_raw, ref_words, ref_tags = self.scalar_reference(data, params)
         assert slots == ref_slots
         assert slots_raw == ref_raw
+        assert words == ref_words
         assert tags == ref_tags
 
     @pytest.mark.parametrize("params", PARAM_GRID)
@@ -279,9 +297,10 @@ class TestVectorizedPrecompute:
         data = b"below the vectorization threshold" * 3  # < 512 bytes
         assert len(data) < 512
         encoder = Lz77Encoder(params)
-        slots, slots_raw, tags = encoder._hash_positions(data, len(data))
-        ref_slots, ref_raw, ref_tags = self.scalar_reference(data, params)
+        slots, slots_raw, words, tags = encoder._hash_positions(data, len(data))
+        ref_slots, ref_raw, ref_words, ref_tags = self.scalar_reference(data, params)
         assert slots == ref_slots
+        assert words == ref_words
         assert tags == ref_tags
         if params.min_match < 4:
             assert slots_raw == ref_raw
@@ -290,10 +309,14 @@ class TestVectorizedPrecompute:
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_scratch_table_reuse_is_stateless(self, params):
+        # The hash table lives only inside one encode call: a reused encoder
+        # carries nothing from the previous call, not even scratch space.
         a = b"first stream with its own repeated repeated content " * 40
         b = bytes((i * 17) & 0xFF for i in range(2500))
         reused = Lz77Encoder(params)
+        before = dict(vars(reused))
         reused.encode(a)
+        assert vars(reused) == before
         second = reused.encode(b)
         fresh = Lz77Encoder(params).encode(b)
         assert [repr(t) for t in second] == [repr(t) for t in fresh]

@@ -1,7 +1,8 @@
 """The shared LZ77 sequence-execution kernels equal their references.
 
 ``copy_match`` (every decoder's match copy), ``read_fields`` /
-``decode_code_values`` (the windowed extra-bits decoder) and
+``decode_code_values`` (the windowed extra-bits decoder),
+``encode_code_values`` (the vectorized SeqToCode conversion) and
 ``execute_sequences`` (the zstd/flate/brotli execution loop) replace byte-
 and field-at-a-time loops; each must be indistinguishable from the retained
 reference, including where and how it fails.
@@ -17,8 +18,9 @@ from repro.algorithms.zstd import (
     code_to_value,
     decode_code_values,
     encode_code_values,
+    value_to_code,
 )
-from repro.common.bitio import WINDOW64_MAX_WIDTH, BitReader, read_fields
+from repro.common.bitio import WINDOW64_MAX_WIDTH, BitReader, BitWriter, read_fields
 from repro.common.errors import CorruptStreamError
 
 
@@ -94,9 +96,54 @@ class TestDecodeCodeValues:
 
     def test_round_trips_encode_code_values(self):
         sequences = [SequenceTriple(0, 1, 3), SequenceTriple(5, 1 << 20, 70000), SequenceTriple(1, 7, 0)]
-        ll, ml, off, extra = encode_code_values(sequences)
-        decoded = decode_code_values(extra.getvalue(), ll, ml, off)
+        ll, ml, off, extra, _ = encode_code_values(sequences)
+        decoded = decode_code_values(extra, ll, ml, off)
         assert decoded == ([0, 5, 1], [1, 1 << 20, 7], [3, 70000, 0], None)
+
+
+def _reference_code_values(sequences):
+    """Per-field ``value_to_code`` + ``BitWriter``: the SeqToCode reference."""
+    columns = ([], [], [])
+    writer = BitWriter()
+    for seq in sequences:
+        for value, codes in zip((seq.literal_length, seq.match_length, seq.offset), columns):
+            code, width, bits = value_to_code(value)
+            codes.append(code)
+            writer.write(bits, width)
+    return (*columns, writer.getvalue(), writer.bit_length)
+
+
+#: 0, 1 and each power of two +-1 up to the widest offset the format codes
+#: (code 39), plus values past float64's exact range.
+_EDGE_VALUES = sorted(
+    {0, 1, 2**39 - 1, 2**53 - 1, 2**53 + 1, 2**60 - 1, 2**63 - 1}
+    | {v for k in range(1, 40) for v in (2**k - 1, 2**k, 2**k + 1)}
+)
+
+
+class TestEncodeCodeValues:
+    def test_edge_values_equal_reference(self):
+        triples = [
+            SequenceTriple(v, _EDGE_VALUES[-1 - i], _EDGE_VALUES[(7 * i) % len(_EDGE_VALUES)])
+            for i, v in enumerate(_EDGE_VALUES)
+        ]
+        assert encode_code_values(triples) == _reference_code_values(triples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(_EDGE_VALUES) | st.integers(0, 2**39 - 1)] * 3), max_size=40))
+    def test_equals_per_field_writer(self, triples):
+        sequences = [SequenceTriple(*t) for t in triples]
+        assert encode_code_values(sequences) == _reference_code_values(sequences)
+
+    def test_empty(self):
+        assert encode_code_values([]) == ([], [], [], b"", 0)
+
+    def test_negative_value_raises_like_value_to_code(self):
+        sequences = [SequenceTriple(1, 2, 3), SequenceTriple(4, -5, -6)]
+        with pytest.raises(ValueError) as expected:
+            _reference_code_values(sequences)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            encode_code_values(sequences)
 
 
 def _execute(out, literal_lengths, offsets, match_lengths, trailing=0, end=1 << 20, **kwargs):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bitio import BitReader, BitWriter
+from repro.common.bitio import PACK_MAX_WIDTH, BitReader, BitWriter, pack_fields
 from repro.common.errors import CorruptStreamError
 
 
@@ -196,3 +196,93 @@ class TestBitReaderExtend:
         chunked.extend(data[split:])
         for _ in range(len(data)):
             assert chunked.read(8) == whole.read(8)
+
+
+def _written(values, widths):
+    """One ``BitWriter.write`` per field: the reference :func:`pack_fields`
+    must equal, error for error."""
+    writer = BitWriter()
+    for value, width in zip(values, widths):
+        writer.write(value, width)
+    return writer.getvalue(), writer.bit_length
+
+
+#: Valid leading fields that push a short case past the per-field cut-over,
+#: so each case runs on both the per-field and the vectorized path.
+_PADDINGS = [0, 100]
+
+
+def _padded(padding, values, widths):
+    return [5] * padding + list(values), [3] * padding + list(widths)
+
+
+class TestPackFields:
+    def test_every_width_at_its_extremes(self):
+        widths = [w for w in range(PACK_MAX_WIDTH + 1) for _ in range(3)]
+        values = [v for w in range(PACK_MAX_WIDTH + 1) for v in (0, (1 << w) - 1, (1 << w) // 3)]
+        assert pack_fields(values, widths) == _written(values, widths)
+        # Every start offset within a word, for every width.
+        for lead in range(64):
+            assert pack_fields([0] + values, [lead] + widths) == _written(
+                [0] + values, [lead] + widths
+            )
+
+    @pytest.mark.parametrize("padding", _PADDINGS)
+    def test_zero_width_ignores_its_value(self, padding):
+        # The writer skips a zero-width field before looking at its value.
+        values, widths = _padded(padding, [5, -1, 1 << 70, 3], [0, 0, 0, 2])
+        assert pack_fields(values, widths) == _written(values, widths)
+        assert pack_fields([5, -1, 3], [0, 0, 2]) == (b"\x03", 2)
+
+    def test_empty(self):
+        assert pack_fields([], []) == (b"", 0)
+
+    @pytest.mark.parametrize("padding", _PADDINGS)
+    def test_wider_fields_use_the_reference_writer(self, padding):
+        values, widths = _padded(padding, [1, (1 << 64) + 5, 3], [1, 65, 2])
+        assert pack_fields(values, widths) == _written(values, widths)
+
+    @pytest.mark.parametrize("padding", _PADDINGS)
+    @pytest.mark.parametrize(
+        "values,widths",
+        [
+            ([1], [-1]),
+            ([2], [1]),
+            ([-1], [3]),
+            ([1 << 63], [63]),
+            ([3, 0, 8], [2, 5, 3]),
+            ([0, -4], [3, 7]),
+            ([1 << 70], [70]),
+        ],
+    )
+    def test_rejects_what_the_writer_rejects(self, padding, values, widths):
+        values, widths = _padded(padding, values, widths)
+        with pytest.raises(ValueError) as expected:
+            _written(values, widths)
+        with pytest.raises(ValueError) as actual:
+            pack_fields(values, widths)
+        assert str(actual.value) == str(expected.value)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pack_fields([1, 2], [3])
+
+    def test_numpy_columns_equal_lists(self):
+        import numpy as np
+
+        widths = [(i * 7) % 64 for i in range(200)]
+        values = [(1 << w) - 1 - i % 2 if w else 0 for i, w in enumerate(widths)]
+        assert pack_fields(np.array(values), np.array(widths)) == _written(values, widths)
+
+    @given(
+        st.lists(
+            st.integers(0, PACK_MAX_WIDTH).flatmap(
+                lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+            ),
+            max_size=300,
+        )
+    )
+    def test_equals_per_field_writer(self, fields):
+        values = [v for v, _ in fields]
+        widths = [w for _, w in fields]
+        assert pack_fields(values, widths) == _written(values, widths)
