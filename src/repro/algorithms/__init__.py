@@ -17,6 +17,7 @@ from repro.algorithms.lz77 import (
     Lz77Params,
     Token,
     TokenStream,
+    TokenStreamBuilder,
     decode_tokens,
 )
 from repro.algorithms.lzo import LzoCodec
@@ -59,6 +60,7 @@ __all__ = [
     "decompress_framed",
     "Token",
     "TokenStream",
+    "TokenStreamBuilder",
     "WeightClass",
     "ZstdCodec",
     "available_codecs",

@@ -29,13 +29,8 @@ from repro.algorithms.flate import (
     _encode_codes_huffman,
     _encode_literal_section,
 )
-from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, execute_sequences
-from repro.algorithms.zstd import (
-    SequenceTriple,
-    decode_code_values,
-    encode_code_values,
-    tokens_to_sequences,
-)
+from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, TokenStream, execute_sequences
+from repro.algorithms.zstd import decode_code_values, encode_code_values
 from repro.algorithms.zstd_dict import strip_prefix_tokens
 from repro.common.bitio import pack_fields, read_fields
 from repro.common.errors import ConfigError, CorruptStreamError
@@ -112,18 +107,20 @@ STATIC_DICTIONARY = _build_static_dictionary()
 _SMALL_SEQUENCE_LIMIT = 64
 
 
-def _encode_sequences(sequences: List[SequenceTriple]) -> bytes:
+def _encode_sequences(stream: TokenStream) -> bytes:
     """Sequence section: compact raw mode for small counts, Huffman above.
 
     Real Brotli avoids per-stream table headers on small inputs with
     predefined code tables; the raw 6-bit mode plays that role here.
     """
-    ll, ml, off, extra, extra_bits = encode_code_values(sequences)
+    ll, ml, off, extra, extra_bits = encode_code_values(
+        stream.literal_lengths, stream.offsets, stream.match_lengths
+    )
     out = bytearray()
-    out += encode_varint(len(sequences))
-    if not sequences:
+    out += encode_varint(len(ll))
+    if not ll:
         return bytes(out)
-    if len(sequences) < _SMALL_SEQUENCE_LIMIT:
+    if len(ll) < _SMALL_SEQUENCE_LIMIT:
         out.append(0)  # raw mode
         codes = [code for triple in zip(ll, ml, off) for code in triple]
         out += pack_fields(codes, [6] * len(codes))[0]
@@ -228,12 +225,11 @@ class BrotliCodec(Codec):
         # the dictionary region so only payload tokens are emitted.
         dict_tail = STATIC_DICTIONARY[-window:]
         stream = matcher.encode(dict_tail + data)
-        tokens = strip_prefix_tokens(stream.tokens, len(dict_tail))
-        sequences, literals, trailing = tokens_to_sequences(tokens)
+        stream = strip_prefix_tokens(stream, len(dict_tail))
 
-        body = bytearray(_encode_literal_section(literals))
-        body += _encode_sequences(sequences)
-        body += encode_varint(trailing)
+        body = bytearray(_encode_literal_section(stream.literals))
+        body += _encode_sequences(stream)
+        body += encode_varint(stream.trailing)
 
         if len(body) >= len(data) + 2:
             out.append(0)  # stored

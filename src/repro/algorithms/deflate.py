@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.huffman import HuffmanTable, _reverse_bits, build_code_lengths
-from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Lz77Params, Token, copy_match
+from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, TokenStream, copy_match
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB
@@ -114,21 +114,17 @@ def _dist_code(dist: int) -> Tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _symbolize(tokens: Sequence[Token]) -> List[Tuple[int, int, int, int, int, int]]:
+def _symbolize(stream: TokenStream) -> List[Tuple[int, int, int, int, int, int]]:
     """Flatten LZ77 tokens into (litlen sym, bits, val, dist sym, bits, val).
 
     Literal bytes use a distance symbol of -1 (none). The end-of-block
     symbol is appended by the caller.
     """
     symbols: List[Tuple[int, int, int, int, int, int]] = []
-    for token in tokens:
-        if isinstance(token, Literal):
-            for byte in token.data:
-                symbols.append((byte, 0, 0, -1, 0, 0))
-        else:
-            lsym, lbits, lval = _length_code(token.length)
-            dsym, dbits, dval = _dist_code(token.offset)
-            symbols.append((lsym, lbits, lval, dsym, dbits, dval))
+    for literal, offset, length in stream.sequences():
+        symbols.extend((byte, 0, 0, -1, 0, 0) for byte in literal)
+        symbols.append((*_length_code(length), *_dist_code(offset)))
+    symbols.extend((byte, 0, 0, -1, 0, 0) for byte in stream.tail)
     return symbols
 
 
@@ -307,7 +303,7 @@ def deflate_raw(data: bytes, *, level: Optional[int] = None) -> bytes:
     """
     resolved = DEFLATE_INFO.clamp_level(level)
     tokens = Lz77Encoder(_level_lz77(resolved)).encode(data)
-    symbols = _symbolize(tokens.tokens)
+    symbols = _symbolize(tokens)
     candidates = [_fixed_block(symbols, final=True)]
     dynamic = _dynamic_block(symbols, final=True)
     if dynamic is not None:

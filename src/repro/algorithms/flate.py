@@ -32,7 +32,6 @@ from repro.algorithms.zstd import (
     CODE_ALPHABET,
     decode_code_values,
     encode_code_values,
-    tokens_to_sequences,
 )
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.units import KiB, is_power_of_two
@@ -177,7 +176,6 @@ class FlateCodec(Codec):
     ) -> bytes:
         window = self.resolve_window(window_size)
         stream = self.tokenize(data, level=level, window_size=window)
-        sequences, literals, trailing = tokens_to_sequences(stream.tokens)
 
         out = bytearray(
             FLATE_FRAME.encode_preamble(
@@ -185,14 +183,16 @@ class FlateCodec(Codec):
             )
         )
 
-        body = bytearray(_encode_literal_section(literals))
+        body = bytearray(_encode_literal_section(stream.literals))
         # Sequences: three Huffman-coded code streams + raw extra bits.
-        ll, ml, off, extra, extra_bits = encode_code_values(sequences)
+        ll, ml, off, extra, extra_bits = encode_code_values(
+            stream.literal_lengths, stream.offsets, stream.match_lengths
+        )
         for codes in (ll, ml, off):
             body += _encode_codes_huffman(codes)
         body += encode_varint(extra_bits)
         body += extra
-        body += encode_varint(trailing)
+        body += encode_varint(stream.trailing)
 
         if len(body) >= len(data) + 2:
             out.append(0)  # stored (uncompressed) body

@@ -11,7 +11,7 @@ and no compression levels.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Optional
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import (
@@ -21,11 +21,10 @@ from repro.algorithms.container import (
     verify_content_checksum,
 )
 from repro.algorithms.lz77 import (
-    Copy,
-    Literal,
     Lz77Encoder,
     Lz77Params,
     TokenStream,
+    TokenStreamBuilder,
     decode_tokens,
 )
 from repro.common.bitio import BitReader, BitWriter
@@ -90,8 +89,7 @@ class GipfeliCodec(Codec):
         stream = self.tokenize(data)
         out = bytearray(GIPFELI_FRAME.encode_preamble(content_length=len(data)))
 
-        literal_bytes = b"".join(t.data for t in stream.tokens if isinstance(t, Literal))
-        top = [sym for sym, _ in Counter(literal_bytes).most_common(_TOP_SET_SIZE)]
+        top = [sym for sym, _ in Counter(stream.literals).most_common(_TOP_SET_SIZE)]
         top_index = {sym: i for i, sym in enumerate(top)}
         out.append(len(top))
         out += bytes(top)
@@ -100,23 +98,28 @@ class GipfeliCodec(Codec):
         # (value >> 1 = run length), low bit 1 = copy (value >> 1 = length-4,
         # followed by a 2-byte little-endian offset). Comparable density to
         # Snappy's element stream, with literals diverted to the bit payload.
-        out += encode_varint(len(stream.tokens))
+        out += encode_varint(len(stream))
         bits = BitWriter()
         plan = bytearray()
-        for token in stream.tokens:
-            if isinstance(token, Literal):
-                plan += encode_varint(len(token.data) << 1)
-                for byte in token.data:
-                    idx = top_index.get(byte)
-                    if idx is not None:
-                        bits.write(0, 1)
-                        bits.write(idx, 5)
-                    else:
-                        bits.write(1, 1)
-                        bits.write(byte, 8)
-            else:
-                plan += encode_varint((token.length - 4) << 1 | 1)
-                plan += token.offset.to_bytes(2, "little")
+
+        def literal_run(run: bytes) -> None:
+            if not run:
+                return
+            plan.extend(encode_varint(len(run) << 1))
+            for byte in run:
+                idx = top_index.get(byte)
+                if idx is not None:
+                    bits.write(0, 1)
+                    bits.write(idx, 5)
+                else:
+                    bits.write(1, 1)
+                    bits.write(byte, 8)
+
+        for literal, offset, length in stream.sequences():
+            literal_run(literal)
+            plan += encode_varint((length - 4) << 1 | 1)
+            plan += offset.to_bytes(2, "little")
+        literal_run(stream.tail)
         payload = bits.getvalue()
         out += encode_varint(len(plan))
         out += plan
@@ -177,7 +180,7 @@ class GipfeliCodec(Codec):
         payload = data[pos : pos + payload_bytes]
         reader = BitReader(payload)
 
-        tokens: List = []
+        tokens = TokenStreamBuilder()
         ppos = 0
         for _ in range(num_tokens):
             if ppos >= len(plan):
@@ -191,7 +194,7 @@ class GipfeliCodec(Codec):
                 ppos += 2
                 if offset == 0:
                     raise CorruptStreamError("invalid copy token")
-                tokens.append(Copy(offset=offset, length=length))
+                tokens.copy(offset, length)
             else:
                 run_len = control >> 1
                 if run_len == 0:
@@ -209,5 +212,5 @@ class GipfeliCodec(Codec):
                         if idx >= top_size:
                             raise CorruptStreamError("literal index outside top set")
                         run.append(top[idx])
-                tokens.append(Literal(bytes(run)))
-        return decode_tokens(tokens, expected_length=expected)
+                tokens.literal(run)
+        return decode_tokens(tokens.build(), expected_length=expected)

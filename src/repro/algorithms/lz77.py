@@ -23,10 +23,10 @@ software compression ratio by 1.1%.
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import DefaultDict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import DefaultDict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,10 +47,19 @@ _VECTOR_MIN_BYTES = 512
 #: before finishing byte-wise inside the mismatching block.
 _EXTEND_BLOCK = 64
 
+#: A table over this many slots per input byte is numbered densely per call
+#: instead of allocated at full size: renumbering costs about as much per
+#: input byte as allocating this many slots.
+_DENSE_TABLE_RATIO = 32
+
+#: Past this many matched bytes, extension switches from word compares to
+#: ``_EXTEND_BLOCK``-byte memcmps (long matches are rare but can be huge).
+_EXTEND_WORDS = 32
+
 
 @dataclass(frozen=True)
 class Literal:
-    """A run of bytes emitted verbatim."""
+    """A run of bytes emitted verbatim (the :meth:`TokenStream.tokens` view)."""
 
     data: bytes
 
@@ -95,62 +104,110 @@ class MatcherStats:
 
 
 class TokenStream:
-    """An ordered sequence of LZ77 tokens plus derived statistics.
+    """An LZ77 token stream in zstd's sequence form.
 
-    The hardware pipelines evaluate cycle counts from these statistics
-    (vectorized with numpy), so the stream caches its array views.
+    Copy ``i`` executes after ``literal_lengths[i]`` literal bytes; the
+    ``trailing`` literals follow the last copy. ``literals`` concatenates
+    every literal byte in order. A parsed stream may carry two literal
+    elements back to back (zstd raw/RLE block boundaries, consecutive
+    Snappy literal elements): ``breaks`` lists the literal-buffer positions
+    where one such element ends and the next begins, so ``len()`` — the
+    element count the cycle model charges per token — is that of the
+    element sequence, not of the merged runs. The encoder never emits one.
     """
 
-    def __init__(self, tokens: Sequence[Token], source_length: int) -> None:
-        self.tokens: List[Token] = list(tokens)
-        self.source_length = source_length
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    def __init__(
+        self,
+        literal_lengths: List[int],
+        offsets: List[int],
+        match_lengths: List[int],
+        literals: bytes,
+        trailing: int,
+        breaks: Sequence[int] = (),
+    ) -> None:
+        self.literal_lengths = literal_lengths
+        self.offsets = offsets
+        self.match_lengths = match_lengths
+        self.literals = literals
+        self.trailing = trailing
+        self.breaks = breaks
 
-    def __iter__(self):
-        return iter(self.tokens)
+    @classmethod
+    def from_tokens(cls, tokens: Sequence[Token]) -> "TokenStream":
+        """Build the columns from ``Literal``/``Copy`` objects (reference
+        code and tests)."""
+        builder = TokenStreamBuilder()
+        for token in tokens:
+            if isinstance(token, Literal):
+                builder.literal(token.data)
+            else:
+                builder.copy(token.offset, token.length)
+        return builder.build()
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return self.element_count
 
-    def _build_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            literal_runs = [len(t.data) for t in self.tokens if isinstance(t, Literal)]
-            offsets = [t.offset for t in self.tokens if isinstance(t, Copy)]
-            lengths = [t.length for t in self.tokens if isinstance(t, Copy)]
-            self._arrays = (
-                np.asarray(literal_runs, dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(lengths, dtype=np.int64),
-            )
-        return self._arrays
+    @cached_property
+    def element_count(self) -> int:
+        lengths = self.literal_lengths
+        runs = len(lengths) - lengths.count(0) + (self.trailing > 0) + len(self.breaks)
+        return len(lengths) + runs
+
+    def sequences(self) -> Iterator[Tuple[bytes, int, int]]:
+        """``(literal run, offset, match length)`` per copy, in order; the
+        ``tail`` literals follow."""
+        literals = self.literals
+        pos = 0
+        for literal_length, offset, match_length in zip(
+            self.literal_lengths, self.offsets, self.match_lengths
+        ):
+            end = pos + literal_length
+            yield literals[pos:end], offset, match_length
+            pos = end
 
     @property
-    def literal_run_lengths(self) -> np.ndarray:
-        return self._build_arrays()[0]
+    def tail(self) -> bytes:
+        """The trailing literals (after the last copy)."""
+        return self.literals[len(self.literals) - self.trailing :]
 
-    @property
+    def tokens(self) -> List[Token]:
+        """The stream as ``Literal``/``Copy`` objects: one per element."""
+        literals = self.literals
+        cuts = [*self.breaks, len(literals) + 1]
+        out: List[Token] = []
+        pos = cut = 0
+        for literal, offset, length in [*self.sequences(), (self.tail, 0, 0)]:
+            end = pos + len(literal)
+            while cuts[cut] < end:
+                out.append(Literal(literals[pos : cuts[cut]]))
+                pos = cuts[cut]
+                cut += 1
+            if pos < end:
+                out.append(Literal(literals[pos:end]))
+                pos = end
+            if offset:
+                out.append(Copy(offset=offset, length=length))
+        return out
+
+    @cached_property
     def copy_offsets(self) -> np.ndarray:
-        return self._build_arrays()[1]
+        return np.asarray(self.offsets, dtype=np.int64)
 
-    @property
+    @cached_property
     def copy_lengths(self) -> np.ndarray:
-        return self._build_arrays()[2]
+        return np.asarray(self.match_lengths, dtype=np.int64)
 
     @property
     def literal_bytes(self) -> int:
-        return int(self.literal_run_lengths.sum())
+        return len(self.literals)
 
     @property
     def copy_bytes(self) -> int:
-        return int(self.copy_lengths.sum())
+        return sum(self.match_lengths)
 
     @property
     def num_copies(self) -> int:
-        return len(self.copy_offsets)
-
-    @property
-    def num_literal_runs(self) -> int:
-        return len(self.literal_run_lengths)
+        return len(self.offsets)
 
     def output_length(self) -> int:
         """Total decompressed length this stream reconstructs."""
@@ -165,6 +222,75 @@ class TokenStream:
         """Bytes produced by copies that fall back off-chip."""
         mask = self.copy_offsets > sram_bytes
         return int(self.copy_lengths[mask].sum())
+
+
+class TokenStreamBuilder:
+    """Appends parsed elements to :class:`TokenStream` columns: what every
+    element/frame parser builds its stream with."""
+
+    def __init__(self) -> None:
+        self._literal_lengths: List[int] = []
+        self._offsets: List[int] = []
+        self._match_lengths: List[int] = []
+        self._literals = bytearray()
+        self._pending = 0
+        self._breaks: List[int] = []
+
+    def literal(self, run) -> None:
+        """One literal element of ``run``'s bytes."""
+        if self._pending:
+            self._breaks.append(len(self._literals))
+        self._literals += run
+        self._pending += len(run)
+
+    def copy(self, offset: int, length: int) -> None:
+        """One copy element."""
+        self._literal_lengths.append(self._pending)
+        self._offsets.append(offset)
+        self._match_lengths.append(length)
+        self._pending = 0
+
+    def extend(
+        self,
+        literals: bytes,
+        literal_lengths: List[int],
+        offsets: List[int],
+        match_lengths: List[int],
+        trailing: int,
+    ) -> None:
+        """A block's decoded sequences, as if each literal run (where
+        non-empty) and copy were appended in turn. Raises
+        :class:`CorruptStreamError` unless the runs and ``trailing`` use
+        up ``literals`` exactly."""
+        consumed = sum(literal_lengths)
+        if consumed > len(literals):
+            raise CorruptStreamError("sequence consumes more literals than present")
+        if consumed + trailing != len(literals):
+            raise CorruptStreamError(
+                f"trailing literal count {trailing} inconsistent with literal buffer"
+            )
+        first = literal_lengths[0] if literal_lengths else trailing
+        if self._pending and first:
+            self._breaks.append(len(self._literals))
+        self._literals += literals
+        if literal_lengths:
+            self._literal_lengths.append(self._pending + first)
+            self._literal_lengths += literal_lengths[1:]
+            self._offsets += offsets
+            self._match_lengths += match_lengths
+            self._pending = trailing
+        else:
+            self._pending += trailing
+
+    def build(self) -> TokenStream:
+        return TokenStream(
+            self._literal_lengths,
+            self._offsets,
+            self._match_lengths,
+            bytes(self._literals),
+            self._pending,
+            self._breaks,
+        )
 
 
 @dataclass(frozen=True)
@@ -271,14 +397,9 @@ class Lz77Encoder:
         hash_mask = (1 << (8 * min_match)) - 1 if min_match < 4 else 0xFFFFFFFF
         tagged = params.hash_table_contents == "position_and_tag"
         if n >= _VECTOR_MIN_BYTES:
-            padded = np.frombuffer(bytes(data) + b"\x00\x00\x00", dtype=np.uint8)
-            arr = padded.astype(np.uint64)
-            raw = (
-                arr[0:n]
-                | (arr[1 : n + 1] << np.uint64(8))
-                | (arr[2 : n + 2] << np.uint64(16))
-                | (arr[3 : n + 3] << np.uint64(24))
-            )
+            # The 32-bit word at every byte offset: an unaligned strided view.
+            padded = bytes(data) + b"\x00\x00\x00"
+            raw = np.ndarray((n,), dtype="<u4", buffer=padded, strides=(1,)).astype(np.uint64)
             masked = raw & np.uint64(hash_mask)
             vec_hash = get_vectorized_hash(params.hash_function)
             slots = vec_hash(masked, hash_bits).tolist()
@@ -295,6 +416,166 @@ class Lz77Encoder:
         return slots, slots_raw, words, tags
 
     def _encode(self, data: bytes, stats: Optional[MatcherStats]) -> TokenStream:
+        """The match loop over a zlib-style head/chain table.
+
+        Every table insert is an *event*: the probe at ``p`` is event
+        ``2p`` and the in-match insert at ``p`` event ``2p + 1`` (a lazy
+        parse can insert one position both ways). ``head[slot]`` holds the
+        slot's newest event and ``chain[event]`` the one before it in the
+        same slot. A probe walks at most ``associativity`` events newest
+        first and takes a candidate on ``length >= best``: the same set, the
+        same oldest-wins tie-break and the same counts as
+        :meth:`reference_encode`'s LRU buckets, which kept the last
+        ``associativity`` inserts per slot and scanned them oldest first
+        taking ``length > best``. Inserted positions never decrease, so the
+        walk stops at the first candidate past the window.
+        """
+        params = self.params
+        min_match = params.min_match
+        n = len(data)
+        if n < min_match:
+            if stats is not None:
+                stats.literal_bytes += n
+            return TokenStream([], [], [], bytes(data), n)
+
+        ways = params.associativity
+        window = params.window_size
+        max_match = n if params.max_match_length is None else params.max_match_length
+        lazy = params.lazy
+        skip_step = 1 if params.use_skipping else 0
+        slots, slots_raw, words, tags = self._hash_positions(data, n)
+        tagged = tags is not None
+        entries = params.hash_table_entries
+        if entries > _DENSE_TABLE_RATIO * n:
+            # Number the slots this call touches densely: a bijection, so the
+            # same collisions, and a table sized by the input, not the knob.
+            dense = {}
+            slots = [dense.setdefault(slot, len(dense)) for slot in slots]
+            if min_match < 4:
+                slots_raw = [dense.setdefault(slot, len(dense)) for slot in slots_raw]
+            else:
+                slots_raw = slots
+            entries = len(dense)
+        head = [-1] * entries
+        chain = [-1] * (2 * n)
+
+        literal_lengths: List[int] = []
+        offsets: List[int] = []
+        match_lengths: List[int] = []
+        literal_runs: List[bytes] = []
+        probes = checked = rejected = 0
+
+        literal_start = 0
+        pos = 0
+        limit = n - min_match + 1
+        skip_credit = 32  # Snappy SW heuristic state: bytes between lookups = skip>>5
+        # A lazy parse probes ``pos``, then ``pos + 1`` on the next turn with
+        # the first match pending; the longer of the two is taken.
+        pending_len = pending_off = 0
+        while pos < limit:
+            probes += 1
+            slot = slots[pos]
+            event = head[slot]
+            head[slot] = chain_at = pos + pos
+            chain[chain_at] = event
+            best_len = best_off = 0
+            if event >= 0:
+                word = words[pos]
+                left = ways
+                while True:
+                    cand = event >> 1
+                    dist = pos - cand
+                    if dist > window:
+                        break
+                    if not tagged or tags[cand] == tags[pos]:
+                        # A tag mismatch filters the probe without a history read.
+                        checked += 1
+                        if words[cand] != word:
+                            rejected += 1
+                        else:
+                            # Extend a word (min_match bytes) at a time: the
+                            # lowest differing byte of the XOR is the first
+                            # mismatch. Long matches go a memcmp block at a time.
+                            max_here = n - pos if max_match > n - pos else max_match
+                            word_end = max_here - min_match
+                            length = min_match
+                            while length <= word_end:
+                                diff = words[cand + length] ^ words[pos + length]
+                                if diff:
+                                    length += ((diff & -diff).bit_length() - 1) >> 3
+                                    break
+                                length += min_match
+                                if length > _EXTEND_WORDS:
+                                    while (
+                                        length + _EXTEND_BLOCK <= max_here
+                                        and data[cand + length : cand + length + _EXTEND_BLOCK]
+                                        == data[pos + length : pos + length + _EXTEND_BLOCK]
+                                    ):
+                                        length += _EXTEND_BLOCK
+                            else:
+                                while length < max_here and data[cand + length] == data[pos + length]:
+                                    length += 1
+                            if length >= best_len:
+                                best_len = length
+                                best_off = dist
+                    left -= 1
+                    if not left:
+                        break
+                    event = chain[event]
+                    if event < 0:
+                        break
+
+            if pending_len:
+                if best_len <= pending_len + 1:
+                    # Keep the match at ``pos - 1``.
+                    pos -= 1
+                    best_len = pending_len
+                    best_off = pending_off
+                pending_len = 0
+            elif lazy and min_match <= best_len < 32 and pos + 1 < limit:
+                pending_len = best_len
+                pending_off = best_off
+                pos += 1
+                continue
+
+            if best_len:
+                literal_lengths.append(pos - literal_start)
+                if literal_start < pos:
+                    literal_runs.append(data[literal_start:pos])
+                offsets.append(best_off)
+                match_lengths.append(best_len)
+                # Index a couple of in-match positions so overlapping repeats
+                # remain findable, then jump past the match (greedy).
+                inner = pos + (best_len >> 1 or 1)
+                if inner < limit:
+                    slot = slots_raw[inner]
+                    chain[inner + inner + 1] = head[slot]
+                    head[slot] = inner + inner + 1
+                pos += best_len
+                literal_start = pos
+                skip_credit = 32
+            else:
+                # Snappy library heuristic: every 32 misses, start skipping
+                # more bytes between hash lookups.
+                pos += skip_credit >> 5
+                skip_credit += skip_step
+
+        trailing = n - literal_start
+        if trailing:
+            literal_runs.append(data[literal_start:])
+        literals = b"".join(literal_runs)
+        if stats is not None:
+            stats.positions_hashed += probes
+            stats.candidates_checked += checked
+            stats.candidates_rejected += rejected
+            stats.matches_found += len(offsets)
+            stats.match_bytes += n - len(literals)
+            stats.literal_bytes += len(literals)
+        return TokenStream(literal_lengths, offsets, match_lengths, literals, trailing)
+
+    def reference_encode(self, data: bytes, stats: Optional[MatcherStats] = None) -> List[Token]:
+        """The LRU-bucket match loop :meth:`encode` is tested and benchmarked
+        against: the same tokens and the same ``stats`` counts."""
         params = self.params
         min_match = params.min_match
         n = len(data)
@@ -304,24 +585,19 @@ class Lz77Encoder:
                 tokens.append(Literal(data))
                 if stats is not None:
                     stats.literal_bytes += n
-            return TokenStream(tokens, n)
+            return tokens
 
         ways = params.associativity
         window = params.window_size
         max_match = n if params.max_match_length is None else params.max_match_length
         slots_list, slots_raw, words, tags_list = self._hash_positions(data, n)
         tagged = tags_list is not None
-        # Sparse per-call hash table: a bucket comes into being the first
-        # time a position indexes it, so a call pays for the slots it
-        # touches, not for the table size, and nothing survives the call.
-        # A stored tag is always its position's low byte, so tags are read
-        # from ``tags_list`` rather than kept alongside the positions.
         table: DefaultDict[int, List[int]] = defaultdict(list)
 
         literal_start = 0
         pos = 0
         limit = n - min_match + 1
-        skip_credit = 32  # Snappy SW heuristic state: bytes between lookups = skip>>5
+        skip_credit = 32
         lazy = params.lazy
 
         def probe(at: int) -> Tuple[int, int]:
@@ -340,7 +616,6 @@ class Lz77Encoder:
                     if dist <= 0 or dist > window:
                         continue
                     if tagged and tags_list[cand] != tag:
-                        # Tag mismatch filters the probe without a history read.
                         continue
                     if stats is not None:
                         stats.candidates_checked += 1
@@ -348,9 +623,6 @@ class Lz77Encoder:
                         if stats is not None:
                             stats.candidates_rejected += 1
                         continue
-                    # Extend block-wise (each comparison is one memcmp), then
-                    # finish byte-wise inside the first mismatching block —
-                    # identical first-mismatch result to the byte loop.
                     length = min_match
                     while length < max_here:
                         step = min(_EXTEND_BLOCK, max_here - length)
@@ -380,8 +652,6 @@ class Lz77Encoder:
             if lazy and min_match <= best_len < 32 and pos + 1 < limit:
                 next_len, next_off = probe(pos + 1)
                 if next_len > best_len + 1:
-                    # Defer: today's byte becomes a literal, take tomorrow's
-                    # longer match instead (one-step lazy parse).
                     pos += 1
                     best_len, best_off = next_len, next_off
 
@@ -395,8 +665,6 @@ class Lz77Encoder:
                 if stats is not None:
                     stats.matches_found += 1
                     stats.match_bytes += best_len
-                # Index a couple of in-match positions so overlapping repeats
-                # remain findable, then jump past the match (greedy).
                 step = max(1, best_len // 2)
                 inner = pos + step
                 if inner < limit:
@@ -409,8 +677,6 @@ class Lz77Encoder:
                 skip_credit = 32
             else:
                 if params.use_skipping:
-                    # Snappy library heuristic: every 32 misses, start
-                    # skipping more bytes between hash lookups.
                     advance = skip_credit >> 5
                     skip_credit += 1
                     pos += max(1, advance)
@@ -422,7 +688,7 @@ class Lz77Encoder:
             tokens.append(Literal(lit))
             if stats is not None:
                 stats.literal_bytes += len(lit)
-        return TokenStream(tokens, n)
+        return tokens
 
 
 def copy_match(out: bytearray, offset: int, length: int) -> None:
@@ -503,7 +769,7 @@ def execute_sequences(
         raise CorruptStreamError(wrong_size)
 
 
-def decode_tokens(tokens: Iterable[Token], *, expected_length: Optional[int] = None) -> bytes:
+def decode_tokens(stream: TokenStream, *, expected_length: Optional[int] = None) -> bytes:
     """Reference LZ77 decoder: reconstruct bytes from a token stream.
 
     Validates offsets (a copy may not reach before the start of output) and,
@@ -513,42 +779,45 @@ def decode_tokens(tokens: Iterable[Token], *, expected_length: Optional[int] = N
     """
     with obs.stage("stage.lz77.decode"):
         out = bytearray()
-        limit = sys.maxsize if expected_length is None else expected_length
-        for token in tokens:
-            if isinstance(token, Literal):
-                out += token.data
-                continue
-            if token.offset > len(out):
-                raise CorruptStreamError(
-                    f"copy offset {token.offset} reaches before start of output "
-                    f"(only {len(out)} bytes produced)"
-                )
-            if len(out) + token.length > limit:
-                raise CorruptStreamError(f"decoded length exceeds expected {expected_length}")
-            copy_match(out, token.offset, token.length)
-        if expected_length is not None and len(out) != expected_length:
-            raise CorruptStreamError(
-                f"decoded length {len(out)} != expected {expected_length}"
-            )
+        end = stream.output_length() if expected_length is None else expected_length
+        execute_sequences(
+            out, stream.literals, stream.literal_lengths, stream.offsets,
+            stream.match_lengths, stream.trailing,
+            history_start=0,
+            max_offset=end,
+            end=end,
+            bad_offset="copy offset {offset} reaches before start of output",
+            bad_trailing="trailing literal count inconsistent with literal buffer",
+            wrong_size=f"decoded length != expected {end}",
+        )
         obs.counter_add("stage.lz77.decode.bytes", len(out))
     return bytes(out)
 
 
-def split_long_copies(tokens: Iterable[Token], max_length: int) -> List[Token]:
+def split_long_copies(stream: TokenStream, max_length: int) -> TokenStream:
     """Split copies longer than ``max_length`` (format-layer helper).
 
     Snappy copy elements encode at most 64 bytes; formats call this before
     serialization. Splitting preserves semantics because each fragment copies
     from the same offset relative to its own position.
     """
-    out: List[Token] = []
-    for token in tokens:
-        if isinstance(token, Copy) and token.length > max_length:
-            remaining = token.length
-            while remaining > 0:
-                take = min(max_length, remaining)
-                out.append(Copy(offset=token.offset, length=take))
-                remaining -= take
-        else:
-            out.append(token)
-    return out
+    if not any(length > max_length for length in stream.match_lengths):
+        return stream
+    literal_lengths: List[int] = []
+    offsets: List[int] = []
+    match_lengths: List[int] = []
+    for literal_length, offset, length in zip(
+        stream.literal_lengths, stream.offsets, stream.match_lengths
+    ):
+        while length > max_length:
+            literal_lengths.append(literal_length)
+            offsets.append(offset)
+            match_lengths.append(max_length)
+            literal_length = 0
+            length -= max_length
+        literal_lengths.append(literal_length)
+        offsets.append(offset)
+        match_lengths.append(length)
+    return TokenStream(
+        literal_lengths, offsets, match_lengths, stream.literals, stream.trailing, stream.breaks
+    )

@@ -13,7 +13,7 @@ output history.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import (
@@ -25,12 +25,10 @@ from repro.algorithms.container import (
     verify_running_checksum,
 )
 from repro.algorithms.lz77 import (
-    Copy,
-    Literal,
     Lz77Encoder,
     Lz77Params,
-    Token,
     TokenStream,
+    TokenStreamBuilder,
     copy_match,
     decode_tokens,
     split_long_copies,
@@ -81,8 +79,10 @@ def _level_lz77(level: int) -> Lz77Params:
     )
 
 
-def _try_parse_element(data, pos: int, end: int) -> Optional[Tuple[Token, int]]:
-    """Parse one element from ``data[pos:end]``; ``None`` if incomplete."""
+def _try_parse_element(data, pos: int, end: int) -> Optional[Tuple[int, int, int]]:
+    """Parse one element from ``data[pos:end]``: ``(offset, length, next)``,
+    or ``None`` if incomplete. A literal run has offset 0 and its bytes are
+    ``data[next - length:next]``."""
     if pos >= end:
         return None
     tag = data[pos]
@@ -92,7 +92,7 @@ def _try_parse_element(data, pos: int, end: int) -> Optional[Tuple[Token, int]]:
             raise CorruptStreamError("zero-length literal run")
         if pos + tag > end:
             return None
-        return Literal(bytes(data[pos : pos + tag])), pos + tag
+        return 0, tag, pos + tag
     if pos + 3 > end:
         return None
     hi = tag & 0x7F
@@ -103,7 +103,7 @@ def _try_parse_element(data, pos: int, end: int) -> Optional[Tuple[Token, int]]:
     pos += 2
     if offset == 0:
         raise CorruptStreamError("copy with zero offset")
-    return Copy(offset=offset, length=length), pos
+    return offset, length, pos
 
 
 class _LzoDecompressContext(DecompressContext):
@@ -157,23 +157,22 @@ class _LzoDecompressContext(DecompressContext):
             element = _try_parse_element(data, pos, avail)
             if element is None:
                 break
-            token, pos = element
-            if isinstance(token, Literal):
-                work += token.data
-                self._produced += len(token.data)
+            offset, length, pos = element
+            if not offset:
+                work += data[pos - length : pos]
             else:
-                if token.offset > self._produced:
+                if offset > self._produced:
                     raise CorruptStreamError(
-                        f"copy offset {token.offset} reaches before start of "
+                        f"copy offset {offset} reaches before start of "
                         f"output (only {self._produced} bytes produced)"
                     )
-                if token.offset > len(work):
+                if offset > len(work):
                     raise CorruptStreamError(
-                        f"copy offset {token.offset} reaches beyond the "
+                        f"copy offset {offset} reaches beyond the "
                         f"retained {_MAX_COPY_OFFSET}-byte streaming window"
                     )
-                copy_match(work, token.offset, token.length)
-                self._produced += token.length
+                copy_match(work, offset, length)
+            self._produced += length
             if self._produced > self._expected:
                 raise CorruptStreamError(
                     f"decoded length exceeds expected {self._expected}"
@@ -204,6 +203,13 @@ class _LzoDecompressContext(DecompressContext):
         return out
 
 
+def _emit_literal(out: bytearray, run: bytes) -> None:
+    for pos in range(0, len(run), 127):
+        chunk = run[pos : pos + 127]
+        out.append(len(chunk))  # 0x00-0x7F: literal run
+        out += chunk
+
+
 class LzoCodec(Codec):
     """Byte-oriented lightweight codec with levels, no entropy stage."""
 
@@ -227,19 +233,13 @@ class LzoCodec(Codec):
     ) -> bytes:
         stream = self.tokenize(data, level=level)
         out = bytearray(LZO_FRAME.encode_preamble(content_length=len(data)))
-        for token in split_long_copies(stream.tokens, _MAX_COPY_LEN):
-            if isinstance(token, Literal):
-                run = token.data
-                pos = 0
-                while pos < len(run):
-                    chunk = run[pos : pos + 127]
-                    out.append(len(chunk))  # 0x00-0x7F: literal run
-                    out += chunk
-                    pos += len(chunk)
-            else:
-                out.append(0x80 | (token.length - 4) // 16)  # coarse length hint
-                out.append((token.length - 4) % 16 * 16 | (token.offset >> 16))
-                out += (token.offset & 0xFFFF).to_bytes(2, "little")
+        stream = split_long_copies(stream, _MAX_COPY_LEN)
+        for literal, offset, length in stream.sequences():
+            _emit_literal(out, literal)
+            out.append(0x80 | (length - 4) // 16)  # coarse length hint
+            out.append((length - 4) % 16 * 16 | (offset >> 16))
+            out += (offset & 0xFFFF).to_bytes(2, "little")
+        _emit_literal(out, stream.tail)
         return append_content_checksum(bytes(out), data)
 
     def _decompress_buffer(
@@ -247,14 +247,17 @@ class LzoCodec(Codec):
     ) -> bytes:
         frame, stored_crc = split_content_checksum(data)
         preamble, pos = LZO_FRAME.decode_preamble(frame)
-        tokens: List[Token] = []
+        tokens = TokenStreamBuilder()
         n = len(frame)
         while pos < n:
             parsed = _try_parse_element(frame, pos, n)
             if parsed is None:
                 raise CorruptStreamError("truncated element at end of stream")
-            token, pos = parsed
-            tokens.append(token)
-        out = decode_tokens(tokens, expected_length=preamble.content_length)
+            offset, length, pos = parsed
+            if offset:
+                tokens.copy(offset, length)
+            else:
+                tokens.literal(frame[pos - length : pos])
+        out = decode_tokens(tokens.build(), expected_length=preamble.content_length)
         verify_content_checksum(out, stored_crc)
         return out

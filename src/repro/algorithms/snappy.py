@@ -16,17 +16,15 @@ element grammar one complete element at a time, retaining only the format's
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import FrameSpec
 from repro.algorithms.lz77 import (
-    Copy,
-    Literal,
     Lz77Encoder,
     Lz77Params,
-    Token,
     TokenStream,
+    TokenStreamBuilder,
     copy_match,
     decode_tokens,
     split_long_copies,
@@ -81,44 +79,48 @@ def _default_params(use_skipping: bool) -> Lz77Params:
     )
 
 
-def emit_elements(tokens: List[Token]) -> bytes:
-    """Serialize LZ77 tokens as Snappy literal/copy elements."""
-    out = bytearray()
-    for token in split_long_copies(tokens, _MAX_COPY_LEN):
-        if isinstance(token, Literal):
-            data = token.data
-            pos = 0
-            while pos < len(data):
-                # A single literal element's length field is 32-bit, but we
-                # chunk at 2^24 to keep extra-length bytes to <= 3.
-                run = data[pos : pos + (1 << 24)]
-                n = len(run) - 1
-                if n < 60:
-                    out.append(n << 2 | _TAG_LITERAL)
-                else:
-                    extra = (n.bit_length() + 7) // 8
-                    out.append((59 + extra) << 2 | _TAG_LITERAL)
-                    out.extend(n.to_bytes(extra, "little"))
-                out.extend(run)
-                pos += len(run)
+def _emit_literal(out: bytearray, data: bytes) -> None:
+    pos = 0
+    while pos < len(data):
+        # A single literal element's length field is 32-bit, but we
+        # chunk at 2^24 to keep extra-length bytes to <= 3.
+        run = data[pos : pos + (1 << 24)]
+        n = len(run) - 1
+        if n < 60:
+            out.append(n << 2 | _TAG_LITERAL)
         else:
-            offset, length = token.offset, token.length
-            if 4 <= length <= 11 and offset < 2048:
-                out.append(
-                    ((offset >> 8) & 0x7) << 5 | (length - 4) << 2 | _TAG_COPY1
-                )
-                out.append(offset & 0xFF)
-            elif offset <= _MAX_COPY2_OFFSET:
-                out.append((length - 1) << 2 | _TAG_COPY2)
-                out.extend(offset.to_bytes(2, "little"))
-            else:
-                out.append((length - 1) << 2 | _TAG_COPY4)
-                out.extend(offset.to_bytes(4, "little"))
+            extra = (n.bit_length() + 7) // 8
+            out.append((59 + extra) << 2 | _TAG_LITERAL)
+            out.extend(n.to_bytes(extra, "little"))
+        out.extend(run)
+        pos += len(run)
+
+
+def emit_elements(stream: TokenStream) -> bytes:
+    """Serialize an LZ77 token stream as Snappy literal/copy elements
+    (each literal run as one element, up to 2^24 bytes)."""
+    out = bytearray()
+    stream = split_long_copies(stream, _MAX_COPY_LEN)
+    for literal, offset, length in stream.sequences():
+        if literal:
+            _emit_literal(out, literal)
+        if 4 <= length <= 11 and offset < 2048:
+            out.append(((offset >> 8) & 0x7) << 5 | (length - 4) << 2 | _TAG_COPY1)
+            out.append(offset & 0xFF)
+        elif offset <= _MAX_COPY2_OFFSET:
+            out.append((length - 1) << 2 | _TAG_COPY2)
+            out.extend(offset.to_bytes(2, "little"))
+        else:
+            out.append((length - 1) << 2 | _TAG_COPY4)
+            out.extend(offset.to_bytes(4, "little"))
+    _emit_literal(out, stream.tail)
     return bytes(out)
 
 
-def try_parse_element(data, pos: int) -> Optional[Tuple[Token, int]]:
-    """Parse one element from ``data[pos:]``; ``None`` if it is incomplete.
+def try_parse_element(data, pos: int) -> Optional[Tuple[int, int, int]]:
+    """Parse one element from ``data[pos:]``: ``(offset, length, end)``, or
+    ``None`` if it is incomplete. A literal element has offset 0 and its
+    bytes are ``data[end - length:end]``.
 
     Structural validation only (a zero copy offset is corruption regardless
     of position); offset-vs-produced validation is the caller's job since it
@@ -143,7 +145,7 @@ def try_parse_element(data, pos: int) -> Optional[Tuple[Token, int]]:
             pos += extra
         if pos + length > n:
             return None
-        return Literal(bytes(data[pos : pos + length])), pos + length
+        return 0, length, pos + length
     if tag == _TAG_COPY1:
         if pos + 1 > n:
             return None
@@ -164,7 +166,7 @@ def try_parse_element(data, pos: int) -> Optional[Tuple[Token, int]]:
         pos += 4
     if offset == 0:
         raise CorruptStreamError("copy element with zero offset")
-    return Copy(offset=offset, length=length), pos
+    return offset, length, pos
 
 
 def parse_elements(data: bytes) -> Tuple[int, TokenStream]:
@@ -175,23 +177,23 @@ def parse_elements(data: bytes) -> Tuple[int, TokenStream]:
     """
     preamble, pos = SNAPPY_FRAME.decode_preamble(data)
     expected = preamble.content_length
-    tokens: List[Token] = []
+    tokens = TokenStreamBuilder()
     produced = 0
     n = len(data)
     while pos < n:
         parsed = try_parse_element(data, pos)
         if parsed is None:
             raise CorruptStreamError("truncated element at end of stream")
-        token, pos = parsed
-        if isinstance(token, Literal):
-            produced += len(token.data)
+        offset, length, pos = parsed
+        if not offset:
+            tokens.literal(data[pos - length : pos])
         else:
-            if token.offset > produced:
+            if offset > produced:
                 raise CorruptStreamError(
-                    f"copy offset {token.offset} exceeds produced output {produced}"
+                    f"copy offset {offset} exceeds produced output {produced}"
                 )
-            produced += token.length
-        tokens.append(token)
+            tokens.copy(offset, length)
+        produced += length
         if produced > expected:
             raise CorruptStreamError(
                 f"stream produces {produced} bytes, preamble promised {expected}"
@@ -200,7 +202,7 @@ def parse_elements(data: bytes) -> Tuple[int, TokenStream]:
         raise CorruptStreamError(
             f"stream produced {produced} bytes, preamble promised {expected}"
         )
-    return expected, TokenStream(tokens, produced)
+    return expected, tokens.build()
 
 
 class _SnappyDecompressContext(DecompressContext):
@@ -251,23 +253,22 @@ class _SnappyDecompressContext(DecompressContext):
             element = try_parse_element(data, pos)
             if element is None:
                 break
-            token, pos = element
-            if isinstance(token, Literal):
-                work += token.data
-                self._produced += len(token.data)
+            offset, length, pos = element
+            if not offset:
+                work += data[pos - length : pos]
             else:
-                if token.offset > self._produced:
+                if offset > self._produced:
                     raise CorruptStreamError(
-                        f"copy offset {token.offset} exceeds produced output "
+                        f"copy offset {offset} exceeds produced output "
                         f"{self._produced}"
                     )
-                if token.offset > len(work):
+                if offset > len(work):
                     raise CorruptStreamError(
-                        f"copy offset {token.offset} reaches beyond the "
+                        f"copy offset {offset} reaches beyond the "
                         f"retained {SNAPPY_WINDOW}-byte streaming window"
                     )
-                copy_match(work, token.offset, token.length)
-                self._produced += token.length
+                copy_match(work, offset, length)
+            self._produced += length
             if self._produced > self._expected:
                 raise CorruptStreamError(
                     f"stream produces {self._produced} bytes, preamble "
@@ -337,10 +338,10 @@ class SnappyCodec(Codec):
             raise UnsupportedInputError("snappy inputs are limited to 2^32-1 bytes")
         stream = self._encoder.encode(data)
         preamble = SNAPPY_FRAME.encode_preamble(content_length=len(data))
-        return preamble + emit_elements(stream.tokens)
+        return preamble + emit_elements(stream)
 
     def _decompress_buffer(
         self, data: bytes, *, window_size: Optional[int] = None
     ) -> bytes:
         expected, stream = parse_elements(data)
-        return decode_tokens(stream.tokens, expected_length=expected)
+        return decode_tokens(stream, expected_length=expected)

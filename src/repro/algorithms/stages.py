@@ -491,11 +491,11 @@ class Lz77Stage(Stage):
     def _forward(self, data: bytes) -> bytes:
         stream = Lz77Encoder(self._PARAMS).encode(data)
         preamble = SNAPPY_FRAME.encode_preamble(content_length=len(data))
-        return preamble + emit_elements(stream.tokens)
+        return preamble + emit_elements(stream)
 
     def _inverse(self, data: bytes) -> bytes:
         expected, stream = parse_elements(data)
-        return decode_tokens(stream.tokens, expected_length=expected)
+        return decode_tokens(stream, expected_length=expected)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ decoder validates every length so corrupt inputs raise
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,11 +37,8 @@ from repro.algorithms.huffman import (
     serialize_lengths,
 )
 from repro.algorithms.lz77 import (
-    Copy,
-    Literal,
     Lz77Encoder,
     Lz77Params,
-    Token,
     TokenStream,
     execute_sequences,
 )
@@ -133,17 +131,13 @@ def code_to_value(code: int, extra_bits_value: int) -> int:
 
 
 def encode_code_values(
-    sequences: Sequence["SequenceTriple"],
+    literal_lengths: Sequence[int], offsets: Sequence[int], match_lengths: Sequence[int]
 ) -> Tuple[List[int], List[int], List[int], bytes, int]:
-    """SeqToCode conversion: ``(ll_codes, ml_codes, off_codes, extra,
-    extra_bits)``, the extra bits packed per sequence in ``(ll, ml, off)``
-    order — one :func:`value_to_code` per field, vectorized."""
-    columns = [
-        [seq.literal_length for seq in sequences],
-        [seq.match_length for seq in sequences],
-        [seq.offset for seq in sequences],
-    ]
-    values = np.array(columns, dtype=np.int64).T.reshape(-1)
+    """SeqToCode conversion of sequence columns: ``(ll_codes, ml_codes,
+    off_codes, extra, extra_bits)``, the extra bits packed per sequence in
+    ``(ll, ml, off)`` order — one :func:`value_to_code` per field,
+    vectorized."""
+    values = np.array([literal_lengths, match_lengths, offsets], dtype=np.int64).T.reshape(-1)
     if values.size and int(values.min()) < 0:
         value_to_code(int(values[np.argmax(values < 0)]))  # raises, as the reference would
     # frexp's exponent is the bit length of an integer-valued float; above
@@ -170,65 +164,6 @@ def decode_code_values(
     extra, error = read_fields(payload, widths)
     values = ((np.minimum(codes, np.uint64(1)) << widths)[: len(extra)] + extra).tolist()
     return values[0::3], values[2::3], values[1::3], error
-
-
-@dataclass(frozen=True)
-class SequenceTriple:
-    """One (literal_length, offset, match_length) sequence (§2.1)."""
-
-    literal_length: int
-    offset: int
-    match_length: int
-
-
-def tokens_to_sequences(tokens: Sequence[Token]) -> Tuple[List[SequenceTriple], bytes, int]:
-    """Convert an LZ77 token stream to zstd-style sequences.
-
-    Returns ``(sequences, all_literal_bytes, trailing_literal_count)``. The
-    literal buffer concatenates every literal byte in order; each sequence
-    consumes ``literal_length`` of them before executing its copy, and the
-    trailing literals (after the final copy) are appended at the end — exactly
-    zstd's "last literals" convention.
-    """
-    sequences: List[SequenceTriple] = []
-    literals = bytearray()
-    pending = 0
-    for token in tokens:
-        if isinstance(token, Literal):
-            literals.extend(token.data)
-            pending += len(token.data)
-        else:
-            sequences.append(
-                SequenceTriple(
-                    literal_length=pending,
-                    offset=token.offset,
-                    match_length=token.length,
-                )
-            )
-            pending = 0
-    return sequences, bytes(literals), pending
-
-
-def sequences_to_tokens(
-    sequences: Sequence[SequenceTriple], literals: bytes, trailing: int
-) -> List[Token]:
-    """Inverse of :func:`tokens_to_sequences` (validates literal budget)."""
-    tokens: List[Token] = []
-    pos = 0
-    for seq in sequences:
-        if pos + seq.literal_length > len(literals):
-            raise CorruptStreamError("sequence consumes more literals than present")
-        if seq.literal_length:
-            tokens.append(Literal(literals[pos : pos + seq.literal_length]))
-            pos += seq.literal_length
-        tokens.append(Copy(offset=seq.offset, length=seq.match_length))
-    if pos + trailing != len(literals):
-        raise CorruptStreamError(
-            f"trailing literal count {trailing} inconsistent with literal buffer"
-        )
-    if trailing:
-        tokens.append(Literal(literals[pos:]))
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -308,15 +243,20 @@ class SequenceCoder:
     def __init__(self, accuracy_log: int) -> None:
         self.accuracy_log = accuracy_log
 
-    def encode(self, sequences: Sequence[SequenceTriple]) -> bytes:
-        ll_codes, ml_codes, off_codes, extra, extra_bits = encode_code_values(sequences)
+    def encode(
+        self, literal_lengths: Sequence[int], offsets: Sequence[int], match_lengths: Sequence[int]
+    ) -> bytes:
+        ll_codes, ml_codes, off_codes, extra, extra_bits = encode_code_values(
+            literal_lengths, offsets, match_lengths
+        )
         out = bytearray()
-        out += encode_varint(len(sequences))
-        if not sequences:
+        out += encode_varint(len(offsets))
+        if not offsets:
             return bytes(out)
         for codes in (ll_codes, ml_codes, off_codes):
+            counts = Counter(codes)
             table = FseTable.from_frequencies(
-                {c: codes.count(c) for c in set(codes)}, self.accuracy_log
+                {c: counts[c] for c in set(codes)}, self.accuracy_log
             )
             payload, state, _bits = table.encode(codes)
             alphabet = max(codes) + 1
@@ -330,12 +270,6 @@ class SequenceCoder:
         return bytes(out)
 
     @staticmethod
-    def decode(data: bytes, pos: int) -> Tuple[List[SequenceTriple], int]:
-        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
-        triples = zip(literal_lengths, offsets, match_lengths)
-        return [SequenceTriple(*triple) for triple in triples], pos
-
-    @staticmethod
     def decode_columns(
         data: bytes, pos: int
     ) -> Tuple[List[int], List[int], List[int], int]:
@@ -344,6 +278,11 @@ class SequenceCoder:
         num_sequences, pos = decode_varint(data, pos)
         if num_sequences == 0:
             return [], [], [], pos
+        # A zero-bit FSE state decodes a symbol without reading input, so
+        # the count itself must be bounded: no block holds more sequences
+        # than bytes.
+        if num_sequences > BLOCK_SIZE:
+            raise CorruptStreamError(f"sequence count {num_sequences} exceeds block limit")
         streams: List[List[int]] = []
         for _ in range(3):
             if pos >= len(data):
@@ -407,6 +346,15 @@ def _encode_literals(literals: bytes) -> bytes:
                 out += payload
                 return bytes(out)
     return bytes([_LITERALS_RAW]) + encode_varint(len(literals)) + literals
+
+
+def _encode_block_body(stream: TokenStream, coder: SequenceCoder) -> bytes:
+    """A compressed block's body: literals, sequences, trailing-literal count."""
+    return (
+        _encode_literals(stream.literals)
+        + coder.encode(stream.literal_lengths, stream.offsets, stream.match_lengths)
+        + encode_varint(stream.trailing)
+    )
 
 
 def _decode_literals(data: bytes, pos: int) -> Tuple[bytes, int]:
@@ -529,12 +477,7 @@ class ZstdCodec(Codec):
             return bytes(header)
         # NOTE: blocks are matched independently (offsets never cross a block
         # boundary), which keeps block decode stateless like zstd's default.
-        stream = matcher.encode(block)
-        sequences, literals, trailing = tokens_to_sequences(stream.tokens)
-        body = bytearray()
-        body += _encode_literals(literals)
-        body += coder.encode(sequences)
-        body += encode_varint(trailing)
+        body = _encode_block_body(matcher.encode(block), coder)
         if len(body) + 6 >= len(block):
             header = bytearray([_BLOCK_RAW | last_flag])
             header += encode_varint(len(block))

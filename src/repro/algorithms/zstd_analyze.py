@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.algorithms.container import split_content_checksum, verify_content_checksum
-from repro.algorithms.lz77 import Copy, Literal, Token, TokenStream, decode_tokens
+from repro.algorithms.lz77 import TokenStream, TokenStreamBuilder, decode_tokens
 from repro.algorithms.zstd import (
     ZSTD_FRAME,
     SequenceCoder,
@@ -83,7 +83,7 @@ def analyze_frame(data: bytes) -> FrameStats:
     expected = preamble.content_length
 
     blocks: List[BlockStats] = []
-    tokens: List[Token] = []
+    tokens = TokenStreamBuilder()
     produced = 0
     saw_last = False
     while pos < len(data):
@@ -98,7 +98,7 @@ def analyze_frame(data: bytes) -> FrameStats:
             if pos + raw_size > len(data):
                 raise CorruptStreamError("truncated raw block")
             if raw_size:
-                tokens.append(Literal(data[pos : pos + raw_size]))
+                tokens.literal(data[pos : pos + raw_size])
             blocks.append(BlockStats("raw", raw_size))
             pos += raw_size
         elif block_type == _BLOCK_RLE:
@@ -107,17 +107,15 @@ def analyze_frame(data: bytes) -> FrameStats:
             byte = data[pos]
             pos += 1
             # RLE executes as one literal byte plus one maximal-overlap copy.
-            tokens.append(Literal(bytes([byte])))
+            tokens.literal(bytes([byte]))
             if raw_size > 1:
-                tokens.append(Copy(offset=1, length=raw_size - 1))
+                tokens.copy(1, raw_size - 1)
             blocks.append(BlockStats("rle", raw_size))
         elif block_type == _BLOCK_COMPRESSED:
             body_size, pos = decode_varint(data, pos)
             if pos + body_size > len(data):
                 raise CorruptStreamError("truncated compressed block")
-            stats, block_tokens = _analyze_block(data, pos, raw_size)
-            blocks.append(stats)
-            tokens.extend(block_tokens)
+            blocks.append(_analyze_block(data, pos, raw_size, tokens))
             pos += body_size
         else:
             raise CorruptStreamError(f"unknown block type {block_type}")
@@ -128,23 +126,24 @@ def analyze_frame(data: bytes) -> FrameStats:
         raise CorruptStreamError("frame size mismatch")
     # Execute the tokens once so the content trailer is actually checked —
     # the analyzer upholds the same integrity contract as the decoder.
-    verify_content_checksum(decode_tokens(tokens, expected_length=expected), stored_crc)
+    stream = tokens.build()
+    verify_content_checksum(decode_tokens(stream, expected_length=expected), stored_crc)
     return FrameStats(
         window_log=window_log,
         content_bytes=expected,
         compressed_bytes=total_bytes,
         blocks=blocks,
-        tokens=TokenStream(tokens, expected),
+        tokens=stream,
     )
 
 
-def _analyze_block(data: bytes, pos: int, raw_size: int):
-    from repro.algorithms.zstd import _decode_literals, sequences_to_tokens
+def _analyze_block(data: bytes, pos: int, raw_size: int, tokens: TokenStreamBuilder) -> BlockStats:
+    """One compressed block's statistics; its sequences go to ``tokens``."""
+    from repro.algorithms.zstd import _decode_literals
 
-    start = pos
     mode = data[pos] if pos < len(data) else -1
     literals, pos = _decode_literals(data, pos)
-    sequences, seq_end = SequenceCoder.decode(data, pos)
+    literal_lengths, offsets, match_lengths, seq_end = SequenceCoder.decode_columns(data, pos)
     # Re-parse the accuracy logs for the table-builder model.
     acc_logs: List[int] = []
     scan = pos
@@ -163,14 +162,13 @@ def _analyze_block(data: bytes, pos: int, raw_size: int):
             scan += payload_len
     pos = seq_end
     trailing, pos = decode_varint(data, pos)
-    block_tokens = sequences_to_tokens(sequences, literals, trailing)
-    stats = BlockStats(
+    tokens.extend(literals, literal_lengths, offsets, match_lengths, trailing)
+    return BlockStats(
         block_type="compressed",
         raw_size=raw_size,
         literal_count=len(literals),
         huffman_coded=(mode == _LITERALS_HUFFMAN),
-        num_sequences=len(sequences),
-        fse_tables=3 if sequences else 0,
+        num_sequences=len(offsets),
+        fse_tables=3 if offsets else 0,
         fse_accuracy_logs=acc_logs,
     )
-    return stats, block_tokens

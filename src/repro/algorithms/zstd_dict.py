@@ -25,7 +25,7 @@ from repro.algorithms.container import (
     split_content_checksum,
     verify_content_checksum,
 )
-from repro.algorithms.lz77 import Copy, Literal, Lz77Encoder, Token, execute_sequences
+from repro.algorithms.lz77 import Lz77Encoder, TokenStream, execute_sequences
 from repro.algorithms.zstd import (
     BLOCK_SIZE,
     DEFAULT_LEVEL,
@@ -33,9 +33,8 @@ from repro.algorithms.zstd import (
     ZSTD_INFO,
     ZstdCodec,
     _decode_literals,
-    _encode_literals,
+    _encode_block_body,
     level_params,
-    tokens_to_sequences,
 )
 from repro.common.crc32c import crc32c
 from repro.common.errors import CorruptStreamError
@@ -60,29 +59,37 @@ DICT_FRAME = FrameSpec(
 )
 
 
-def strip_prefix_tokens(tokens: List[Token], prefix_length: int) -> List[Token]:
-    """Drop/trim tokens so the stream reconstructs only bytes after
-    ``prefix_length``.
+def strip_prefix_tokens(stream: TokenStream, prefix_length: int) -> TokenStream:
+    """The stream reconstructing only the bytes after ``prefix_length``.
 
-    Trimming a copy keeps its offset: an LZ77 copy is a sequential byte copy
-    (``dst[i] = dst[i - offset]``), so any suffix of it is itself a valid
-    copy at the same offset.
+    Elements inside the prefix are dropped and the one crossing it is
+    trimmed. Trimming a copy keeps its offset: an LZ77 copy is a sequential
+    byte copy (``dst[i] = dst[i - offset]``), so any suffix of it is itself
+    a valid copy at the same offset.
     """
-    out: List[Token] = []
-    pos = 0
-    for token in tokens:
-        length = len(token.data) if isinstance(token, Literal) else token.length
-        end = pos + length
-        if end <= prefix_length:
-            pass  # entirely inside the prefix: drop
-        elif pos >= prefix_length:
-            out.append(token)
-        elif isinstance(token, Literal):
-            out.append(Literal(token.data[prefix_length - pos :]))
-        else:
-            out.append(Copy(offset=token.offset, length=end - prefix_length))
+    pos = 0  # output position of the current sequence's literal run
+    lit_pos = 0  # its start in the literal buffer
+    for index, (literal_length, match_length) in enumerate(
+        zip(stream.literal_lengths, stream.match_lengths)
+    ):
+        end = pos + literal_length + match_length
+        if end > prefix_length:
+            break
         pos = end
-    return out
+        lit_pos += literal_length
+    else:
+        # Only the trailing literals reach past the prefix.
+        skip = max(0, prefix_length - pos)
+        return TokenStream(
+            [], [], [], stream.literals[lit_pos + skip :], max(0, stream.trailing - skip)
+        )
+    skip = min(prefix_length - pos, literal_length)  # trimmed off the literal run
+    literal_lengths = [literal_length - skip] + stream.literal_lengths[index + 1 :]
+    match_lengths = [min(match_length, end - prefix_length)] + stream.match_lengths[index + 1 :]
+    return TokenStream(
+        literal_lengths, stream.offsets[index:], match_lengths,
+        stream.literals[lit_pos + skip :], stream.trailing,
+    )
 
 
 class ZstdDictCodec(Codec):
@@ -148,12 +155,7 @@ class ZstdDictCodec(Codec):
         last: bool,
     ) -> bytes:
         stream = matcher.encode(dict_tail + block)
-        tokens = strip_prefix_tokens(stream.tokens, len(dict_tail))
-        sequences, literals, trailing = tokens_to_sequences(tokens)
-        body = bytearray()
-        body += _encode_literals(literals)
-        body += coder.encode(sequences)
-        body += encode_varint(trailing)
+        body = _encode_block_body(strip_prefix_tokens(stream, len(dict_tail)), coder)
         last_flag = 0x80 if last else 0
         if len(body) + 6 >= len(block):
             header = bytearray([0x00 | last_flag])  # raw

@@ -43,7 +43,7 @@ class SnappyDecompressorPipeline:
         expected, tokens = parse_elements(compressed)
         if verify:
             verify_output(
-                decode_tokens(tokens.tokens, expected_length=expected),
+                decode_tokens(tokens, expected_length=expected),
                 SnappyCodec().decompress(compressed),
                 "snappy decompressor pipeline",
             )
@@ -82,7 +82,7 @@ class SnappyCompressorPipeline:
     def run(self, data: bytes, *, verify: bool = False) -> CallResult:
         encoder = Lz77EncoderBlock(self.config)
         tokens, stats = encoder.tokenize(data)
-        compressed = encode_varint(len(data)) + emit_elements(tokens.tokens)
+        compressed = encode_varint(len(data)) + emit_elements(tokens)
         if verify:
             # The hardware stream must decode exactly back to the input with
             # the *software* decompressor (wire-format compatibility).
@@ -107,4 +107,4 @@ class SnappyCompressorPipeline:
     def compressed_size(self, data: bytes) -> int:
         """Hardware-achieved compressed size (for ratio-vs-SW curves)."""
         tokens, _stats = Lz77EncoderBlock(self.config).tokenize(data)
-        return len(encode_varint(len(data))) + len(emit_elements(tokens.tokens))
+        return len(encode_varint(len(data))) + len(emit_elements(tokens))

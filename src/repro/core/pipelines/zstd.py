@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.lz77 import decode_tokens
-from repro.algorithms.zstd import ZstdCodec, tokens_to_sequences
+from repro.algorithms.zstd import ZstdCodec
 from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
 from repro.core.blocks.entropy import (
     FseCompressorBlock,
@@ -46,7 +46,7 @@ class ZstdDecompressorPipeline:
         stats = analyze_frame(compressed)
         if verify:
             verify_output(
-                decode_tokens(stats.tokens.tokens, expected_length=stats.content_bytes),
+                decode_tokens(stats.tokens, expected_length=stats.content_bytes),
                 ZstdCodec().decompress(compressed),
                 "zstd decompressor pipeline",
             )
@@ -114,7 +114,6 @@ class ZstdCompressorPipeline:
     def account(self, data_length: int, tokens, match_stats, compressed_bytes: int) -> CallResult:
         """Cycle accounting from a pre-run matcher + pre-computed HW size."""
         encoder = Lz77EncoderBlock(self.config)
-        sequences, literals, _trailing = tokens_to_sequences(tokens.tokens)
         huffman = HuffmanCompressorBlock(self.config)
         fse = FseCompressorBlock(self.config)
 
@@ -125,10 +124,10 @@ class ZstdCompressorPipeline:
         report.add_pipelined("lz77-matcher", encoder.match_cycles(data_length, tokens, match_stats))
         # Two-pass entropy coding at block granularity cannot overlap the
         # matcher's stream: statistics, table builds, then the encode pass.
-        report.add_serial("huffman-stats", huffman.stats_cycles(len(literals)))
-        report.add_serial("huffman-encoder", huffman.encode_cycles(len(literals)))
-        report.add_serial("fse-stats", fse.stats_cycles(len(sequences)))
-        report.add_serial("fse-encoder", fse.encode_cycles(len(sequences)))
+        report.add_serial("huffman-stats", huffman.stats_cycles(tokens.literal_bytes))
+        report.add_serial("huffman-encoder", huffman.encode_cycles(tokens.literal_bytes))
+        report.add_serial("fse-stats", fse.stats_cycles(tokens.num_copies))
+        report.add_serial("fse-encoder", fse.encode_cycles(tokens.num_copies))
         report.add_serial("fse-table-build", fse.table_build_cycles())
         report.add_serial("cmd-router", CommandRouter(self.memory).dispatch_cycles())
         return CallResult(input_bytes=data_length, output_bytes=compressed_bytes, report=report)

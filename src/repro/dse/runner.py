@@ -177,7 +177,7 @@ class DseRunner:
                 from repro.algorithms.snappy import emit_elements
                 from repro.common.varint import encode_varint
 
-                hw_size = len(encode_varint(len(file.data))) + len(emit_elements(tokens.tokens))
+                hw_size = len(encode_varint(len(file.data))) + len(emit_elements(tokens))
             else:
                 hw_size = pipeline.compressed_size(file.data)
             items.append(_EncodeWorkItem(len(file.data), tokens, stats, hw_size))

@@ -18,7 +18,7 @@ from repro.common.errors import ConfigError, CorruptStreamError
 
 def roundtrip(data: bytes, params: Lz77Params = Lz77Params()) -> TokenStream:
     stream = Lz77Encoder(params).encode(data)
-    assert decode_tokens(stream.tokens, expected_length=len(data)) == data
+    assert decode_tokens(stream, expected_length=len(data)) == data
     return stream
 
 
@@ -29,7 +29,7 @@ class TestEncoderRoundTrip:
     def test_short_input_is_single_literal(self):
         stream = roundtrip(b"abc")
         assert len(stream) == 1
-        assert isinstance(stream.tokens[0], Literal)
+        assert stream.tokens() == [Literal(b"abc")]
 
     def test_repetitive_data_produces_copies(self):
         stream = roundtrip(b"abcd" * 256)
@@ -47,7 +47,7 @@ class TestEncoderRoundTrip:
     def test_overlapping_copy_roundtrip(self):
         # "aaaa..." forces offset-1 copies longer than the offset.
         stream = roundtrip(b"a" * 500)
-        assert any(isinstance(t, Copy) and t.offset < t.length for t in stream.tokens)
+        assert any(isinstance(t, Copy) and t.offset < t.length for t in stream.tokens())
 
     def test_all_byte_values(self):
         data = bytes(range(256)) * 8
@@ -57,18 +57,18 @@ class TestEncoderRoundTrip:
     def test_window_bounds_offsets(self, window):
         data = (b"0123456789abcdef" * 64) * 8
         stream = roundtrip(data, Lz77Params(window_size=window))
-        assert all(c.offset <= window for c in stream.tokens if isinstance(c, Copy))
+        assert all(c.offset <= window for c in stream.tokens() if isinstance(c, Copy))
 
     def test_max_match_length_respected(self):
         params = Lz77Params(max_match_length=16)
         stream = roundtrip(b"z" * 1000, params)
-        assert all(c.length <= 16 for c in stream.tokens if isinstance(c, Copy))
+        assert all(c.length <= 16 for c in stream.tokens() if isinstance(c, Copy))
 
     @pytest.mark.parametrize("min_match", [3, 4])
     def test_max_match_length_equal_to_min_match_is_the_cap(self, min_match):
         params = Lz77Params(min_match=min_match, max_match_length=min_match)
         stream = roundtrip(b"abcdefgh" * 20, params)
-        copies = [c for c in stream.tokens if isinstance(c, Copy)]
+        copies = [c for c in stream.tokens() if isinstance(c, Copy)]
         assert copies and all(c.length == min_match for c in copies)
 
     @pytest.mark.parametrize("assoc", [1, 2, 4])
@@ -86,14 +86,14 @@ class TestEncoderRoundTrip:
         data = (b"abcdefgh12345678" * 50 + b"xbcdefgh12345678") * 6
         greedy = Lz77Encoder(Lz77Params(lazy=False)).encode(data)
         lazy = Lz77Encoder(Lz77Params(lazy=True)).encode(data)
-        assert decode_tokens(lazy.tokens) == data
+        assert decode_tokens(lazy) == data
         assert lazy.copy_bytes >= greedy.copy_bytes * 0.95
 
     def test_min_match_3_finds_short_matches(self):
         data = (b"abcX" + b"abcY") * 200  # only 3-byte repeats
         four = Lz77Encoder(Lz77Params(min_match=4)).encode(data)
         three = Lz77Encoder(Lz77Params(min_match=3)).encode(data)
-        assert decode_tokens(three.tokens) == data
+        assert decode_tokens(three) == data
         assert three.copy_bytes >= four.copy_bytes
 
     def test_skipping_reduces_hash_work_on_random_data(self):
@@ -109,7 +109,7 @@ class TestEncoderRoundTrip:
         data = b"hello world " * 200
         plain = Lz77Encoder(Lz77Params(hash_table_contents="position")).encode(data)
         tagged = Lz77Encoder(Lz77Params(hash_table_contents="position_and_tag")).encode(data)
-        assert decode_tokens(tagged.tokens) == data
+        assert decode_tokens(tagged) == data
         # tags only filter false candidates; match quality is preserved
         assert tagged.copy_bytes == pytest.approx(plain.copy_bytes, rel=0.05)
 
@@ -141,18 +141,18 @@ class TestTokenStream:
             Copy(offset=5000, length=7),
             Copy(offset=70000, length=9),
         ]
-        stream = TokenStream(tokens, 31)
+        stream = TokenStream.from_tokens(tokens)
         assert stream.fallback_copy_count(4096) == 2
         assert stream.fallback_copy_bytes(4096) == 16
         assert stream.fallback_copy_count(1 << 20) == 0
 
     def test_output_length(self):
-        stream = TokenStream([Literal(b"ab"), Copy(offset=2, length=6)], 8)
+        stream = TokenStream.from_tokens([Literal(b"ab"), Copy(offset=2, length=6)])
         assert stream.output_length() == 8
 
     def test_array_views(self):
-        stream = TokenStream([Literal(b"abc"), Copy(offset=3, length=4)], 7)
-        assert list(stream.literal_run_lengths) == [3]
+        stream = TokenStream.from_tokens([Literal(b"abc"), Copy(offset=3, length=4)])
+        assert (stream.literal_lengths, stream.trailing) == ([3], 0)
         assert list(stream.copy_offsets) == [3]
         assert list(stream.copy_lengths) == [4]
 
@@ -160,11 +160,11 @@ class TestTokenStream:
 class TestDecoder:
     def test_offset_beyond_output_raises(self):
         with pytest.raises(CorruptStreamError):
-            decode_tokens([Copy(offset=1, length=1)])
+            decode_tokens(TokenStream.from_tokens([Copy(offset=1, length=1)]))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(CorruptStreamError):
-            decode_tokens([Literal(b"abc")], expected_length=4)
+            decode_tokens(TokenStream.from_tokens([Literal(b"abc")]), expected_length=4)
 
     def test_copy_validation_in_token_constructors(self):
         with pytest.raises(ValueError):
@@ -175,18 +175,19 @@ class TestDecoder:
 
 class TestSplitLongCopies:
     def test_splits_preserve_semantics(self):
-        tokens = [Literal(b"abcdefgh"), Copy(offset=8, length=200)]
-        split = split_long_copies(tokens, 64)
-        assert decode_tokens(split) == decode_tokens(tokens)
-        assert all(t.length <= 64 for t in split if isinstance(t, Copy))
+        stream = TokenStream.from_tokens([Literal(b"abcdefgh"), Copy(offset=8, length=200)])
+        split = split_long_copies(stream, 64)
+        assert decode_tokens(split) == decode_tokens(stream)
+        assert all(t.length <= 64 for t in split.tokens() if isinstance(t, Copy))
+        assert len(split) == 1 + 4
 
     def test_overlapping_copy_split(self):
-        tokens = [Literal(b"ab"), Copy(offset=2, length=100)]
-        assert decode_tokens(split_long_copies(tokens, 7)) == decode_tokens(tokens)
+        stream = TokenStream.from_tokens([Literal(b"ab"), Copy(offset=2, length=100)])
+        assert decode_tokens(split_long_copies(stream, 7)) == decode_tokens(stream)
 
     def test_short_copies_untouched(self):
-        tokens = [Copy(offset=4, length=4)]
-        assert split_long_copies([Literal(b"abcd")] + tokens, 64)[1] == tokens[0]
+        tokens = [Literal(b"abcd"), Copy(offset=4, length=4)]
+        assert split_long_copies(TokenStream.from_tokens(tokens), 64).tokens() == tokens
 
 
 class TestParamsValidation:
@@ -319,7 +320,7 @@ class TestVectorizedPrecompute:
         assert vars(reused) == before
         second = reused.encode(b)
         fresh = Lz77Encoder(params).encode(b)
-        assert [repr(t) for t in second] == [repr(t) for t in fresh]
+        assert second.tokens() == fresh.tokens()
 
     def test_encode_identical_across_threshold_styles(self):
         # The same content encoded below and above the threshold must agree
@@ -329,7 +330,5 @@ class TestVectorizedPrecompute:
         small = b"abcdabcdabcdabcd" * 8  # 128 bytes: scalar path
         big = small * 8  # 1024 bytes: vector path
         enc = Lz77Encoder(params)
-        small_tokens = list(enc.encode(small))
-        big_tokens = list(enc.encode(big))
-        assert decode_tokens(big_tokens, expected_length=len(big)) == big
-        assert decode_tokens(small_tokens, expected_length=len(small)) == small
+        assert decode_tokens(enc.encode(big), expected_length=len(big)) == big
+        assert decode_tokens(enc.encode(small), expected_length=len(small)) == small

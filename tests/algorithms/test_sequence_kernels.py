@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms.lz77 import copy_match, execute_sequences, reference_copy_match
 from repro.algorithms.zstd import (
-    SequenceTriple,
     code_to_value,
     decode_code_values,
     encode_code_values,
@@ -95,18 +94,22 @@ class TestDecodeCodeValues:
         assert (str(error) if error else None) == expected_error
 
     def test_round_trips_encode_code_values(self):
-        sequences = [SequenceTriple(0, 1, 3), SequenceTriple(5, 1 << 20, 70000), SequenceTriple(1, 7, 0)]
-        ll, ml, off, extra, _ = encode_code_values(sequences)
+        ll, ml, off, extra, _ = encode_code_values([0, 5, 1], [1, 1 << 20, 7], [3, 70000, 0])
         decoded = decode_code_values(extra, ll, ml, off)
         assert decoded == ([0, 5, 1], [1, 1 << 20, 7], [3, 70000, 0], None)
 
 
-def _reference_code_values(sequences):
+def _columns(triples):
+    """``(literal_lengths, offsets, match_lengths)`` of ``(ll, off, ml)`` triples."""
+    return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
+
+
+def _reference_code_values(triples):
     """Per-field ``value_to_code`` + ``BitWriter``: the SeqToCode reference."""
     columns = ([], [], [])
     writer = BitWriter()
-    for seq in sequences:
-        for value, codes in zip((seq.literal_length, seq.match_length, seq.offset), columns):
+    for literal_length, offset, match_length in triples:
+        for value, codes in zip((literal_length, match_length, offset), columns):
             code, width, bits = value_to_code(value)
             codes.append(code)
             writer.write(bits, width)
@@ -124,26 +127,25 @@ _EDGE_VALUES = sorted(
 class TestEncodeCodeValues:
     def test_edge_values_equal_reference(self):
         triples = [
-            SequenceTriple(v, _EDGE_VALUES[-1 - i], _EDGE_VALUES[(7 * i) % len(_EDGE_VALUES)])
+            (v, _EDGE_VALUES[-1 - i], _EDGE_VALUES[(7 * i) % len(_EDGE_VALUES)])
             for i, v in enumerate(_EDGE_VALUES)
         ]
-        assert encode_code_values(triples) == _reference_code_values(triples)
+        assert encode_code_values(*_columns(triples)) == _reference_code_values(triples)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.sampled_from(_EDGE_VALUES) | st.integers(0, 2**39 - 1)] * 3), max_size=40))
     def test_equals_per_field_writer(self, triples):
-        sequences = [SequenceTriple(*t) for t in triples]
-        assert encode_code_values(sequences) == _reference_code_values(sequences)
+        assert encode_code_values(*_columns(triples)) == _reference_code_values(triples)
 
     def test_empty(self):
-        assert encode_code_values([]) == ([], [], [], b"", 0)
+        assert encode_code_values([], [], []) == ([], [], [], b"", 0)
 
     def test_negative_value_raises_like_value_to_code(self):
-        sequences = [SequenceTriple(1, 2, 3), SequenceTriple(4, -5, -6)]
+        triples = [(1, 2, 3), (4, -5, -6)]
         with pytest.raises(ValueError) as expected:
-            _reference_code_values(sequences)
+            _reference_code_values(triples)
         with pytest.raises(ValueError, match=str(expected.value)):
-            encode_code_values(sequences)
+            encode_code_values(*_columns(triples))
 
 
 def _execute(out, literal_lengths, offsets, match_lengths, trailing=0, end=1 << 20, **kwargs):

@@ -10,7 +10,7 @@ from repro.algorithms.snappy import (
     emit_elements,
     parse_elements,
 )
-from repro.algorithms.lz77 import Copy, Literal
+from repro.algorithms.lz77 import Copy, Literal, TokenStream
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -54,39 +54,39 @@ class TestWireFormat:
 
     def test_short_literal_element(self):
         # literal of length 5: tag byte (5-1)<<2 | 00, then the bytes
-        payload = emit_elements([Literal(b"hello")])
+        payload = emit_elements(TokenStream.from_tokens([Literal(b"hello")]))
         assert payload == bytes([4 << 2]) + b"hello"
 
     def test_long_literal_uses_extra_length_bytes(self):
         data = bytes(61)
-        payload = emit_elements([Literal(data)])
+        payload = emit_elements(TokenStream.from_tokens([Literal(data)]))
         assert payload[0] == 60 << 2  # one extra length byte
         assert payload[1] == 60  # len-1
         assert payload[2:] == data
 
     def test_copy1_encoding(self):
         # len 4..11, offset < 2048 -> 2-byte element
-        payload = emit_elements([Literal(b"abcd"), Copy(offset=4, length=4)])
+        payload = emit_elements(TokenStream.from_tokens([Literal(b"abcd"), Copy(offset=4, length=4)]))
         element = payload[1 + 4 :]
         assert len(element) == 2
         assert element[0] & 0x3 == 0b01
         assert element[1] == 4  # low offset byte
 
     def test_copy2_encoding(self):
-        payload = emit_elements([Copy(offset=3000, length=40)])
+        payload = emit_elements(TokenStream.from_tokens([Copy(offset=3000, length=40)]))
         assert payload[0] & 0x3 == 0b10
         assert int.from_bytes(payload[1:3], "little") == 3000
 
     def test_copy4_encoding_for_huge_offsets(self):
-        payload = emit_elements([Copy(offset=70000, length=10)])
+        payload = emit_elements(TokenStream.from_tokens([Copy(offset=70000, length=10)]))
         assert payload[0] & 0x3 == 0b11
         assert int.from_bytes(payload[1:5], "little") == 70000
 
     def test_long_copies_split_to_64_bytes(self):
         _, stream = parse_elements(
-            encode_varint(300) + emit_elements([Literal(b"ab"), Copy(offset=2, length=298)])
+            encode_varint(300) + emit_elements(TokenStream.from_tokens([Literal(b"ab"), Copy(offset=2, length=298)]))
         )
-        copies = [t for t in stream.tokens if isinstance(t, Copy)]
+        copies = [t for t in stream.tokens() if isinstance(t, Copy)]
         assert all(c.length <= 64 for c in copies)
         assert sum(c.length for c in copies) == 298
 
@@ -102,12 +102,12 @@ class TestCorruptStreams:
             codec.decompress(b"\x80")
 
     def test_length_mismatch_too_short(self, codec):
-        stream = encode_varint(10) + emit_elements([Literal(b"abc")])
+        stream = encode_varint(10) + emit_elements(TokenStream.from_tokens([Literal(b"abc")]))
         with pytest.raises(CorruptStreamError):
             codec.decompress(stream)
 
     def test_length_mismatch_too_long(self, codec):
-        stream = encode_varint(2) + emit_elements([Literal(b"abc")])
+        stream = encode_varint(2) + emit_elements(TokenStream.from_tokens([Literal(b"abc")]))
         with pytest.raises(CorruptStreamError):
             codec.decompress(stream)
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.algorithms.lz77 import Literal
+from repro.algorithms.lz77 import Literal, TokenStream
 from repro.algorithms.registry import available_codecs, get_codec
 from repro.algorithms.snappy import SNAPPY_FRAME, SNAPPY_WINDOW, emit_elements
 from repro.algorithms.streaming import (
@@ -163,7 +163,7 @@ class TestBoundedBuffering:
         three orders of magnitude below the stream size.
         """
         block = bytes(range(256)) * 256  # 64 KiB
-        element = emit_elements([Literal(block)])
+        element = emit_elements(TokenStream.from_tokens([Literal(block)]))
         repeats = 1024  # 64 MiB of declared content
         total = repeats * len(block)
         ctx = get_codec("snappy").decompress_context()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.lz77 import Copy, Literal
+from repro.algorithms.lz77 import Copy, Literal, TokenStream, TokenStreamBuilder, decode_tokens
 from repro.algorithms.zstd import (
     BLOCK_SIZE,
     DEFAULT_LEVEL,
@@ -12,15 +12,13 @@ from repro.algorithms.zstd import (
     MAX_LEVEL,
     MIN_LEVEL,
     SequenceCoder,
-    SequenceTriple,
     ZstdCodec,
     code_to_value,
     level_params,
-    sequences_to_tokens,
-    tokens_to_sequences,
     value_to_code,
 )
 from repro.common.errors import ConfigError, CorruptStreamError
+from repro.common.varint import encode_varint
 
 
 @pytest.fixture(scope="module")
@@ -133,24 +131,28 @@ class TestSequenceConversion:
             Copy(offset=2, length=5),
             Literal(b"tail"),
         ]
-        sequences, literals, trailing = tokens_to_sequences(tokens)
-        assert len(sequences) == 2
-        assert sequences[0] == SequenceTriple(4, 4, 8)
-        assert sequences[1] == SequenceTriple(0, 2, 5)
-        assert literals == b"abcdtail"
-        assert trailing == 4
-        back = sequences_to_tokens(sequences, literals, trailing)
-        from repro.algorithms.lz77 import decode_tokens
+        stream = TokenStream.from_tokens(tokens)
+        assert stream.literal_lengths == [4, 0]
+        assert stream.offsets == [4, 2]
+        assert stream.match_lengths == [8, 5]
+        assert stream.literals == b"abcdtail"
+        assert stream.trailing == 4
+        assert stream.tokens() == tokens
+        assert decode_tokens(stream) == b"abcd" * 3 + b"cdcdc" + b"tail"
 
-        assert decode_tokens(back) == decode_tokens(tokens)
+    @staticmethod
+    def _block(literals, literal_lengths, trailing):
+        TokenStreamBuilder().extend(
+            literals, literal_lengths, [1] * len(literal_lengths), [4] * len(literal_lengths), trailing
+        )
 
     def test_literal_overrun_rejected(self):
         with pytest.raises(CorruptStreamError):
-            sequences_to_tokens([SequenceTriple(10, 1, 4)], b"short", 0)
+            self._block(b"short", [10], 0)
 
     def test_trailing_mismatch_rejected(self):
         with pytest.raises(CorruptStreamError):
-            sequences_to_tokens([SequenceTriple(2, 1, 4)], b"abcdef", 1)
+            self._block(b"abcdef", [2], 1)
 
 
 class TestSeqToCode:
@@ -175,22 +177,32 @@ class TestSeqToCode:
 
 class TestSequenceCoder:
     def test_roundtrip(self):
-        sequences = [SequenceTriple(i % 7, (i % 30) + 1, (i % 11) + 3) for i in range(200)]
-        blob = SequenceCoder(9).encode(sequences)
-        decoded, consumed = SequenceCoder.decode(blob, 0)
+        columns = (
+            [i % 7 for i in range(200)],
+            [(i % 30) + 1 for i in range(200)],
+            [(i % 11) + 3 for i in range(200)],
+        )
+        blob = SequenceCoder(9).encode(*columns)
+        *decoded, consumed = SequenceCoder.decode_columns(blob, 0)
         assert consumed == len(blob)
-        assert decoded == sequences
+        assert tuple(decoded) == columns
 
     def test_empty_sequences(self):
-        blob = SequenceCoder(9).encode([])
-        decoded, _ = SequenceCoder.decode(blob, 0)
-        assert decoded == []
+        blob = SequenceCoder(9).encode([], [], [])
+        assert SequenceCoder.decode_columns(blob, 0) == ([], [], [], len(blob))
+
+    def test_sequence_count_beyond_block_rejected(self):
+        # A one-symbol FSE table reads no bits per symbol: only the count
+        # bounds the decode loop.
+        blob = bytearray(SequenceCoder(9).encode([1] * 20, [2] * 20, [4] * 20))
+        blob[0:1] = encode_varint(BLOCK_SIZE + 1)
+        with pytest.raises(CorruptStreamError, match="sequence count"):
+            SequenceCoder.decode_columns(bytes(blob), 0)
 
     def test_truncated_rejected(self):
-        sequences = [SequenceTriple(1, 2, 4)] * 20
-        blob = SequenceCoder(9).encode(sequences)
+        blob = SequenceCoder(9).encode([1] * 20, [2] * 20, [4] * 20)
         with pytest.raises(CorruptStreamError):
-            SequenceCoder.decode(blob[: len(blob) // 2], 0)
+            SequenceCoder.decode_columns(blob[: len(blob) // 2], 0)
 
 
 class TestCorruptFrames:

@@ -17,7 +17,7 @@ class TestAnalyzeFrame:
     def test_tokens_reconstruct_content(self, codec, sample_inputs):
         for name, data in sample_inputs.items():
             stats = analyze_frame(codec.compress(data))
-            assert decode_tokens(stats.tokens.tokens) == data, name
+            assert decode_tokens(stats.tokens) == data, name
 
     def test_content_and_compressed_sizes(self, codec):
         data = b"measure me " * 500
@@ -79,4 +79,4 @@ class TestAnalyzeFrame:
         frame = codec.compress(data)
         stats = analyze_frame(frame)
         assert len(stats.blocks) >= 2
-        assert decode_tokens(stats.tokens.tokens) == codec.decompress(frame)
+        assert decode_tokens(stats.tokens) == codec.decompress(frame)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.lz77 import Copy, Literal, decode_tokens
+from repro.algorithms.lz77 import Copy, Literal, TokenStream, decode_tokens
 from repro.algorithms.zstd import ZstdCodec
 from repro.algorithms.zstd_dict import ZstdDictCodec, strip_prefix_tokens, train_dictionary
 from repro.common.errors import CorruptStreamError
@@ -27,18 +27,18 @@ def dictionary():
 class TestStripPrefixTokens:
     def test_drop_trim_keep(self):
         tokens = [Literal(b"abcdef"), Copy(offset=3, length=6), Literal(b"xy")]
-        stripped = strip_prefix_tokens(tokens, 8)
+        stripped = strip_prefix_tokens(TokenStream.from_tokens(tokens), 8).tokens()
         # First literal gone (6 <= 8); copy trimmed from 6 to 4; literal kept.
         assert stripped[0] == Copy(offset=3, length=4)
         assert stripped[1] == Literal(b"xy")
 
     def test_literal_boundary_split(self):
         tokens = [Literal(b"0123456789")]
-        assert strip_prefix_tokens(tokens, 4) == [Literal(b"456789")]
+        assert strip_prefix_tokens(TokenStream.from_tokens(tokens), 4).tokens() == [Literal(b"456789")]
 
     def test_zero_prefix_identity(self):
         tokens = [Literal(b"ab"), Copy(offset=2, length=4)]
-        assert strip_prefix_tokens(tokens, 0) == tokens
+        assert strip_prefix_tokens(TokenStream.from_tokens(tokens), 0).tokens() == tokens
 
     def test_copy_suffix_semantics_preserved(self):
         # Full stream decodes to X; stripped stream must decode to X[p:]
@@ -46,9 +46,9 @@ class TestStripPrefixTokens:
         data = b"abcabcabcabc"
         from repro.algorithms.lz77 import Lz77Encoder
 
-        tokens = Lz77Encoder().encode(data).tokens
+        stream = Lz77Encoder().encode(data)
         for p in (0, 3, 5, 7):
-            stripped = strip_prefix_tokens(tokens, p)
+            stripped = strip_prefix_tokens(stream, p).tokens()
             # Execute with prefix seeded.
             out = bytearray(data[:p])
             for token in stripped:

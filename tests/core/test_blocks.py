@@ -24,7 +24,7 @@ PCIE = MemorySystem.for_placement(Placement.PCIE_NO_CACHE)
 def stream_with_offsets(offsets, length=16):
     tokens = [Literal(b"x" * 64)]
     tokens += [Copy(offset=o, length=length) for o in offsets]
-    return TokenStream(tokens, 64 + length * len(offsets))
+    return TokenStream.from_tokens(tokens)
 
 
 class TestInterfaceBlocks:
@@ -105,7 +105,7 @@ class TestLz77Encoder:
         config = CdpuConfig(encoder_history_bytes=2048)
         data = (b"pattern-far-away" * 300)[:4000] + b"pattern-far-away"
         tokens, _ = Lz77EncoderBlock(config).tokenize(data)
-        assert all(c.offset <= 2048 for c in tokens.tokens if isinstance(c, Copy))
+        assert all(c.offset <= 2048 for c in tokens.tokens() if isinstance(c, Copy))
 
     def test_match_cycles_scale_with_input(self):
         config = CdpuConfig()

@@ -508,16 +508,16 @@ def _bomb_frame(codec_name: str, match_length: int):
     literal, offset 1) carries ``match_length``: the codec, the frame and
     the dict/window context it decodes under."""
     from repro.algorithms.container import append_content_checksum
-    from repro.algorithms.zstd import SequenceCoder, SequenceTriple, _encode_literals
+    from repro.algorithms.lz77 import TokenStream
+    from repro.algorithms.zstd import SequenceCoder, _encode_literals
     from repro.common.varint import encode_varint
 
     declared = 8
-    sequences = [SequenceTriple(literal_length=1, offset=1, match_length=match_length)]
     if codec_name in ("zstd", "zstd-dict"):
         from repro.algorithms.zstd import ZSTD_FRAME
         from repro.algorithms.zstd_dict import DICT_FRAME, ZstdDictCodec
 
-        body = _encode_literals(b"a") + SequenceCoder(9).encode(sequences) + encode_varint(0)
+        body = _encode_literals(b"a") + SequenceCoder(9).encode([1], [1], [match_length]) + encode_varint(0)
         block = bytes([0x82]) + encode_varint(declared) + encode_varint(len(body)) + body
         if codec_name == "zstd":
             codec = get_codec("zstd")
@@ -550,7 +550,8 @@ def _bomb_frame(codec_name: str, match_length: int):
 
         codec = get_codec("brotli")
         body = b"\x01" + b"\x00" + encode_varint(1) + b"a"
-        body += _encode_sequences(sequences) + encode_varint(0)
+        body += _encode_sequences(TokenStream([1], [1], [match_length], b"a", 0))
+        body += encode_varint(0)
         frame = BROTLI_FRAME.encode_preamble(content_length=declared, window_log=16) + body
     return codec, append_content_checksum(frame, b"a" * declared)
 
