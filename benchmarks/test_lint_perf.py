@@ -9,6 +9,11 @@ architectural, not machine-dependent:
   whole point of :mod:`repro.lint.cache`);
 * every configuration must produce identical findings (jobs parity).
 
+The cold ``jobs=1`` run is also broken down by layer — parse, flow
+(per-function CFG + taint, then summary assembly) and each rule's check —
+and the layers must account for that run's total within
+``LAYER_SUM_TOLERANCE``, so a regression names the layer that moved.
+
 The comparison against the *committed* baseline is deliberately soft: CI
 machines vary, so a slowdown beyond the allowed ratio emits a prominent
 warning for the reviewer rather than failing the build. Lives under
@@ -22,13 +27,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import engine, run_lint
 from repro.lint.cache import LintCache
+from repro.lint.registry import all_rules
 
 REQUIRED_WARM_SPEEDUP = 3.0
 #: Soft gate: warn (don't fail) when cold lint is this much slower than the
 #: committed baseline.
 SOFT_REGRESSION_RATIO = 3.0
+#: The per-layer seconds must sum to the run's total within this fraction.
+LAYER_SUM_TOLERANCE = 0.10
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _BASELINE = _REPO_ROOT / "results" / "BENCH_lint.json"
@@ -40,14 +48,48 @@ def _timed_run(src: Path, *, jobs: int, cache: LintCache):
     return result, time.perf_counter() - start
 
 
+def _layered_run(src: Path, *, cache: LintCache, monkeypatch):
+    """A jobs=1 run that also returns seconds per layer: ``parse``
+    (``load_module``), ``flow`` (``_collect_flows`` + ``assemble``) and
+    ``rule.<code>`` for each rule's check."""
+    layers = {}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                layers[name] = layers.get(name, 0.0) + time.perf_counter() - start
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "load_module", timed("parse", engine.load_module))
+        patch.setattr(engine, "_collect_flows", timed("flow", engine._collect_flows))
+        patch.setattr(engine, "assemble", timed("flow", engine.assemble))
+        rules = all_rules()
+        for rule in rules:
+            rule.check = timed(
+                f"rule.{rule.code}", lambda project, check=rule.check: list(check(project))
+            )
+        start = time.perf_counter()
+        result = run_lint([src], root=_REPO_ROOT, jobs=1, cache=cache, rules=rules)
+        total = time.perf_counter() - start
+    return result, total, layers
+
+
 @pytest.mark.bench
-def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir):
+def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir, monkeypatch):
     src = _REPO_ROOT / "src"
     timings = {}
     findings = {}
     for jobs in (1, 4):
         cache = LintCache(tmp_path / f"lint-cache-j{jobs}")
-        result_cold, cold = _timed_run(src, jobs=jobs, cache=cache)
+        if jobs == 1:
+            result_cold, cold, layers = _layered_run(src, cache=cache, monkeypatch=monkeypatch)
+        else:
+            result_cold, cold = _timed_run(src, jobs=jobs, cache=cache)
         result_warm, warm = _timed_run(src, jobs=jobs, cache=cache)
         timings[f"cold_jobs{jobs}_seconds"] = round(cold, 4)
         timings[f"warm_jobs{jobs}_seconds"] = round(warm, 4)
@@ -61,9 +103,18 @@ def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir):
     # Jobs parity: the parallel flow pass must not perturb findings.
     assert findings[1] == findings[4]
 
+    accounted = sum(layers.values())
+    cold = timings["cold_jobs1_seconds"]
+    assert abs(accounted - cold) <= LAYER_SUM_TOLERANCE * cold, (
+        f"layers account for {accounted:.3f}s of a {cold:.3f}s cold run"
+    )
+
     payload = {
         "benchmark": "lint",
         "files": len(list(src.rglob("*.py"))),
+        "cold_jobs1_layers_seconds": {
+            name: round(seconds, 4) for name, seconds in sorted(layers.items())
+        },
         **timings,
     }
     previous = None

@@ -19,7 +19,7 @@ Nine subcommands expose the library's main surfaces:
   open-loop fleet-mix load against it (see :mod:`repro.service`);
   ``--validate`` replays the served workload through the queueing
   simulator and compares predicted vs measured service levels.
-* ``lint`` — run the codec-aware static-analysis pass (rules R001-R013).
+* ``lint`` — run the codec-aware static-analysis pass (rules R002-R016).
 * ``sanitize`` — re-execute a target run (DSE sweep, lint, stream, stats,
   serve) under varied ``PYTHONHASHSEED``/worker-count environments and diff the
   artifacts byte-for-byte (see :mod:`repro.sanitize`).
@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # forward it verbatim.
     lint = sub.add_parser(
         "lint",
-        help="run the static-analysis pass (R001-R013)",
+        help="run the static-analysis pass (R002-R016)",
         add_help=False,
     )
     lint.add_argument("lint_args", nargs=argparse.REMAINDER)

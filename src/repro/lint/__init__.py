@@ -9,12 +9,9 @@ scattered as magic numbers. This package enforces them mechanically.
 Rules
 -----
 
-* **R001 determinism** — no ``random``/``numpy.random`` use outside
-  ``common/rng.py``; no time-derived seeds.
-* **R002 decoder safety** — stream-reading functions in ``algorithms/``,
-  ``core/blocks/`` and ``common/{bitio,varint}.py`` must signal corruption
-  with :class:`~repro.common.errors.CorruptStreamError`; no swallowed broad
-  exception handlers.
+* **R002 decoder safety** — no swallowed broad exception handlers, and a
+  decoder's ``IndexError``/``KeyError``/``struct.error`` handler must raise
+  :class:`~repro.common.errors.CorruptStreamError`.
 * **R003 calibration hygiene** — frequency/latency/size magic numbers belong
   in ``core/calibration.py`` or ``common/units.py``.
 * **R004 API hygiene** — mutable default arguments, float ``==`` in asserts,
@@ -35,18 +32,25 @@ Rules
   (varints, ``int.from_bytes``, ``struct.unpack``, wide bit reads) must be
   compared against a buffer length or documented limit before sizing a
   slice, a ``range()``, or an allocation.
-* **R009 guarded read** — flow-sensitive successor to R002's
-  unguarded-read heuristic: each decoder buffer read needs a *dominating*
-  bounds check. R002's syntactic check stays active only for functions the
-  CFG cannot model, so the demotion never widens the unchecked surface.
+* **R009 guarded read** — each decoder buffer read needs a *dominating*
+  bounds check; a decoder the flow layer cannot model is itself a finding.
+* **R010–R011 pool and worker safety**, **R013 blocking in async** — the
+  concurrency family (see DESIGN.md §7.5).
+* **R012 determinism hygiene** — entropy only from
+  :func:`repro.common.rng.make_rng` (no ``random``/``numpy.random`` imports
+  or calls, under any alias; no time-derived seeds), no unsorted filesystem
+  enumeration, no hash-order set iteration, no wall-clock in artifacts.
+* **R014–R016 wire grammar** — encode/decode symmetry, interprocedural
+  allocation caps and decode-loop progress.
 
-R007–R009 run on a shared flow layer (:mod:`repro.lint.flow`): per-function
-CFGs over :mod:`ast`, reaching definitions, a taint lattice, and a
-project-wide call graph with per-function summaries, built once per lint
-run and handed to the rules (see DESIGN.md §7.4 for the architecture and
-its soundness caveats).
+The decoder tree and the decode-side classifier the decoder rules share
+live in :mod:`repro.lint.common`. The flow rules run on a shared flow layer
+(:mod:`repro.lint.flow`): per-function CFGs over :mod:`ast`, reaching
+definitions, a taint lattice, and a project-wide call graph with
+per-function summaries, built once per lint run and handed to the rules
+(see DESIGN.md §7.4 for the architecture and its soundness caveats).
 
-Findings can be suppressed on a line with ``# repro: noqa[R001]`` (or a bare
+Findings can be suppressed on a line with ``# repro: noqa[R012]`` (or a bare
 ``# repro: noqa`` for all rules), or grandfathered in a checked-in baseline
 file (``.repro-lint-baseline.json``) with a one-line justification.
 

@@ -28,7 +28,7 @@ DEFAULT_BASELINE = ".repro-lint-baseline.json"
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Codec-aware static analysis (rules R001-R016); see "
+        description="Codec-aware static analysis (rules R002-R016); see "
         "README.md 'Static analysis' for the rule catalogue and "
         "'# repro: noqa[RULE]' suppression syntax.",
     )

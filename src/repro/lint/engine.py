@@ -4,9 +4,8 @@ Analysis runs in two passes. Pass one builds the flow layer — one CFG plus
 taint solve per function (:func:`repro.lint.flow.collect_module_flow`),
 assembled into project-wide call-graph summaries
 (:func:`repro.lint.flow.assemble`). Pass two runs the rules, which see the
-summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009)
-consume them directly and R002 uses them to demote its syntactic heuristic
-to a fallback for functions the flow layer could not model.
+summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009,
+R010-R011, R015) consume them directly.
 
 Pass one is the expensive part and is embarrassingly parallel per file, so
 ``jobs > 1`` fans it out over a :class:`~concurrent.futures.
@@ -30,7 +29,7 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.flow import ProjectSummaries, assemble, collect_module_flow
 from repro.lint.registry import RULESET_VERSION, Rule, all_rules
 
-#: ``# repro: noqa`` or ``# repro: noqa[R001,R003]`` suppresses findings on
+#: ``# repro: noqa`` or ``# repro: noqa[R002,R003]`` suppresses findings on
 #: the annotated line (the line the finding is reported at).
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*)\])?", re.IGNORECASE)
 

@@ -1,6 +1,6 @@
 """Flow-sensitive analysis core for the lint rules (R007-R009).
 
-The syntactic rules (R001-R006) pattern-match single AST nodes; the rules
+The syntactic rules (R002-R006) pattern-match single AST nodes; the rules
 that guard the decoder-safety contract need more: *where* a value came from,
 *whether* a check dominates its use, and *which* exceptions can escape a
 public surface through arbitrarily deep helper chains. This package supplies
@@ -24,9 +24,9 @@ that machinery in four layers, each usable on its own:
 
 Soundness stance (see DESIGN.md §7.4): the analyses are *best-effort and
 deliberately unsound* in the direction that keeps findings actionable —
-constructs the CFG cannot model mark the function ``supported=False`` and
-the flow rules fall back to the older syntactic heuristics for it, rather
-than guessing.
+constructs the CFG cannot model mark the function unsupported (naming the
+construct) rather than guessing, and R009 reports such a function when it
+is decode-side.
 """
 
 from repro.lint.flow.cfg import CFG, build_cfg, scan_expr

@@ -16,8 +16,8 @@ are split into their atoms:
   and handler exits.
 
 The builder never guesses: a construct it cannot model (``match``,
-``try*`` exception groups) sets :attr:`CFG.supported` to ``False`` and the
-flow rules fall back to the syntactic heuristics for that function.
+``try*`` exception groups) is named in :attr:`CFG.unsupported`, and R009
+reports a decode-side function it marks as unmodelled.
 """
 
 from __future__ import annotations
@@ -113,7 +113,12 @@ class CFG:
     blocks: List[Block]
     entry: int
     exit: int  # normal exits (returns and fall-off-end) converge here
-    supported: bool = True
+    #: The construct the builder could not model ("" when it modelled all).
+    unsupported: str = ""
+
+    @property
+    def supported(self) -> bool:
+        return not self.unsupported
 
     def block(self, block_id: int) -> Block:
         return self.blocks[block_id]
@@ -133,7 +138,7 @@ class _Builder:
         self.func = func
         self.blocks: List[Block] = []
         self.loops: List[_LoopFrame] = []
-        self.supported = True
+        self.unsupported = ""
         #: Handler entries of every enclosing ``try`` (innermost last); any
         #: block created while inside gets exceptional edges to them.
         self.handler_stack: List[List[int]] = []
@@ -178,7 +183,7 @@ class _Builder:
             blocks=self.blocks,
             entry=entry,
             exit=exit_id,
-            supported=self.supported,
+            unsupported=self.unsupported,
         )
 
     def seq(self, stmts: List[ast.stmt], cur: Optional[int]) -> Optional[int]:
@@ -218,7 +223,8 @@ class _Builder:
                 self.edge(cur, self.loops[-1].header)
             return None
         if isinstance(node, (ast.Match, getattr(ast, "TryStar", ast.Match))):
-            self.supported = False
+            kind = "match" if isinstance(node, ast.Match) else "try*"
+            self.unsupported = self.unsupported or f"a '{kind}' statement at line {node.lineno}"
             self.blocks[cur].items.append(Stmt(node))
             return cur
         # Simple statements — including nested def/class (opaque) and assert.

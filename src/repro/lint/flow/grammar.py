@@ -45,7 +45,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.lint.common import normalize_rel, parent_map, terminal_name
 
 #: Version of the ``results/frame_grammars.json`` artifact schema.
 GRAMMAR_SCHEMA_VERSION = 1
@@ -92,29 +94,8 @@ _FALLBACK_MAX_STAGES = 12
 _FALLBACK_MAX_PARAMS = 4
 
 
-def _normalize(rel: str) -> str:
-    norm = rel.replace("\\", "/")
-    if norm.startswith("src/"):
-        norm = norm[4:]
-    if norm.startswith("repro/"):
-        norm = norm[6:]
-    return norm
-
-
-def _is_container(rel: str) -> bool:
-    return _normalize(rel).endswith("algorithms/container.py")
-
-
 def _module_stem(rel: str) -> str:
     return Path(rel).stem
-
-
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _receiver_name(func: ast.AST) -> Optional[str]:
@@ -292,7 +273,7 @@ class _ModuleEnv:
                 self.consts[target.id] = self.consts[value.id]
             elif (
                 isinstance(value, ast.Call)
-                and _terminal_name(value.func) == "FrameSpec"
+                and terminal_name(value.func) == "FrameSpec"
             ):
                 self.spec_calls.append((target.id, stmt.lineno, value))
 
@@ -417,7 +398,7 @@ def _stage_wire_ids(envs: Dict[str, _ModuleEnv]) -> Dict[str, int]:
     """``stage name -> STAGE_ID`` from the stage registry's class attrs."""
     ids: Dict[str, int] = {}
     for rel, env in envs.items():
-        if not _normalize(rel).endswith("algorithms/stages.py"):
+        if not normalize_rel(rel).endswith("algorithms/stages.py"):
             continue
         for stmt in env.tree.body:
             if not isinstance(stmt, ast.ClassDef):
@@ -481,14 +462,6 @@ def _graph_presets(env: _ModuleEnv) -> Dict[str, List[Tuple[str, List[int]]]]:
 # ---------------------------------------------------------------------------
 
 
-def _parent_map(tree: ast.Module) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
-
-
 def _enclosing_statement(node: ast.AST, parents: Dict[int, ast.AST]) -> ast.stmt:
     cur = node
     while not isinstance(cur, ast.stmt):
@@ -515,7 +488,7 @@ def _wire_op(
     """Classify one expression as a raw wire op, or ``None``."""
     if not isinstance(expr, ast.Call):
         return None
-    name = _terminal_name(expr.func)
+    name = terminal_name(expr.func)
     if name is None:
         return None
     table = _WRITE_OPS if kind == "write" else _READ_OPS
@@ -641,7 +614,12 @@ def extract_grammar_index(
         rel: _ModuleEnv(rel, tree) for rel, tree in modules
     }
     container_env = next(
-        (env for rel, env in envs.items() if _is_container(rel)), None
+        (
+            env
+            for rel, env in envs.items()
+            if normalize_rel(rel).endswith("algorithms/container.py")
+        ),
+        None,
     )
     defaults = _spec_defaults(container_env)
     limits = _stage_limits(container_env)
@@ -677,12 +655,12 @@ def extract_grammar_index(
 
     # Pass 2: surfaces with header-window traces + checksum evidence.
     for rel, env in sorted(envs.items()):
-        parents = _parent_map(env.tree)
+        parents = parent_map(env.tree)
         evidence = ChecksumEvidence()
         for node in ast.walk(env.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _terminal_name(node.func)
+            name = terminal_name(node.func)
             if name in _CHECKSUM_EMITS:
                 evidence.emit_lines.append(node.lineno)
             elif name in _CHECKSUM_VERIFIES:
@@ -765,7 +743,7 @@ def _codec_name(env: _ModuleEnv, spec: SpecInfo) -> str:
     name literal when it declares exactly one, else the module stem."""
     names: List[str] = []
     for node in ast.walk(env.tree):
-        if isinstance(node, ast.Call) and _terminal_name(node.func) == "CodecInfo":
+        if isinstance(node, ast.Call) and terminal_name(node.func) == "CodecInfo":
             for keyword in node.keywords:
                 if keyword.arg == "name" and isinstance(
                     keyword.value, ast.Constant

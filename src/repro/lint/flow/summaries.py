@@ -34,6 +34,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.common import (
+    caught_names,
+    dotted_name,
+    import_table,
+    in_decoder_tree,
+    iter_functions,
+)
 from repro.lint.flow.cfg import build_cfg, scan_expr
 from repro.lint.flow.dataflow import canonical_name
 from repro.lint.flow.taint import analyze_taint, index_read_sites, is_buffer_name
@@ -93,18 +100,6 @@ _INT_PARAM_HINTS = (
     "level",
     "expected",
 )
-
-
-def dotted(node: ast.AST) -> Optional[str]:
-    """Render a ``Name``/``Attribute`` chain as ``a.b.c``, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def rel_to_module(rel: str) -> str:
@@ -257,7 +252,9 @@ class FunctionSummary:
     name: str
     cls: Optional[str]
     lineno: int
-    supported: bool  # CFG modelable AND the taint solve converged
+    #: Why the flow layer could not model the function ("" when it could:
+    #: the CFG covers every construct and the taint solve converged).
+    unsupported: str = ""
     params: List[str] = field(default_factory=list)
     read_sites: List[ReadSiteRec] = field(default_factory=list)
     sinks: List[SinkRec] = field(default_factory=list)
@@ -278,6 +275,10 @@ class FunctionSummary:
     global_writes: List[GlobalWriteRec] = field(default_factory=list)
     pool_dispatches: List[PoolDispatchRec] = field(default_factory=list)
     pool_initializers: Tuple[str, ...] = ()
+
+    @property
+    def supported(self) -> bool:
+        return not self.unsupported
 
     @property
     def display(self) -> str:
@@ -414,19 +415,6 @@ class ProjectSummaries:
         return None
 
 
-#: Decoder-tree prefixes where unguarded reads imply an IndexError escape
-#: (kept in sync with rules.decoder_safety._DECODER_PATHS).
-_DECODER_PREFIXES = ("algorithms", "core/blocks", "common/bitio.py", "common/varint.py")
-
-
-def _in_decoder_tree(rel: str) -> bool:
-    norm = rel[4:] if rel.startswith("src/") else rel
-    norm = norm[6:] if norm.startswith("repro/") else norm
-    return any(
-        norm == p or norm.startswith(p.rstrip("/") + "/") for p in _DECODER_PREFIXES
-    )
-
-
 def _param_names(node: ast.AST) -> List[str]:
     args = node.args
     names = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
@@ -442,19 +430,13 @@ def _int_param(arg: ast.arg) -> bool:
 
 
 def _caught_set(handler: ast.ExceptHandler) -> Optional[frozenset]:
-    if handler.type is None:
+    """The names a handler catches, or ``None`` when it catches everything:
+    a bare ``except:``, ``BaseException``, or a dynamic type expression."""
+    names = caught_names(handler)
+    if handler.type is None or any(
+        name is None or name.split(".")[-1] == "BaseException" for name in names
+    ):
         return None
-    types = (
-        handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-    )
-    names = set()
-    for t in types:
-        name = dotted(t)
-        if name is None:
-            return None  # dynamic handler type: assume catch-all
-        if name.split(".")[-1] == "BaseException":
-            return None
-        names.add(name)
     return frozenset(names)
 
 
@@ -493,11 +475,11 @@ def _chain_root(node: ast.AST) -> Optional[str]:
 
 def _chain_display(node: ast.AST) -> str:
     """Best-effort source-ish rendering of a store target for messages."""
-    name = dotted(node)
+    name = dotted_name(node)
     if name is not None:
         return name
     if isinstance(node, ast.Subscript):
-        base = dotted(node.value) or _chain_root(node) or "<expr>"
+        base = dotted_name(node.value) or _chain_root(node) or "<expr>"
         return f"{base}[...]"
     return _chain_root(node) or "<expr>"
 
@@ -619,13 +601,13 @@ class _EffectCollector(ast.NodeVisitor):
                     self.raises.append(RaiseRec(name, node.lineno, guards))
         else:
             target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = dotted(target)
+            name = dotted_name(target)
             if name is not None:
                 self.raises.append(RaiseRec(name, node.lineno, guards))
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        target = dotted(node.func)
+        target = dotted_name(node.func)
         terminal = target.split(".")[-1] if target else ""
         self.calls.append(CallRec(target, terminal, node.lineno, tuple(self._guards)))
         if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATOR_METHODS:
@@ -707,7 +689,7 @@ _LOCK_CTORS = frozenset(
 def _is_pool_ctor(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
-    name = dotted(node.func)
+    name = dotted_name(node.func)
     return name is not None and name.split(".")[-1] in _POOL_CTORS
 
 
@@ -732,7 +714,7 @@ def _classify_unpicklable(
     if isinstance(expr, ast.GeneratorExp):
         return ("genexp", "")
     if isinstance(expr, ast.Call):
-        name = dotted(expr.func)
+        name = dotted_name(expr.func)
         if name is None:
             return None
         terminal = name.split(".")[-1]
@@ -785,7 +767,7 @@ def _collect_pool_facts(
         if isinstance(node, ast.Call) and _is_pool_ctor(node):
             for kw in node.keywords:
                 if kw.arg == "initializer":
-                    name = dotted(kw.value)
+                    name = dotted_name(kw.value)
                     if name is not None:
                         initializers.append(name)
 
@@ -803,7 +785,7 @@ def _collect_pool_facts(
         if not is_pool or not node.args:
             continue
         fn = node.args[0]
-        target: Optional[str] = dotted(fn)
+        target: Optional[str] = dotted_name(fn)
         if isinstance(fn, ast.Lambda):
             target_kind = "lambda"
         elif isinstance(fn, ast.Name) and fn.id in nested:
@@ -842,24 +824,6 @@ def _collect_pool_facts(
     return dispatches, tuple(initializers)
 
 
-def _collect_imports(tree: ast.Module) -> Dict[str, str]:
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    table[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    table[head] = head
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return table
-
-
 def _collect_tainted_args(taint) -> List[TaintedArgRec]:
     """Call sites whose arguments carry unchecked stream-tainted values.
 
@@ -878,7 +842,7 @@ def _collect_tainted_args(taint) -> List[TaintedArgRec]:
                 continue
             if any(isinstance(a, ast.Starred) for a in node.args):
                 continue  # positional indices would be unknowable
-            callee = dotted(node.func)
+            callee = dotted_name(node.func)
             terminal = callee.split(".")[-1] if callee else None
             if terminal is None:
                 continue
@@ -928,7 +892,7 @@ def collect_module_flow(rel: str, source: str) -> List[FunctionSummary]:
     except SyntaxError:
         return []
     records: List[FunctionSummary] = []
-    for cls_name, func in _iter_functions(tree):
+    for cls_name, func in iter_functions(tree):
         local = f"{cls_name}.{func.name}" if cls_name else func.name
         cfg = build_cfg(func)
         taint = analyze_taint(cfg)
@@ -938,7 +902,8 @@ def collect_module_flow(rel: str, source: str) -> List[FunctionSummary]:
             name=func.name,
             cls=cls_name,
             lineno=func.lineno,
-            supported=cfg.supported and taint.converged,
+            unsupported=cfg.unsupported
+            or ("" if taint.converged else "a taint solve that did not converge"),
             params=_param_names(func),
         )
         if summary.supported:
@@ -1010,10 +975,10 @@ def assemble(
     # Pass 0: modules, imports, classes, exception hierarchy.
     for ctx in modules:
         project._module_rel[rel_to_module(ctx.rel)] = ctx.rel
-        project._imports[ctx.rel] = _collect_imports(ctx.tree)
+        project._imports[ctx.rel] = import_table(ast.walk(ctx.tree))
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
-                bases = [dotted(b) for b in node.bases]
+                bases = [dotted_name(b) for b in node.bases]
                 project._class_bases[(ctx.rel, node.name)] = [
                     b for b in bases if b is not None
                 ]
@@ -1052,7 +1017,7 @@ def assemble(
                     _note_escape(
                         summary, exc, call.lineno, f"{summary.display} -> {call.terminal}"
                     )
-        if _in_decoder_tree(summary.rel):
+        if in_decoder_tree(summary.rel):
             for site in summary.read_sites:
                 if not site.guarded:
                     _note_escape(
@@ -1108,13 +1073,3 @@ def _note_escape(summary: FunctionSummary, exc: str, lineno: int, trace: str) ->
         summary.escapes.add(name)
         summary.escape_traces[name] = (lineno, trace)
 
-
-def _iter_functions(tree: ast.Module):
-    """Yield ``(class name or None, function node)`` for module-level defs."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node.name, sub

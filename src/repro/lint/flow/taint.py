@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.lint.flow.cfg import CFG, Cond, ExceptBind, Item, scan_expr
 from repro.lint.flow.dataflow import bound_names, canonical_name, used_names
 
-#: Variable-name shapes that hold untrusted stream bytes (shared with R002).
+#: Variable-name shapes that hold untrusted stream bytes.
 BUFFER_NAME = re.compile(
     r"(^|_)(data|stream|payload|buf|buffer|compressed|frame|blob|raw|pending|chunk)s?($|_)",
     re.IGNORECASE,

@@ -8,7 +8,6 @@ from repro.lint.rules import (  # noqa: F401
     container_framing,
     decoder_progress,
     decoder_safety,
-    determinism,
     determinism_hygiene,
     exception_contract,
     grammar_symmetry,

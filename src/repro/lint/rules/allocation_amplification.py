@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.lint.common import decode_side, in_decoder_tree, is_test_path
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.summaries import FunctionSummary, TaintedArgRec
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
-from repro.lint.rules.guarded_read import _DECODER_PATHS, _decode_side
 
 #: Sink kinds that multiply memory per input byte. ``slice-bound`` is
 #: excluded: slicing an existing buffer cannot allocate beyond its size.
@@ -77,9 +76,9 @@ class AllocationAmplificationRule(Rule):
         ):
             if is_test_path(summary.rel):
                 continue
-            if not path_matches(summary.rel, _DECODER_PATHS):
+            if not in_decoder_tree(summary.rel):
                 continue
-            if not summary.supported or not _decode_side(summary):
+            if not summary.supported or not decode_side(summary.name, summary.cls):
                 continue
             ctx = contexts.get(summary.rel)
             if ctx is None:
@@ -150,7 +149,7 @@ class AllocationAmplificationRule(Rule):
         candidates = [
             fn
             for fn in by_name.get(rec.terminal, [])
-            if fn.supported and path_matches(fn.rel, _DECODER_PATHS)
+            if fn.supported and in_decoder_tree(fn.rel)
         ]
         same_module = [fn for fn in candidates if fn.rel == summary.rel]
         return sorted(

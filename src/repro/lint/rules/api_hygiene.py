@@ -18,10 +18,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
+from repro.lint.common import dotted_name, is_test_path
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name, is_test_path
 
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "Counter"}
 

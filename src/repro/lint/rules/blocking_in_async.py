@@ -22,13 +22,12 @@ no ``__await__``, so anything awaitable is already not in the table.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
+from repro.lint.common import dotted_name, import_table, is_test_path, resolve_alias
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.flow.summaries import _collect_imports
-from repro.lint.rules.common import dotted_name, is_test_path
 
 #: Fully-qualified blocking call -> suggested async-native replacement.
 _BLOCKING_CALLS: Dict[str, str] = {
@@ -59,15 +58,6 @@ _BLOCKING_BUILTINS: Dict[str, str] = {
     "open": "loop.run_in_executor (or aiofiles) for file IO",
     "input": "loop.run_in_executor for console reads",
 }
-
-
-def _resolve(name: str, imports: Dict[str, str]) -> str:
-    """Expand the leading alias segment through the module's import table."""
-    head, _, rest = name.partition(".")
-    expanded = imports.get(head)
-    if expanded is None:
-        return name
-    return f"{expanded}.{rest}" if rest else expanded
 
 
 def _async_body_calls(func: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
@@ -101,7 +91,7 @@ class BlockingInAsyncRule(Rule):
         for ctx in project.modules:
             if is_test_path(ctx.rel):
                 continue
-            imports = _collect_imports(ctx.tree)
+            imports = import_table(ast.walk(ctx.tree))
             for node in ast.walk(ctx.tree):
                 if isinstance(node, ast.AsyncFunctionDef):
                     findings.extend(self._check_coroutine(ctx, node, imports))
@@ -129,7 +119,7 @@ class BlockingInAsyncRule(Rule):
             )
 
     def _lookup(self, name: str, imports: Dict[str, str]):
-        resolved = _resolve(name, imports)
+        resolved = resolve_alias(name, imports)
         if resolved in _BLOCKING_CALLS:
             return resolved, _BLOCKING_CALLS[resolved]
         if "." not in name and name in _BLOCKING_BUILTINS:

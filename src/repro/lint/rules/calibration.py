@@ -24,10 +24,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
+from repro.lint.common import is_test_path, path_matches
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
 
 #: calibration.py/units.py own the constants; the lint package itself must
 #: be able to *name* the patterns it hunts for.

@@ -26,10 +26,10 @@ import ast
 import re
 from typing import Iterable, List, Set
 
+from repro.lint.common import dotted_name, is_test_path, normalize_rel
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name, is_test_path
 
 #: Identifier shapes that name a frame magic / stream identifier constant.
 _MAGIC_NAME = re.compile(r"^(MAGIC|[A-Z0-9_]+_MAGIC|STREAM_IDENTIFIER)$")
@@ -42,19 +42,6 @@ _CONTAINER_MODULE = "algorithms/container.py"
 
 #: The one module (besides the container) allowed to read stage wire ids.
 _STAGES_MODULE = "algorithms/stages.py"
-
-
-def _normalize(rel: str) -> str:
-    norm = rel[4:] if rel.startswith("src/") else rel
-    return norm[6:] if norm.startswith("repro/") else norm
-
-
-def _is_container(rel: str) -> bool:
-    return _normalize(rel) == _CONTAINER_MODULE
-
-
-def _may_read_stage_ids(rel: str) -> bool:
-    return _normalize(rel) in (_CONTAINER_MODULE, _STAGES_MODULE)
 
 
 @register
@@ -74,8 +61,9 @@ class ContainerFramingRule(Rule):
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         allowed = self._keyword_argument_nodes(ctx.tree)
-        check_magic = not _is_container(ctx.rel)
-        check_stage_ids = not _may_read_stage_ids(ctx.rel)
+        module = normalize_rel(ctx.rel)
+        check_magic = module != _CONTAINER_MODULE
+        check_stage_ids = module not in (_CONTAINER_MODULE, _STAGES_MODULE)
         for node in ast.walk(ctx.tree):
             if check_magic:
                 name = self._magic_load(node)

@@ -36,23 +36,13 @@ advancing the cursor or bounding the loop, never by baselining.
 from __future__ import annotations
 
 import ast
-import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
+from repro.lint.common import decode_side, in_decoder_tree, is_test_path, iter_functions
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.dataflow import canonical_name
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
-from repro.lint.rules.guarded_read import _DECODER_PATHS, _DECODE_CLASS
-
-#: Decode-side function shapes. Wider than R009's: streaming state machines
-#: name their consuming steps ``_drain``/``_feed``/``_take``/``_flush``,
-#: and the bit/varint primitives use ``read*``/``inflate*``.
-_DECODE_NAME = re.compile(
-    r"(^|_)(decode|decompress|parse|deserialize|expand|iter_frames|analyze"
-    r"|drain|feed|take|flush|inflate|read|peek)"
-)
 
 #: Method calls that mutate their receiver enough to change a loop
 #: condition reading it (buffer consumption, queue draining).
@@ -77,26 +67,6 @@ _MUTATORS = frozenset(
         "consume",
     }
 )
-
-
-def _decode_side(name: str, cls: Optional[str]) -> bool:
-    if name.startswith("encode") or "encode" in name.split("_"):
-        return False
-    if _DECODE_NAME.search(name):
-        return True
-    return bool(cls and _DECODE_CLASS.search(cls))
-
-
-def _iter_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[Optional[str], ast.AST]]:
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node.name, member
 
 
 def _tracked_names(test: ast.expr) -> Optional[Set[str]]:
@@ -197,10 +167,10 @@ class DecoderProgressRule(Rule):
         for ctx in project.modules:
             if is_test_path(ctx.rel):
                 continue
-            if not path_matches(ctx.rel, _DECODER_PATHS):
+            if not in_decoder_tree(ctx.rel):
                 continue
-            for cls, func in _iter_functions(ctx.tree):
-                if not _decode_side(func.name, cls):
+            for cls, func in iter_functions(ctx.tree):
+                if not decode_side(func.name, cls):
                     continue
                 for node in ast.walk(func):
                     if isinstance(node, ast.While):

@@ -1,255 +1,93 @@
-"""R002: decoders fail loudly with CorruptStreamError, never silently.
+"""R002: exception handlers never hide corruption.
 
 DESIGN.md §7 promises that corrupt input always surfaces as
-:class:`~repro.common.errors.CorruptStreamError`. Spot-check tests cannot
-prove that structurally, so this rule inspects every stream-consuming
-function in the codec tree (``algorithms/``, ``core/blocks/``,
-``common/bitio.py``, ``common/varint.py``):
+:class:`~repro.common.errors.CorruptStreamError`. R009 proves each decoder
+buffer read is guarded and R007 follows the exceptions that *escape* a
+public surface; neither sees an error a handler catches and drops. This
+rule does:
 
-* **Unguarded reads** — a decoder-shaped function (``decode*``, ``parse*``,
-  ``decompress``, ``deserialize*``, ``iter_frames``, ``analyze_frame``, ...)
-  whose signature actually takes a buffer-shaped parameter and that
-  subscripts raw buffers or reassembles integers from bytes must mention
-  ``CorruptStreamError`` (or delegate to a helper that does): an underflow
-  path that can only raise ``IndexError`` is a silent-garbage bug waiting
-  for an optimization. This check is the *syntactic fallback*: functions
-  the flow layer modeled are skipped here, because R009 checks each of
-  their read sites for a dominating guard — strictly more precise.
 * **Untranslated low-level errors** — an ``except IndexError/KeyError/
-  struct.error`` inside a decoder that does not raise ``CorruptStreamError``
-  hides corruption.
+  struct.error`` inside a decode-side function of the decoder tree (see
+  :mod:`repro.lint.common`) that does not raise ``CorruptStreamError``
+  turns corruption into silent garbage.
 * **Swallowed broad handlers** — ``except:`` / ``except Exception:`` /
-  ``except BaseException:`` with no re-raise is an error in the codec tree
-  and a warning elsewhere in the library.
+  ``except BaseException:`` with no re-raise is an error in the decoder
+  tree and a warning elsewhere in the library.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterable, List
 
+from repro.lint.common import (
+    caught_names,
+    decode_side,
+    dotted_name,
+    in_decoder_tree,
+    is_test_path,
+    iter_functions,
+)
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow.taint import is_buffer_name
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name, is_test_path, path_matches
-from repro.lint.rules.guarded_read import _decode_side
-
-#: Directories/files whose functions read untrusted bytes.
-_DECODER_PATHS = (
-    "algorithms",
-    "core/blocks",
-    "common/bitio.py",
-    "common/varint.py",
-)
-
-_DECODER_NAME = re.compile(
-    r"(^|_)(decode|decompress|parse|deserialize|expand|read|peek|skip|iter_frames|analyze)"
-)
 
 #: Exceptions that raw byte handling leaks on underflow/bad indices.
 _LOW_LEVEL = {"IndexError", "KeyError", "struct.error", "UnicodeDecodeError"}
 
 _BROAD = {"Exception", "BaseException"}
 
-#: Callee name fragments that are themselves checked decoders, so delegating
-#: to them counts as having a corruption path.
-_SAFE_DELEGATE = re.compile(
-    r"(^|\.|_)(decode|parse|deserialize|read|peek|skip|iter_frames|analyze|decompress)"
-)
-
 
 @register
 class DecoderSafetyRule(Rule):
     code = "R002"
     name = "decoder-safety"
-    summary = "stream readers must raise CorruptStreamError on malformed input"
+    summary = "handlers must not swallow errors or leave low-level ones untranslated"
     default_severity = Severity.ERROR
 
     def check(self, project: ProjectContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         for ctx in project.modules:
-            if is_test_path(ctx.rel):
-                continue
-            in_decoder_tree = path_matches(ctx.rel, _DECODER_PATHS)
-            findings.extend(self._check_handlers(ctx, in_decoder_tree))
-            if in_decoder_tree:
-                findings.extend(self._check_unguarded_reads(ctx, project))
+            if not is_test_path(ctx.rel):
+                findings.extend(self._check_handlers(ctx, in_decoder_tree(ctx.rel)))
         return findings
 
-    # -- broad / untranslated exception handlers ---------------------------
-
-    def _check_handlers(
-        self, ctx: ModuleContext, in_decoder_tree: bool
-    ) -> Iterable[Finding]:
-        decoder_funcs = self._decoder_function_spans(ctx)
+    def _check_handlers(self, ctx: ModuleContext, decoder_module: bool) -> Iterable[Finding]:
+        decoder_spans = [
+            (func.lineno, func.end_lineno or func.lineno)
+            for cls, func in iter_functions(ctx.tree)
+            if decoder_module and decode_side(func.name, cls)
+        ]
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            caught = self._caught_names(node)
-            reraises = self._handler_raises(node)
+            caught = {name for name in caught_names(node) if name}
             if node.type is None or caught & _BROAD:
-                if not reraises:
+                if not any(isinstance(n, ast.Raise) for n in ast.walk(node)):
                     label = "bare 'except:'" if node.type is None else "broad 'except Exception'"
                     yield ctx.finding(
                         self,
                         node,
                         f"{label} swallows errors; catch specific exceptions or re-raise",
-                        severity=Severity.ERROR if in_decoder_tree else Severity.WARNING,
+                        severity=Severity.ERROR if decoder_module else Severity.WARNING,
                     )
                 continue
-            if not in_decoder_tree:
+            if not caught & _LOW_LEVEL or self._raises_corrupt(node):
                 continue
-            if caught & _LOW_LEVEL and not self._raises_corrupt(node):
-                inside_decoder = any(
-                    start <= node.lineno <= end for start, end in decoder_funcs
+            if any(start <= node.lineno <= end for start, end in decoder_spans):
+                low = ", ".join(sorted(caught & _LOW_LEVEL))
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"handler for {low} must translate underflow into "
+                    "CorruptStreamError (with stream offset context)",
                 )
-                if inside_decoder:
-                    low = ", ".join(sorted(caught & _LOW_LEVEL))
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"handler for {low} must translate underflow into "
-                        "CorruptStreamError (with stream offset context)",
-                    )
-
-    @staticmethod
-    def _caught_names(handler: ast.ExceptHandler) -> set:
-        if handler.type is None:
-            return set()
-        types = (
-            handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        )
-        names = set()
-        for t in types:
-            name = dotted_name(t)
-            if name:
-                names.add(name)
-        return names
-
-    @staticmethod
-    def _handler_raises(handler: ast.ExceptHandler) -> bool:
-        return any(isinstance(n, ast.Raise) for n in ast.walk(handler))
 
     @staticmethod
     def _raises_corrupt(handler: ast.ExceptHandler) -> bool:
         for node in ast.walk(handler):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = dotted_name(target) or ""
-                if "CorruptStreamError" in name:
-                    return True
-        return False
-
-    # -- unguarded raw reads ------------------------------------------------
-
-    def _decoder_function_spans(self, ctx: ModuleContext) -> List[tuple]:
-        spans = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _DECODER_NAME.search(node.name):
-                    spans.append((node.lineno, node.end_lineno or node.lineno))
-        return spans
-
-    def _check_unguarded_reads(
-        self, ctx: ModuleContext, project: ProjectContext
-    ) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _DECODER_NAME.search(node.name):
-                continue
-            if node.name.startswith("encode") or "encode" in node.name.split("_"):
-                continue
-            if not self._takes_buffer(node):
-                continue
-            if self._flow_covered(ctx, node, project):
-                continue  # R009 checks each read site with full flow facts
-            if not self._has_raw_reads(node):
-                continue
-            if self._mentions_corrupt(node) or self._delegates_to_decoder(node):
-                continue
-            yield ctx.finding(
-                self,
-                node,
-                f"decoder '{node.name}' reads raw bytes but has no "
-                "CorruptStreamError path: underflow would leak IndexError "
-                "or silently truncate",
-            )
-
-    @staticmethod
-    def _takes_buffer(func: ast.FunctionDef) -> bool:
-        """Whether the signature receives untrusted bytes to read.
-
-        Scopes the decoder-name heuristic to functions that can actually
-        see a stream: a buffer-shaped parameter, or (for streaming-context
-        methods) a buffer-shaped ``self`` attribute subscripted in the body.
-        """
-        args = func.args
-        params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
-        if any(is_buffer_name(p) for p in params if p != "self"):
-            return True
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Attribute)
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id == "self"
-                and is_buffer_name(node.value.attr)
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _flow_covered(
-        ctx: ModuleContext, node: ast.FunctionDef, project: ProjectContext
-    ) -> bool:
-        """Whether R009's flow-sensitive check supersedes the heuristic here."""
-        summaries = project.summaries
-        if summaries is None:
-            return False
-        summary = summaries.function_at(ctx.rel, node.lineno)
-        return summary is not None and summary.supported and _decode_side(summary)
-
-    #: Variable-name shapes that hold untrusted stream bytes.
-    _STREAM_NAME = re.compile(r"(data|stream|payload|buf|compressed|frame|blob|raw)", re.I)
-
-    @classmethod
-    def _has_raw_reads(cls, func: ast.FunctionDef) -> bool:
-        # Typing annotations (Optional[int], List[Token]) are Subscript nodes
-        # too; only inspect executable statements, and only count subscripts
-        # of stream-shaped names so table/list indexing does not fire.
-        for stmt in func.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Subscript):
-                    base = node.value
-                    terminal = (
-                        base.attr if isinstance(base, ast.Attribute)
-                        else base.id if isinstance(base, ast.Name)
-                        else ""
-                    )
-                    if cls._STREAM_NAME.search(terminal):
-                        return True
-                elif isinstance(node, ast.Call):
-                    name = dotted_name(node.func) or ""
-                    if name.endswith("from_bytes") or name.endswith("unpack"):
-                        return True
-        return False
-
-    @staticmethod
-    def _mentions_corrupt(func: ast.AST) -> bool:
-        return any(
-            isinstance(node, ast.Name) and node.id == "CorruptStreamError"
-            or isinstance(node, ast.Attribute) and node.attr == "CorruptStreamError"
-            for node in ast.walk(func)
-        )
-
-    def _delegates_to_decoder(self, func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func) or ""
-                callee = name.split(".")[-1]
-                if callee and _SAFE_DELEGATE.search(callee) and not callee.startswith("encode"):
+                if "CorruptStreamError" in (dotted_name(target) or ""):
                     return True
         return False

@@ -1,9 +1,28 @@
-"""R012: the ordering/entropy hazards our bit-identical contracts fear.
+"""R012: the entropy and ordering hazards our bit-identical contracts fear.
 
-The repo's core reproducibility promises — bit-identical DSE results across
-worker counts, byte-identical lint findings for any ``--jobs``, golden
-vectors stable across machines — all die by a thousand small cuts of
-*accidental* nondeterminism. This rule flags the exact cuts:
+The repo's core reproducibility promises — identical seeds give identical
+fleet samples, HCBench suites and DSE sweeps; bit-identical DSE results
+across worker counts; byte-identical lint findings for any ``--jobs``;
+golden vectors stable across machines — all die by a thousand small cuts
+of *accidental* nondeterminism. This rule flags the exact cuts.
+
+Entropy (every library module except ``common/rng.py``, the one module
+allowed to touch ``numpy.random``):
+
+* **RNG imports.** Importing the stdlib ``random`` module or
+  ``numpy.random`` (under any alias: ``from numpy import random as npr``,
+  ``import numpy.random as nr``). Importing the type names ``Generator``,
+  ``SeedSequence`` and ``BitGenerator`` is fine.
+* **Entropy drawn outside** :func:`repro.common.rng.make_rng`. Calls
+  through ``random`` or ``numpy.random``, module aliases resolved, draw
+  from interpreter-global state or build generators the seed contract
+  cannot see (``np.random.default_rng()``). Attribute access for type
+  annotations (``np.random.Generator``) is not a call and stays legal.
+* **Time-derived seeds.** ``time.time()`` & co. in a statement that
+  mentions a seed or inside an argument of a seeding call.
+
+Ordering and wall-clock (also exempt: ``repro.obs``, whose whole purpose is
+wall-clock measurement):
 
 * **Unsorted filesystem enumeration.** ``os.listdir``/``os.scandir``/
   ``glob.glob``/``Path.glob``/``rglob``/``iterdir`` return entries in an
@@ -18,14 +37,10 @@ vectors stable across machines — all die by a thousand small cuts of
 * **Wall-clock flowing into serialized artifacts.** ``time.time()`` & co.
   passed (directly or via a once-assigned local) into cache keys, digests,
   or JSON serialization makes artifacts differ between identical runs.
-* **Global-state randomness.** Calls drawing from the interpreter-global
-  ``random``/``numpy.random`` state depend on ambient seeding; R001 already
-  bans the imports in library code — this rule flags the *calls*, which is
-  what matters in tools and scripts.
 
-``repro.common.rng`` (the sanctioned entropy owner) and ``repro.obs``
-(whose whole purpose is wall-clock measurement) are exempt, as are tests.
-The runtime counterpart is ``repro sanitize``, which catches whatever this
+Test files are exempt wholesale: ad-hoc randomness in tests is a
+test-quality question, not a reproducibility bug in the library. The
+runtime counterpart is ``repro sanitize``, which catches whatever this
 static pass cannot prove (see DESIGN.md §7.5).
 """
 
@@ -33,16 +48,48 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
+from repro.lint.common import (
+    dotted_name,
+    import_table,
+    is_test_path,
+    parent_map,
+    path_matches,
+    resolve_alias,
+    terminal_name,
+)
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name, is_test_path, path_matches
-from repro.lint.rules.determinism import _TIME_SOURCES
 
-#: Modules allowed to touch entropy / wall-clock by design.
-_EXEMPT_PATHS = ("common/rng.py", "obs")
+#: The module that owns entropy; everything else must call into it.
+_RNG_OWNER = ("common/rng.py",)
+
+#: Wall-clock measurement is the point of these; only the ordering and
+#: clock-sink checks skip them.
+_CLOCK_OWNERS = ("obs",)
+
+_TIME_SOURCES = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+}
+
+#: Call targets whose arguments are seed material.
+_SEED_SINKS = re.compile(r"(make_rng|default_rng|SeedSequence|RandomState|Random|seed)$")
+
+_SEEDISH_LINE = re.compile(r"seed", re.IGNORECASE)
+
+#: numpy.random names that only *type* (importing them draws no entropy).
+_NP_TYPE_NAMES = frozenset({"Generator", "SeedSequence", "BitGenerator"})
 
 #: Call terminals that enumerate the filesystem in OS order.
 _ENUM_TERMINALS = frozenset(
@@ -62,20 +109,22 @@ _SINK_RE = re.compile(
     r"(^|\.)(key|make_key|dumps|dump|to_json|digest\w*|sha\d+|md5|blake2\w+|put)$"
 )
 
-#: numpy.random names that only *type* (no entropy draw).
-_NP_TYPE_NAMES = frozenset({"Generator", "SeedSequence", "BitGenerator", "default_rng"})
+
+def _is_time_call(expr: ast.AST) -> bool:
+    if not isinstance(expr, ast.Call):
+        return False
+    name = dotted_name(expr.func) or ""
+    return name in _TIME_SOURCES or (name.endswith(".now") and "datetime" in name)
 
 
-def _terminal(name: Optional[str]) -> str:
-    return name.split(".")[-1] if name else ""
-
-
-def _parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
+def _seed_material(calls: List[ast.Call]) -> Set[int]:
+    """``id()`` of every node inside an argument of a seeding call."""
+    inside: Set[int] = set()
+    for call in calls:
+        if _SEED_SINKS.search(dotted_name(call.func) or ""):
+            for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+                inside.update(id(sub) for sub in ast.walk(arg))
+    return inside
 
 
 def _wrapped_order_safe(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
@@ -86,7 +135,7 @@ def _wrapped_order_safe(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
         if parent is None or isinstance(parent, ast.stmt):
             return False
         if isinstance(parent, ast.Call):
-            if _terminal(dotted_name(parent.func)) in _ORDER_SAFE_WRAPPERS:
+            if terminal_name(parent.func) in _ORDER_SAFE_WRAPPERS:
                 return True
         if isinstance(parent, ast.Compare) and any(
             isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops
@@ -99,37 +148,30 @@ def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        return _terminal(dotted_name(node.func)) in ("set", "frozenset")
+        return terminal_name(node.func) in ("set", "frozenset")
     return False
 
 
-def _iter_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """The module plus every (nested) function scope."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+def _scope_nodes(scope: ast.AST) -> List[ast.AST]:
     """Nodes lexically in this scope, not descending into nested functions.
 
-    Nested ``def``s are their own scopes (yielded separately by
-    :func:`_iter_scopes`); walking into them here would double-report every
-    hazard once per enclosing scope.
+    Nested ``def``s are their own scopes; walking into them here would
+    double-report every hazard once per enclosing scope.
     """
+    nodes: List[ast.AST] = []
     stack: List[ast.AST] = list(scope.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        yield node
+        nodes.append(node)
         stack.extend(ast.iter_child_nodes(node))
+    return nodes
 
 
-def _name_defs(scope: ast.AST) -> Dict[str, List[ast.AST]]:
+def _name_defs(nodes: List[ast.AST]) -> Dict[str, List[ast.AST]]:
     defs: Dict[str, List[ast.AST]] = {}
-    for node in _scope_walk(scope):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -141,54 +183,160 @@ def _name_defs(scope: ast.AST) -> Dict[str, List[ast.AST]]:
 class DeterminismHygieneRule(Rule):
     code = "R012"
     name = "determinism-hygiene"
-    summary = "no unsorted enumeration, hash-order iteration, or clock-keyed artifacts"
+    summary = (
+        "entropy only from make_rng; no unsorted enumeration, hash-order "
+        "iteration, or clock-derived seeds and artifacts"
+    )
     default_severity = Severity.ERROR
     remediation = (
-        "Sort filesystem enumerations at the source (`sorted(os.listdir(p))`), "
-        "iterate sets through `sorted(...)` when the order reaches any output, "
-        "keep wall-clock values out of cache keys and serialized artifacts, "
-        "and draw randomness from repro.common.rng.make_rng with an explicit "
-        "seed. Verify the fix end-to-end with `repro sanitize`."
+        "Draw randomness from repro.common.rng.make_rng with an explicit "
+        "integer seed, sort filesystem enumerations at the source "
+        "(`sorted(os.listdir(p))`), iterate sets through `sorted(...)` when "
+        "the order reaches any output, and keep wall-clock values out of "
+        "seeds, cache keys and serialized artifacts. Verify the fix "
+        "end-to-end with `repro sanitize`."
     )
 
     def check(self, project: ProjectContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         for ctx in project.modules:
-            if is_test_path(ctx.rel) or path_matches(ctx.rel, _EXEMPT_PATHS):
+            if is_test_path(ctx.rel) or path_matches(ctx.rel, _RNG_OWNER):
                 continue
-            findings.extend(self._check_module(ctx))
+            ordering = not path_matches(ctx.rel, _CLOCK_OWNERS)
+            findings.extend(self._check_module(ctx, ordering))
         return findings
 
-    def _check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        parents = _parent_map(ctx.tree)
-        module_consts = _name_defs(ctx.tree)
+    def _check_module(self, ctx: ModuleContext, ordering: bool) -> Iterator[Finding]:
+        """Every check over one walk of the module plus one per scope; the
+        ordering and wall-clock checks run only when ``ordering``."""
+        imports: List[ast.stmt] = []
+        calls: List[ast.Call] = []
+        scopes: List[ast.AST] = [ctx.tree]
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.append(node)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append(node)
+        for node in imports:
+            yield from self._check_import(ctx, node)
+        # An unimported ``np`` still means numpy.
+        aliases = {"np": "numpy", **import_table(imports)}
+        seed_material = _seed_material(calls)
+        enumerations: List[ast.Call] = []
+        for node in calls:
+            yield from self._check_rng_call(ctx, node, aliases)
+            if _is_time_call(node) and (
+                _SEEDISH_LINE.search(ctx.snippet(node.lineno))
+                or id(node) in seed_material
+            ):
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"time-derived seed via {dotted_name(node.func)}(): seeds "
+                    "must be explicit integers so identical seeds give "
+                    "identical runs",
+                )
+            # Only dotted receivers: ``Path(p).glob(...)`` is not tracked.
+            if terminal_name(node.func) in _ENUM_TERMINALS and dotted_name(node.func):
+                enumerations.append(node)
+        if not ordering:
+            return
+        if enumerations:
+            parents = parent_map(ctx.tree)
+            for node in enumerations:
                 yield from self._check_enumeration(ctx, node, parents)
-                yield from self._check_global_rng(ctx, node)
-        for scope in _iter_scopes(ctx.tree):
-            local_defs = _name_defs(scope) if not isinstance(scope, ast.Module) else {}
-            yield from self._check_set_iteration(
-                ctx, scope, local_defs, module_consts
+        module_consts: Dict[str, List[ast.AST]] = {}
+        for scope in scopes:
+            nodes = _scope_nodes(scope)
+            if isinstance(scope, ast.Module):
+                module_consts = _name_defs(nodes)
+                local_defs: Dict[str, List[ast.AST]] = {}
+            else:
+                local_defs = _name_defs(nodes)
+            yield from self._check_set_iteration(ctx, nodes, local_defs, module_consts)
+            yield from self._check_clock_sinks(ctx, nodes)
+
+    # -- entropy outside repro.common.rng --------------------------------
+
+    def _check_import(self, ctx: ModuleContext, node: ast.stmt) -> Iterator[Finding]:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random":
+                    yield ctx.finding(
+                        self,
+                        node,
+                        "import of stdlib 'random': use repro.common.rng.make_rng "
+                        "so runs are seed-deterministic",
+                    )
+                elif alias.name.startswith("numpy.random"):
+                    yield ctx.finding(
+                        self,
+                        node,
+                        "direct numpy.random import: derive generators via "
+                        "repro.common.rng.make_rng",
+                    )
+            return
+        module = node.module or ""
+        names = {alias.name for alias in node.names}
+        if module == "random" or module.startswith("random."):
+            yield ctx.finding(
+                self,
+                node,
+                "import from stdlib 'random': use repro.common.rng.make_rng",
             )
-            yield from self._check_clock_sinks(ctx, scope)
+        elif module == "numpy" and "random" in names:
+            yield ctx.finding(
+                self,
+                node,
+                "import of numpy.random from numpy: derive generators via "
+                "repro.common.rng.make_rng",
+            )
+        elif module == "numpy.random" or module.startswith("numpy.random."):
+            if names - _NP_TYPE_NAMES:
+                yield ctx.finding(
+                    self,
+                    node,
+                    "import from numpy.random: only type names may be "
+                    "imported; draw entropy via repro.common.rng.make_rng",
+                )
+
+    def _check_rng_call(
+        self, ctx: ModuleContext, node: ast.Call, aliases: Dict[str, str]
+    ) -> Iterator[Finding]:
+        name = dotted_name(node.func)
+        if name is None:
+            return
+        parts = resolve_alias(name, aliases).split(".")
+        if parts[0] == "random" and len(parts) == 2:
+            yield ctx.finding(
+                self,
+                node,
+                f"'{name}()' draws from the interpreter-global random state; "
+                "use repro.common.rng.make_rng with an explicit seed",
+            )
+        elif parts[:2] == ["numpy", "random"] and len(parts) >= 3:
+            yield ctx.finding(
+                self,
+                node,
+                f"'{name}()' draws from numpy.random directly; derive a "
+                "Generator from repro.common.rng.make_rng instead",
+            )
 
     # -- unsorted filesystem enumeration ---------------------------------
 
     def _check_enumeration(
         self, ctx: ModuleContext, node: ast.Call, parents: Dict[int, ast.AST]
     ) -> Iterator[Finding]:
-        name = dotted_name(node.func)
-        if _terminal(name) not in _ENUM_TERMINALS:
-            return
         if _wrapped_order_safe(node, parents):
             return
         yield ctx.finding(
             self,
             node,
-            f"'{name}(...)' enumerates the filesystem in OS-dependent order; "
-            "wrap it in sorted(...) at the source so every consumer sees one "
-            "canonical order",
+            f"'{dotted_name(node.func)}(...)' enumerates the filesystem in "
+            "OS-dependent order; wrap it in sorted(...) at the source so "
+            "every consumer sees one canonical order",
         )
 
     # -- set iteration feeding ordered output ----------------------------
@@ -196,7 +344,7 @@ class DeterminismHygieneRule(Rule):
     def _check_set_iteration(
         self,
         ctx: ModuleContext,
-        scope: ast.AST,
+        nodes: List[ast.AST],
         local_defs: Dict[str, List[ast.AST]],
         module_consts: Dict[str, List[ast.AST]],
     ) -> Iterator[Finding]:
@@ -209,14 +357,14 @@ class DeterminismHygieneRule(Rule):
             return False
 
         candidates: List[Tuple[ast.AST, str]] = []
-        for node in _scope_walk(scope):
+        for node in nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 candidates.append((node.iter, "for loop"))
             elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
                 for gen in node.generators:
                     candidates.append((gen.iter, "comprehension"))
             elif isinstance(node, ast.Call):
-                terminal = _terminal(dotted_name(node.func))
+                terminal = terminal_name(node.func)
                 if terminal in _ORDERED_CONSUMERS and node.args:
                     candidates.append((node.args[0], f"{terminal}(...)"))
         seen: Set[int] = set()
@@ -234,22 +382,14 @@ class DeterminismHygieneRule(Rule):
 
     # -- wall-clock flowing into keys / serialized artifacts -------------
 
-    def _check_clock_sinks(self, ctx: ModuleContext, scope: ast.AST) -> Iterator[Finding]:
-        def is_time_call(expr: ast.AST) -> bool:
-            if not isinstance(expr, ast.Call):
-                return False
-            name = dotted_name(expr.func) or ""
-            return name in _TIME_SOURCES or (
-                name.endswith(".now") and "datetime" in name
-            )
-
+    def _check_clock_sinks(self, ctx: ModuleContext, nodes: List[ast.AST]) -> Iterator[Finding]:
         time_names: Set[str] = set()
-        for node in _scope_walk(scope):
-            if isinstance(node, ast.Assign) and is_time_call(node.value):
+        for node in nodes:
+            if isinstance(node, ast.Assign) and _is_time_call(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         time_names.add(target.id)
-        for node in _scope_walk(scope):
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func) or ""
@@ -257,7 +397,7 @@ class DeterminismHygieneRule(Rule):
                 continue
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 tainted = any(
-                    is_time_call(sub)
+                    _is_time_call(sub)
                     or (
                         isinstance(sub, ast.Name)
                         and isinstance(sub.ctx, ast.Load)
@@ -275,30 +415,3 @@ class DeterminismHygieneRule(Rule):
                         "identical runs produce identical bytes",
                     )
                     break
-
-    # -- interpreter-global RNG state ------------------------------------
-
-    def _check_global_rng(self, ctx: ModuleContext, node: ast.Call) -> Iterator[Finding]:
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        parts = name.split(".")
-        if parts[0] == "random" and len(parts) == 2:
-            yield ctx.finding(
-                self,
-                node,
-                f"'{name}()' draws from the interpreter-global random state; "
-                "use repro.common.rng.make_rng with an explicit seed",
-            )
-        elif (
-            len(parts) >= 3
-            and parts[0] in ("np", "numpy")
-            and parts[1] == "random"
-            and parts[-1] not in _NP_TYPE_NAMES
-        ):
-            yield ctx.finding(
-                self,
-                node,
-                f"'{name}()' uses numpy's global random state; derive a "
-                "Generator from repro.common.rng.make_rng instead",
-            )

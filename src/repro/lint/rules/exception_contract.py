@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
+from repro.lint.common import is_test_path, path_matches
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
 
 #: Method names that form the codec/streaming public surface.
 _SURFACE_METHODS = frozenset(

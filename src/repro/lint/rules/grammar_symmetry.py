@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.lint.common import is_test_path
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.grammar import (
@@ -38,7 +39,6 @@ from repro.lint.flow.grammar import (
     extract_grammar_index,
 )
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path
 
 
 def _fmt_trace(trace: Tuple[Tuple[object, ...], ...]) -> str:

@@ -1,10 +1,8 @@
 """R009: direct buffer reads in the decoder tree have dominating guards.
 
-The flow-sensitive successor to R002's unguarded-read heuristic. R002 asks
-a blunt question — "does this decoder *mention* ``CorruptStreamError``
-anywhere?" — which both misses reads after the one guarded path and flags
-functions that validate carefully through helpers. R009 instead asks, per
-read site ``buf[i]``, whether a guard *dominates* it:
+Mentioning ``CorruptStreamError`` somewhere in a decoder proves nothing
+about the read after the one guarded path. R009 asks, per read site
+``buf[i]``, whether a guard *dominates* it:
 
 * the index was bounds-checked on every path reaching the read;
 * the index is a constant and ``len(buf)`` (or the buffer's truthiness)
@@ -13,50 +11,21 @@ read site ``buf[i]``, whether a guard *dominates* it:
 * the read sits inside a ``try`` that translates ``IndexError`` into
   ``CorruptStreamError``.
 
-Scope: decoder-tree modules (``algorithms/``, ``core/blocks/``,
-``common/{bitio,varint}.py``), decode-shaped functions only — encoders
-index buffers they built themselves. Functions whose CFG the flow layer
-cannot model (``match`` statements, diverging taint solves) are *not*
-checked here; R002's syntactic heuristic remains active for exactly those,
-so demotion never widens the unchecked surface.
+Scope: decode-side functions of the decoder tree (see
+:mod:`repro.lint.common`); encoders index buffers they built themselves. A
+decode-side function whose CFG the flow layer cannot model (a ``match``
+statement, a diverging taint solve) is itself a finding: an unmodelled
+decoder is an unchecked one, so it names the construct to rewrite.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, List
 
+from repro.lint.common import decode_side, in_decoder_tree, is_test_path
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
-
-#: Directories/files whose functions read untrusted bytes (same tree R002
-#: patrols).
-_DECODER_PATHS = (
-    "algorithms",
-    "core/blocks",
-    "common/bitio.py",
-    "common/varint.py",
-)
-
-#: Decode-side function/method shapes. Encoder helpers (``encode*``,
-#: ``compress``) index buffers they produced, so they are out of scope.
-_DECODE_NAME = re.compile(
-    r"(^|_)(decode|decompress|parse|deserialize|expand|iter_frames|analyze)"
-)
-
-#: Classes whose *every* method is decode-side (streaming decompressors
-#: name their steps ``_feed``/``_take``/``_drain``, not ``decode*``).
-_DECODE_CLASS = re.compile(r"(Decoder|Decompress|Reader)")
-
-
-def _decode_side(summary) -> bool:
-    if summary.name.startswith("encode") or "encode" in summary.name.split("_"):
-        return False
-    if _DECODE_NAME.search(summary.name):
-        return True
-    return bool(summary.cls and _DECODE_CLASS.search(summary.cls))
 
 
 @register
@@ -72,14 +41,24 @@ class GuardedReadRule(Rule):
         if summaries is None:
             return findings
         for summary in summaries.functions.values():
-            if is_test_path(summary.rel):
+            if is_test_path(summary.rel) or not in_decoder_tree(summary.rel):
                 continue
-            if not path_matches(summary.rel, _DECODER_PATHS):
-                continue
-            if not summary.supported or not _decode_side(summary):
+            if not decode_side(summary.name, summary.cls):
                 continue
             ctx = project.module(summary.rel)
             if ctx is None:
+                continue
+            if not summary.supported:
+                findings.append(
+                    ctx.finding(
+                        self,
+                        summary.lineno,
+                        f"the flow layer could not model decoder "
+                        f"'{summary.display}' ({summary.unsupported}), so none "
+                        "of its buffer reads is checked — rewrite it so each "
+                        "read's guard can be proven",
+                    )
+                )
                 continue
             for site in summary.read_sites:
                 if site.guarded:

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from repro.lint.common import is_test_path
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path
 
 #: Human phrasing of the unpicklable-argument kinds.
 _ARG_KINDS = {

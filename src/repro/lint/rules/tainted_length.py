@@ -21,17 +21,17 @@ taint (``if length > len(buf) - pos: raise`` proves ``length`` bounded on
 the fall-through edge) including transitively through arithmetic
 (bounding ``(count * 18 + 7) // 8`` bounds ``count``). This rule just
 reports the surviving sinks. Functions the CFG cannot model produce no
-R008 findings — R002's syntactic heuristic remains their fallback.
+R008 findings; R009 reports the decode-side ones as unmodelled.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List
 
+from repro.lint.common import is_test_path
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path
 
 _KIND_HINTS = {
     "slice-bound": "slice bounds silently clamp, hiding truncation",

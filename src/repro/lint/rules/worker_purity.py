@@ -35,10 +35,10 @@ import ast
 from collections import deque
 from typing import Dict, Iterable, List, Set, Tuple
 
+from repro.lint.common import is_test_path, path_matches
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import is_test_path, path_matches
 
 #: Module trees whose state is process-local by documented design.
 _EXEMPT_PATHS = ("obs",)

@@ -121,7 +121,7 @@ class TestExitCodes:
     def test_error_finding_exits_one(self, project, capsys):
         project.write("src/repro/fleet/sampler.py", "import random\n")
         assert main([str(project.root / "src")]) == 1
-        assert "R001" in capsys.readouterr().out
+        assert "R012" in capsys.readouterr().out
 
     def test_warning_passes_by_default_fails_strict(self, project, capsys):
         project.write(
@@ -176,7 +176,7 @@ class TestJsonFormat:
         main([str(project.root / "src"), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_checked"] >= 1
-        assert [f["rule"] for f in payload["findings"]] == ["R001"]
+        assert [f["rule"] for f in payload["findings"]] == ["R012"]
 
 
 class TestSarifFormat:
@@ -194,12 +194,12 @@ class TestSarifFormat:
         project.write("src/repro/fleet/sampler.py", "import random\n")
         log = self._emit(project, capsys)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
-        expected = [f"R{i:03d}" for i in range(1, 17)]
+        expected = [f"R{i:03d}" for i in range(2, 17)]
         assert [r["id"] for r in rules] == expected
         (result,) = log["runs"][0]["results"]
-        assert result["ruleId"] == "R001"
+        assert result["ruleId"] == "R012"
         assert result["level"] == "error"
-        assert rules[result["ruleIndex"]]["id"] == "R001"
+        assert rules[result["ruleIndex"]]["id"] == "R012"
 
     def test_concurrency_rules_carry_help_markdown(self, project, capsys):
         project.write("src/repro/fleet/sampler.py", "import random\n")
@@ -303,7 +303,7 @@ class TestReproCliWiring:
         project.write("src/repro/fleet/sampler.py", "import random\n")
         rc = repro_main(["lint", str(project.root / "src")])
         assert rc == 1
-        assert "R001" in capsys.readouterr().out
+        assert "R012" in capsys.readouterr().out
 
     def test_module_entry_point_exists(self):
         import repro.lint.__main__  # noqa: F401

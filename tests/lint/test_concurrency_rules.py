@@ -413,6 +413,21 @@ class TestR012DeterminismHygiene:
             for f in project.findings("src", rule="R012")
         )
 
+    def test_aliased_numpy_random_flagged(self, project):
+        project.write(
+            "src/repro/fleet/sampler.py",
+            """
+            from numpy import random as npr
+            import numpy.random as nr
+
+            def draw():
+                return npr.rand() + nr.randint(4)
+            """,
+        )
+        found = project.findings("src", rule="R012")
+        assert sorted(f.line for f in found) == [2, 3, 6, 6]
+        assert any("npr.rand()" in f.message for f in found)
+
     def test_planted_worker_source_detected_statically(self, project):
         """The sanitizer's planted bug must also be caught by R012."""
         project.write("src/repro/fleet/planted.py", PLANTED_WORKER_SOURCE)

@@ -19,7 +19,7 @@ class TestSuppressions:
     def test_targeted_noqa_suppresses_named_rule(self, project):
         project.write(
             "src/repro/fleet/sampler.py",
-            "import random  # repro: noqa[R001]\n",
+            "import random  # repro: noqa[R012]\n",
         )
         result = project.lint("src")
         assert result.findings == []
@@ -31,22 +31,22 @@ class TestSuppressions:
             "import random  # repro: noqa[R003]\n",
         )
         result = project.lint("src")
-        assert [f.rule for f in result.findings] == ["R001"]
+        assert [f.rule for f in result.findings] == ["R012"]
         assert result.suppressed == 0
 
     def test_multiple_codes_in_one_marker(self, project):
         project.write(
             "src/repro/fleet/sampler.py",
-            "import random  # repro: noqa[R003, R001]\n",
+            "import random  # repro: noqa[R003, R012]\n",
         )
         assert project.lint("src").findings == []
 
     def test_noqa_only_covers_its_own_line(self, project):
         project.write(
             "src/repro/fleet/sampler.py",
-            "# repro: noqa[R001]\nimport random\n",
+            "# repro: noqa[R012]\nimport random\n",
         )
-        assert [f.rule for f in project.lint("src").findings] == ["R001"]
+        assert [f.rule for f in project.lint("src").findings] == ["R012"]
 
 
 class TestParseFailures:
@@ -59,7 +59,7 @@ class TestParseFailures:
     def test_other_files_still_checked(self, project):
         project.write("src/repro/broken.py", "def broken(:\n")
         project.write("src/repro/fleet/sampler.py", "import random\n")
-        assert sorted(f.rule for f in project.lint("src").findings) == ["R000", "R001"]
+        assert sorted(f.rule for f in project.lint("src").findings) == ["R000", "R012"]
 
 
 class TestDiscovery:
@@ -68,7 +68,7 @@ class TestDiscovery:
         target = project.write("src/repro/one.py", "import random\n")
         result = run_lint([target], root=project.root)
         assert result.files_checked == 1
-        assert [f.rule for f in result.findings] == ["R001"]
+        assert [f.rule for f in result.findings] == ["R012"]
 
     def test_results_sorted_by_location(self, project):
         project.write("src/repro/b.py", "import random\n")
