@@ -24,7 +24,7 @@ software compression ratio by 1.1%.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import DefaultDict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -94,6 +94,10 @@ class MatcherStats:
     matches_found: int = 0
     match_bytes: int = 0
     literal_bytes: int = 0
+
+    def __add__(self, other: "MatcherStats") -> "MatcherStats":
+        """Counts of two matcher runs together (``sum`` over blocks)."""
+        return MatcherStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     @property
     def collision_rate(self) -> float:
@@ -250,6 +254,13 @@ class TokenStreamBuilder:
         self._match_lengths.append(length)
         self._pending = 0
 
+    def rle(self, byte: int, length: int) -> None:
+        """A ``length``-byte run of ``byte`` as it executes: one literal
+        byte, then one maximal-overlap copy."""
+        self.literal(bytes((byte,)))
+        if length > 1:
+            self.copy(1, length - 1)
+
     def extend(
         self,
         literals: bytes,
@@ -358,11 +369,8 @@ class Lz77Encoder:
         self.params = params
         self._hash = get_hash_function(params.hash_function)
 
-    def encode(self, data: bytes, *, collect_stats: bool = False) -> TokenStream:
+    def encode(self, data: bytes) -> TokenStream:
         """Produce the token stream for ``data`` (never raises on any input)."""
-        if collect_stats:
-            stream, _ = self.encode_with_stats(data)
-            return stream
         with obs.stage("stage.lz77.encode"):
             stream = self._encode(data, None)
             obs.counter_add("stage.lz77.encode.bytes", len(data))

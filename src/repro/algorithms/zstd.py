@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.algorithms.lz77 import (
     Lz77Encoder,
     Lz77Params,
     TokenStream,
+    TokenStreamBuilder,
     execute_sequences,
 )
 from repro.algorithms.container import (
@@ -400,6 +401,9 @@ class ZstdCodec(Codec):
             return Lz77Encoder(self._lz77_override)
         return Lz77Encoder(level_params(level).lz77_params(window_size))
 
+    def _coder(self, level: int) -> SequenceCoder:
+        return SequenceCoder(self._accuracy_override or level_params(level).accuracy_log)
+
     def resolve_window(self, window_size: Optional[int], *, level: int = DEFAULT_LEVEL) -> int:
         if window_size is None:
             return level_params(level).default_window
@@ -436,19 +440,17 @@ class ZstdCodec(Codec):
     ) -> DecompressContext:
         return _ZstdDecompressContext(self)
 
-    def _compress_buffer(
-        self,
-        data: bytes,
-        *,
-        level: Optional[int] = None,
-        window_size: Optional[int] = None,
-    ) -> bytes:
-        resolved_level = self.info.clamp_level(level)
-        window = self.resolve_window(window_size, level=resolved_level)
-        params = level_params(resolved_level)
-        matcher = self._matcher(resolved_level, window)
-        coder = SequenceCoder(self._accuracy_override or params.accuracy_log)
-
+    def compress_with_tokens(
+        self, data: bytes, match: Callable[[bytes], TokenStream]
+    ) -> Tuple[bytes, TokenStream]:
+        """:meth:`compress` at the default level and window, matching each
+        block with ``match``, plus the token stream the frame carries: the
+        stream :func:`~repro.algorithms.zstd_analyze.analyze_frame` reads
+        back from it (the hardware model's accounting entry)."""
+        level = self.info.clamp_level(None)
+        window = self.resolve_window(None, level=level)
+        coder = self._coder(level)
+        tokens = TokenStreamBuilder()
         out = bytearray(
             ZSTD_FRAME.encode_preamble(
                 content_length=len(data), window_log=window.bit_length() - 1
@@ -458,30 +460,47 @@ class ZstdCodec(Codec):
         if not data:
             out.append(_BLOCK_RAW | 0x80)
             out += encode_varint(0)
-            return append_content_checksum(bytes(out), data)
+            return append_content_checksum(bytes(out), data), tokens.build()
 
         for start in range(0, len(data), BLOCK_SIZE):
             block = data[start : start + BLOCK_SIZE]
             last = start + BLOCK_SIZE >= len(data)
-            out += self._compress_block(block, matcher, coder, last)
-        return append_content_checksum(bytes(out), data)
+            out += self._compress_block(block, match, coder, last, tokens)
+        return append_content_checksum(bytes(out), data), tokens.build()
 
     def _compress_block(
-        self, block: bytes, matcher: Lz77Encoder, coder: SequenceCoder, last: bool
+        self,
+        block: bytes,
+        match: Callable[[bytes], TokenStream],
+        coder: SequenceCoder,
+        last: bool,
+        tokens: Optional[TokenStreamBuilder] = None,
     ) -> bytes:
+        """One framed block. ``tokens``, when given, receives the elements
+        the block executes as."""
         last_flag = 0x80 if last else 0
         if len(block) >= 16 and len(set(block)) == 1:
+            if tokens is not None:
+                tokens.rle(block[0], len(block))
             header = bytearray([_BLOCK_RLE | last_flag])
             header += encode_varint(len(block))
             header.append(block[0])
             return bytes(header)
         # NOTE: blocks are matched independently (offsets never cross a block
         # boundary), which keeps block decode stateless like zstd's default.
-        body = _encode_block_body(matcher.encode(block), coder)
+        stream = match(block)
+        body = _encode_block_body(stream, coder)
         if len(body) + 6 >= len(block):
+            if tokens is not None:
+                tokens.literal(block)
             header = bytearray([_BLOCK_RAW | last_flag])
             header += encode_varint(len(block))
             return bytes(header) + block
+        if tokens is not None:
+            tokens.extend(
+                stream.literals, stream.literal_lengths, stream.offsets,
+                stream.match_lengths, stream.trailing,
+            )
         header = bytearray([_BLOCK_COMPRESSED | last_flag])
         header += encode_varint(len(block))
         header += encode_varint(len(body))
@@ -587,11 +606,8 @@ class _ZstdCompressContext(CompressContext):
         self._codec = codec
         level = codec.info.clamp_level(level)
         self._window = codec.resolve_window(window_size, level=level)
-        params = level_params(level)
-        self._matcher = codec._matcher(level, self._window)
-        self._coder = SequenceCoder(
-            codec._accuracy_override or params.accuracy_log
-        )
+        self._match = codec._matcher(level, self._window).encode
+        self._coder = codec._coder(level)
         self._input = bytearray()
         self._blocks = bytearray()
         self._total = 0
@@ -619,7 +635,7 @@ class _ZstdCompressContext(CompressContext):
             block = bytes(self._input[:BLOCK_SIZE])
             del self._input[:BLOCK_SIZE]
             self._blocks += self._codec._compress_block(
-                block, self._matcher, self._coder, last=False
+                block, self._match, self._coder, last=False
             )
         return b""
 
@@ -638,7 +654,7 @@ class _ZstdCompressContext(CompressContext):
             out += encode_varint(0)
         else:
             out += self._codec._compress_block(
-                bytes(self._input), self._matcher, self._coder, last=True
+                bytes(self._input), self._match, self._coder, last=True
             )
         self._input.clear()
         self._blocks.clear()

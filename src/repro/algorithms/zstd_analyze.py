@@ -106,10 +106,7 @@ def analyze_frame(data: bytes) -> FrameStats:
                 raise CorruptStreamError("truncated RLE block")
             byte = data[pos]
             pos += 1
-            # RLE executes as one literal byte plus one maximal-overlap copy.
-            tokens.literal(bytes([byte]))
-            if raw_size > 1:
-                tokens.copy(1, raw_size - 1)
+            tokens.rle(byte, raw_size)
             blocks.append(BlockStats("rle", raw_size))
         elif block_type == _BLOCK_COMPRESSED:
             body_size, pos = decode_varint(data, pos)

@@ -15,9 +15,10 @@ so ``total = max(pipelined) + sum(serial)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict
 
-from repro.common.errors import VerificationError
+from repro.algorithms.lz77 import MatcherStats, TokenStream, decode_tokens
+from repro.common.errors import CorruptStreamError, VerificationError
 from repro.core import calibration as cal
 
 
@@ -32,6 +33,33 @@ def verify_output(produced: bytes, reference: bytes, what: str) -> None:
             f"{what}: {len(produced)} bytes differ from the software codec's "
             f"{len(reference)}"
         )
+
+
+@dataclass(frozen=True)
+class Encoded:
+    """What a compressor pipeline's matcher runs produced for one input."""
+
+    #: The frame the pipeline emits.
+    frame: bytes
+    #: The token stream the frame carries, element for element.
+    tokens: TokenStream
+    #: Counters summed over the matcher runs behind ``frame``.
+    stats: MatcherStats
+
+
+def verify_encoded(
+    encoded: Encoded, data: bytes, decompress: Callable[[bytes], bytes], what: str
+) -> None:
+    """The frame must decompress to ``data`` with the software codec, and
+    the accounted tokens must execute to ``data`` too. Raises
+    :class:`VerificationError`."""
+    verify_output(decompress(encoded.frame), data, what)
+    try:
+        replayed = decode_tokens(encoded.tokens, expected_length=len(data))
+    except CorruptStreamError as exc:
+        raise VerificationError(f"{what}: accounted tokens do not execute: {exc}") from exc
+    if replayed != data:
+        raise VerificationError(f"{what}: accounted tokens do not reproduce the input")
 
 
 @dataclass

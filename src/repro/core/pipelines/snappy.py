@@ -18,7 +18,13 @@ from repro.common.varint import encode_varint
 from repro.core.blocks.interface import CommandRouter, shared_port_cycles
 from repro.core.blocks.lz77 import Lz77DecoderBlock, Lz77EncoderBlock
 from repro.core.params import CdpuConfig
-from repro.core.pipelines.base import CallResult, CycleReport, verify_output
+from repro.core.pipelines.base import (
+    CallResult,
+    CycleReport,
+    Encoded,
+    verify_encoded,
+    verify_output,
+)
 from repro.soc.memory import MemorySystem
 
 
@@ -79,17 +85,20 @@ class SnappyCompressorPipeline:
         if "snappy" not in self.config.algorithms:
             raise ValueError("config does not enable the snappy algorithm")
 
+    def encode(self, data: bytes) -> Encoded:
+        """One matcher run, and the element stream emitted from its tokens."""
+        tokens, stats = Lz77EncoderBlock(self.config).tokenize(data)
+        return Encoded(encode_varint(len(data)) + emit_elements(tokens), tokens, stats)
+
     def run(self, data: bytes, *, verify: bool = False) -> CallResult:
-        encoder = Lz77EncoderBlock(self.config)
-        tokens, stats = encoder.tokenize(data)
-        compressed = encode_varint(len(data)) + emit_elements(tokens)
+        encoded = self.encode(data)
         if verify:
             # The hardware stream must decode exactly back to the input with
             # the *software* decompressor (wire-format compatibility).
-            verify_output(
-                SnappyCodec().decompress(compressed), data, "snappy compressor pipeline"
+            verify_encoded(
+                encoded, data, SnappyCodec().decompress, "snappy compressor pipeline"
             )
-        return self.account(len(data), tokens, stats, len(compressed))
+        return self.account(len(data), encoded.tokens, encoded.stats, len(encoded.frame))
 
     def account(self, data_length: int, tokens, stats, compressed_bytes: int) -> CallResult:
         """Cycle accounting from a pre-run matcher (DSE fast path: the match
@@ -103,8 +112,3 @@ class SnappyCompressorPipeline:
         report.add_pipelined("element-emit", encoder.emit_cycles(compressed_bytes))
         report.add_serial("cmd-router", CommandRouter(self.memory).dispatch_cycles())
         return CallResult(input_bytes=data_length, output_bytes=compressed_bytes, report=report)
-
-    def compressed_size(self, data: bytes) -> int:
-        """Hardware-achieved compressed size (for ratio-vs-SW curves)."""
-        tokens, _stats = Lz77EncoderBlock(self.config).tokenize(data)
-        return len(encode_varint(len(data))) + len(emit_elements(tokens))

@@ -14,8 +14,9 @@ container writer to obtain the hardware-achieved size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
-from repro.algorithms.lz77 import decode_tokens
+from repro.algorithms.lz77 import MatcherStats, TokenStream, decode_tokens
 from repro.algorithms.zstd import ZstdCodec
 from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
 from repro.core.blocks.entropy import (
@@ -27,7 +28,13 @@ from repro.core.blocks.entropy import (
 from repro.core.blocks.interface import CommandRouter, shared_port_cycles
 from repro.core.blocks.lz77 import Lz77DecoderBlock, Lz77EncoderBlock
 from repro.core.params import CdpuConfig
-from repro.core.pipelines.base import CallResult, CycleReport, verify_output
+from repro.core.pipelines.base import (
+    CallResult,
+    CycleReport,
+    Encoded,
+    verify_encoded,
+    verify_output,
+)
 from repro.soc.memory import MemorySystem
 
 
@@ -85,7 +92,13 @@ class ZstdDecompressorPipeline:
 
 @dataclass(frozen=True)
 class ZstdCompressorPipeline:
-    """LZ77 matcher + Huffman/FSE compressors + SeqToCode (Figure 10)."""
+    """LZ77 matcher + Huffman/FSE compressors + SeqToCode (Figure 10).
+
+    The matcher runs once per 128 KiB block, as the codec frames it, and
+    the cycles are accounted per block from what the frame carries: a
+    compressed block's matcher stream, a raw-fallback block's one literal
+    element, an RLE block's literal byte and copy.
+    """
 
     config: CdpuConfig
     memory: MemorySystem
@@ -100,19 +113,29 @@ class ZstdCompressorPipeline:
             accuracy_log=self.config.fse_max_accuracy_log,
         )
 
-    def run(self, data: bytes, *, verify: bool = False) -> CallResult:
+    def encode(self, data: bytes) -> Encoded:
+        """The codec's block loop with one matcher run per matched block;
+        the stats sum over those runs."""
         encoder = Lz77EncoderBlock(self.config)
-        tokens, match_stats = encoder.tokenize(data)
-        compressed = self._hw_codec().compress(data)
+        runs: List[MatcherStats] = []
+
+        def match(block: bytes) -> TokenStream:
+            stream, stats = encoder.tokenize(block)
+            runs.append(stats)
+            return stream
+
+        frame, tokens = self._hw_codec().compress_with_tokens(data, match)
+        return Encoded(frame, tokens, sum(runs, MatcherStats()))
+
+    def run(self, data: bytes, *, verify: bool = False) -> CallResult:
+        encoded = self.encode(data)
         if verify:
             # Hardware output must be decodable by the software decompressor.
-            verify_output(
-                ZstdCodec().decompress(compressed), data, "zstd compressor pipeline"
-            )
-        return self.account(len(data), tokens, match_stats, len(compressed))
+            verify_encoded(encoded, data, ZstdCodec().decompress, "zstd compressor pipeline")
+        return self.account(len(data), encoded.tokens, encoded.stats, len(encoded.frame))
 
     def account(self, data_length: int, tokens, match_stats, compressed_bytes: int) -> CallResult:
-        """Cycle accounting from a pre-run matcher + pre-computed HW size."""
+        """Cycle accounting from :meth:`encode`'s tokens, stats and frame size."""
         encoder = Lz77EncoderBlock(self.config)
         huffman = HuffmanCompressorBlock(self.config)
         fse = FseCompressorBlock(self.config)
@@ -131,7 +154,3 @@ class ZstdCompressorPipeline:
         report.add_serial("fse-table-build", fse.table_build_cycles())
         report.add_serial("cmd-router", CommandRouter(self.memory).dispatch_cycles())
         return CallResult(input_bytes=data_length, output_bytes=compressed_bytes, report=report)
-
-    def compressed_size(self, data: bytes) -> int:
-        """Hardware-achieved compressed size (for the ratio-vs-SW series)."""
-        return len(self._hw_codec().compress(data))

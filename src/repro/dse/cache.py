@@ -36,7 +36,7 @@ from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
 
 #: Bump whenever the key material or entry layout changes; the first open
 #: under a new schema evicts every entry written under an old one.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Default cache location, as documented in README/DESIGN (relative to the
 #: working directory, i.e. the repo root in normal use). Override with the

@@ -8,9 +8,11 @@ The runner memoizes the config-independent part of each evaluation:
 
 * decompression workloads — parsed element streams / frame analyses — are
   shared across every placement and SRAM size;
-* compression workloads — matcher token streams and hardware-achieved
-  compressed sizes — are keyed by the encoder-relevant parameters only, so
-  all four placements of one SRAM/HT point share one matcher run.
+* compression workloads — each pipeline's :meth:`encode` of every file:
+  the token stream and matcher stats the emitted frame carries, and the
+  frame's size — are keyed by the encoder-relevant parameters only, so all
+  four placements of one SRAM/HT point share one matcher run per file (per
+  128 KiB block for ZStd, accounted block by block as the frame is).
 
 On top of the in-process memos, a sweep is a list of :class:`DesignPoint`
 work units — picklable (algorithm, operation, config) triples — that
@@ -27,14 +29,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.algorithms.base import Operation
-from repro.algorithms.lz77 import Lz77Params, MatcherStats, TokenStream
+from repro.algorithms.lz77 import MatcherStats, TokenStream
 from repro.algorithms.snappy import parse_elements
 from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
 from repro.core import calibration as cal
 from repro.core.area import pipeline_area_mm2
 from repro.core.generator import CdpuGenerator
 from repro.core.params import CdpuConfig
-from repro.hcbench.suite import HyperCompressBench, Suite, default_benchmark
+from repro.hcbench.suite import HyperCompressBench, default_benchmark
 from repro.soc.xeon import XeonBaseline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -165,22 +167,13 @@ class DseRunner:
         if cached is not None:
             return cached
         suite = self.bench.suite(algorithm, Operation.COMPRESS)
-        instance = self._generator.generate(config)
-        pipeline = instance.pipeline(algorithm, Operation.COMPRESS)
+        pipeline = self._generator.generate(config).pipeline(algorithm, Operation.COMPRESS)
         items: List[_EncodeWorkItem] = []
-        from repro.core.blocks.lz77 import Lz77EncoderBlock
-
-        encoder = Lz77EncoderBlock(config)
         for file in suite.files:
-            tokens, stats = encoder.tokenize(file.data)
-            if algorithm == "snappy":
-                from repro.algorithms.snappy import emit_elements
-                from repro.common.varint import encode_varint
-
-                hw_size = len(encode_varint(len(file.data))) + len(emit_elements(tokens))
-            else:
-                hw_size = pipeline.compressed_size(file.data)
-            items.append(_EncodeWorkItem(len(file.data), tokens, stats, hw_size))
+            encoded = pipeline.encode(file.data)
+            items.append(
+                _EncodeWorkItem(len(file.data), encoded.tokens, encoded.stats, len(encoded.frame))
+            )
         self._encode_cache[key] = items
         return items
 

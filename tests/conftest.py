@@ -81,3 +81,19 @@ def figures(dse_runner):
     from repro.dse.experiments import all_figures
 
     return all_figures(dse_runner)
+
+
+@pytest.fixture
+def match_calls(monkeypatch):
+    """Input lengths passed to ``Lz77Encoder.encode_with_stats``, in order."""
+    from repro.algorithms.lz77 import Lz77Encoder
+
+    calls = []
+    original = Lz77Encoder.encode_with_stats
+
+    def counting(self, data):
+        calls.append(len(data))
+        return original(self, data)
+
+    monkeypatch.setattr(Lz77Encoder, "encode_with_stats", counting)
+    return calls

@@ -1,10 +1,15 @@
 """Unit tests for the four CDPU pipelines: functional + cycle behaviour."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.algorithms.base import Operation
+from repro.algorithms.lz77 import Lz77Encoder, MatcherStats, TokenStream
 from repro.algorithms.snappy import SnappyCodec
-from repro.algorithms.zstd import ZstdCodec
+from repro.algorithms.zstd import BLOCK_SIZE, ZstdCodec
+from repro.algorithms.zstd_analyze import analyze_frame
 from repro.core.generator import CdpuGenerator
 from repro.core.params import CdpuConfig
 from repro.core.pipelines.snappy import SnappyCompressorPipeline, SnappyDecompressorPipeline
@@ -89,7 +94,7 @@ class TestSnappyCompressor:
         """§6.3: no skipping heuristic -> HW >= SW ratio on mixed data."""
         pipeline = make(SnappyCompressorPipeline)
         data = payloads["mixed"] * 4
-        hw_size = pipeline.compressed_size(data)
+        hw_size = len(pipeline.encode(data).frame)
         sw_size = len(SnappyCodec().compress(data))
         assert hw_size <= sw_size * 1.005
 
@@ -97,13 +102,13 @@ class TestSnappyCompressor:
         data = payloads["text"] * 8
         big = make(SnappyCompressorPipeline, CdpuConfig(encoder_history_bytes=64 * 1024))
         small = make(SnappyCompressorPipeline, CdpuConfig(encoder_history_bytes=1024))
-        assert small.compressed_size(data) >= big.compressed_size(data)
+        assert len(small.encode(data).frame) >= len(big.encode(data).frame)
 
     def test_small_hash_table_degrades_ratio(self, payloads):
         data = payloads["mixed"] * 4
         big = make(SnappyCompressorPipeline, CdpuConfig(hash_table_entries=1 << 14))
         small = make(SnappyCompressorPipeline, CdpuConfig(hash_table_entries=1 << 6))
-        assert small.compressed_size(data) >= big.compressed_size(data)
+        assert len(small.encode(data).frame) >= len(big.encode(data).frame)
 
     def test_compression_less_placement_sensitive_than_decompression(self, payloads):
         """§6.6 lesson 2."""
@@ -153,7 +158,7 @@ class TestZstdCompressor:
     def test_hw_ratio_at_most_software(self, payloads):
         """§6.5: greedy Snappy-configured matcher trails software levels."""
         data = payloads["text"] * 8
-        hw = make(ZstdCompressorPipeline).compressed_size(data)
+        hw = len(make(ZstdCompressorPipeline).encode(data).frame)
         sw = len(ZstdCodec().compress(data, level=3))
         assert hw >= sw * 0.98
 
@@ -162,6 +167,55 @@ class TestZstdCompressor:
         result = make(ZstdCompressorPipeline).run(data)
         assert "huffman-stats" in result.report.serial
         assert "fse-encoder" in result.report.serial
+
+
+def _raw_rle_compressed(text: bytes) -> bytes:
+    """Three blocks: incompressible (raw fallback), one byte (RLE), text."""
+    noise = random.Random(7).randbytes(BLOCK_SIZE)
+    return noise + b"z" * BLOCK_SIZE + text * 4
+
+
+class TestAccountedStreamIsTheFrameStream:
+    """The ZStd compressor accounts the tokens its frame carries:
+    ``analyze_frame`` reads the same columns back, and the stats are the
+    sums of one matcher run per matched block."""
+
+    @staticmethod
+    def _check(pipeline, data):
+        encoded = pipeline.encode(data)
+        frame = analyze_frame(encoded.frame)
+        for column in (
+            "literal_lengths", "offsets", "match_lengths", "literals", "trailing", "breaks"
+        ):
+            assert getattr(encoded.tokens, column) == getattr(frame.tokens, column), column
+        encoder = Lz77Encoder(pipeline.config.encoder_lz77_params())
+        expected = MatcherStats()
+        for index, block in enumerate(frame.blocks):
+            chunk = data[index * BLOCK_SIZE : (index + 1) * BLOCK_SIZE]
+            if block.block_type != "rle" and chunk:
+                expected += encoder.encode_with_stats(chunk)[1]
+        assert encoded.stats == expected
+        return frame
+
+    def test_every_hcbench_zstd_file(self, bench):
+        pipeline = make(ZstdCompressorPipeline)
+        files = bench.suite("zstd", Operation.COMPRESS).files
+        assert any(len(file.data) > BLOCK_SIZE for file in files)
+        for file in files:
+            self._check(pipeline, file.data)
+
+    def test_raw_rle_and_compressed_blocks(self, payloads):
+        frame = self._check(make(ZstdCompressorPipeline), _raw_rle_compressed(payloads["text"]))
+        assert [block.block_type for block in frame.blocks] == ["raw", "rle", "compressed"]
+        assert frame.tokens.breaks  # the raw block and the RLE byte stay two elements
+
+    def test_run_matches_each_block_once(self, payloads, match_calls):
+        data = _raw_rle_compressed(payloads["text"])
+        make(ZstdCompressorPipeline).run(data, verify=True)
+        assert match_calls == [BLOCK_SIZE, len(data) - 2 * BLOCK_SIZE]  # RLE is never matched
+        match_calls.clear()
+        make(SnappyCompressorPipeline).run(data, verify=True)
+        assert match_calls == [len(data)]
 
 
 class TestCycleReports:
@@ -253,3 +307,33 @@ class TestVerifyIsByteExact:
         monkeypatch.setattr(codec_cls, "decompress", self._flip_first_byte(codec_cls.decompress))
         with pytest.raises(VerificationError, match="software codec"):
             make(pipeline_cls).run(payloads["text"], verify=True)
+
+    @pytest.mark.parametrize("pipeline_cls", [SnappyCompressorPipeline, ZstdCompressorPipeline])
+    @pytest.mark.parametrize("corrupt", ["same_length", "short"])
+    def test_compressor_accounted_tokens_mismatch_raises(
+        self, monkeypatch, payloads, pipeline_cls, corrupt
+    ):
+        """The frame decodes fine, but the accounted stream does not
+        reproduce the input: verify must say so with a typed error."""
+        from repro.common.errors import VerificationError
+
+        encode = pipeline_cls.encode
+
+        def wrong(self, data):
+            encoded = encode(self, data)
+            tokens = encoded.tokens
+            literals = bytearray(tokens.literals)
+            if corrupt == "same_length":
+                literals[0] ^= 0xFF
+                tokens = TokenStream(
+                    tokens.literal_lengths, tokens.offsets, tokens.match_lengths,
+                    bytes(literals), tokens.trailing, tokens.breaks,
+                )
+            else:
+                tokens = TokenStream([], [], [], bytes(literals), len(literals))
+            return dataclasses.replace(encoded, tokens=tokens)
+
+        monkeypatch.setattr(pipeline_cls, "encode", wrong)
+        with pytest.raises(VerificationError, match="accounted tokens"):
+            make(pipeline_cls).run(payloads["text"], verify=True)
+        make(pipeline_cls).run(payloads["text"])  # without verify the model still runs

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.algorithms.base import Operation
+from repro.algorithms.zstd_analyze import analyze_frame
 from repro.core.params import CdpuConfig
+from repro.dse.runner import DseRunner
+from repro.hcbench.suite import HyperCompressBench, Suite
 from repro.soc.placement import Placement
 
 
@@ -44,3 +47,35 @@ class TestEvaluation:
     def test_xeon_seconds_memoized(self, dse_runner):
         first = dse_runner.xeon_seconds("snappy", Operation.COMPRESS)
         assert dse_runner.xeon_seconds("snappy", Operation.COMPRESS) == first
+
+    def test_encode_workload_matches_each_block_once(self, bench, match_calls):
+        """One matcher run per matched block of each (file, encoder key):
+        placements share it, and sizing the frame is not a second run."""
+        suites = {}
+        for algorithm in ("snappy", "zstd"):
+            suite = bench.suite(algorithm, Operation.COMPRESS)
+            largest = max(suite.files, key=lambda file: len(file.data))
+            suites[(algorithm, Operation.COMPRESS)] = Suite(
+                algorithm, Operation.COMPRESS, [largest, *suite.files[:2]]
+            )
+        runner = DseRunner(HyperCompressBench(suites=suites, config=bench.config))
+        keys = [CdpuConfig(), CdpuConfig(encoder_history_bytes=2048)]
+        expected = []
+        for (algorithm, operation), suite in suites.items():
+            for config in keys:
+                pipeline = runner._generator.generate(config).pipeline(algorithm, operation)
+                for file in suite.files:
+                    if algorithm == "snappy":
+                        expected.append(len(file.data))
+                        continue
+                    blocks = analyze_frame(pipeline.encode(file.data).frame).blocks
+                    expected += [b.raw_size for b in blocks if b.block_type != "rle"]
+        zstd_files = suites[("zstd", Operation.COMPRESS)].files
+        assert max(len(file.data) for file in zstd_files) > 128 * 1024  # multi-block
+
+        match_calls.clear()
+        for algorithm, operation in suites:
+            for config in keys:
+                for placement in Placement:
+                    runner.evaluate(config.with_(placement=placement), algorithm, operation)
+        assert sorted(match_calls) == sorted(expected)
