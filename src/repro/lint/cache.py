@@ -1,17 +1,19 @@
 """Content-hash cache for whole-project lint runs.
 
 A lint run is a pure function of (rule set, file contents): every rule
-reads only the parsed modules, and the baseline/suppression handling
-happens downstream of the cached result. That makes the whole run
-memoizable with one key:
+reads the parsed modules plus the few files it declares through
+:meth:`~repro.lint.registry.Rule.reads` (R005's codec modules and
+round-trip tests), and the baseline/suppression handling happens downstream
+of the cached result. That makes the whole run memoizable with one key:
 
     sha256({schema, ruleset version, rule codes, [(rel path, sha256(source))...]})
 
-so a warm ``repro lint src`` — the common case in a commit loop — skips
-parsing, CFG construction, the taint solves, and every rule, and just
-replays the stored findings. Any edited file, added file, removed file,
-or rule-logic change (via :data:`~repro.lint.registry.RULESET_VERSION`)
-changes the key and misses.
+where the file list covers the linted files and the declared reads (a
+missing read keys as ``<missing>``). A warm ``repro lint src`` — the common
+case in a commit loop — skips parsing, CFG construction, the taint solves,
+and every rule, and just replays the stored findings. Any edited file,
+added file, removed file, or rule-logic change (via
+:data:`~repro.lint.registry.RULESET_VERSION`) changes the key and misses.
 
 Entries are JSON files under ``results/.lint-cache/`` in a
 :class:`repro.common.store.Store`, which owns the on-disk contract.

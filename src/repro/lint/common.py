@@ -1,4 +1,5 @@
-"""AST and path helpers shared by the flow layer and the rules, plus the
+"""AST and path helpers shared by the flow layer and the rules, the
+per-module syntax-tree index they all read (:class:`SyntaxIndex`), plus the
 decoder-tree contract: which modules read untrusted bytes, and which of
 their functions are decode-side.
 
@@ -12,7 +13,108 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+# -- the per-module syntax-tree index ----------------------------------------
+
+
+class SyntaxIndex:
+    """One traversal of a parsed tree, owned by the module that parsed it.
+
+    The analyzer asks the same structural questions of a module many times
+    over: every rule walks the whole tree, and each taint-fixpoint pass
+    re-walks the statements it transfers. The index answers them from a
+    single breadth-first traversal, made when the first question comes (so
+    a run the lint cache answers never pays for it):
+
+    * :meth:`children` -- ``ast.iter_child_nodes`` order;
+    * :meth:`parent` -- the node's parent, as a whole-tree parent map
+      records it (the ``ctx`` and operator singletons ``ast.parse`` shares
+      map to the last parent in walk order);
+    * :meth:`walk` -- the exact ``ast.walk`` order, built from the children
+      on a node's first request and then kept;
+    * :attr:`imports` -- the tree's import aliases, built once.
+
+    Nodes are keyed by ``id()``; the index holds its tree, so every key
+    stays unique for the index's lifetime, and a node of another tree is a
+    ``KeyError``. Returned tuples and dicts are shared between callers.
+
+    Every module the engine loads carries one (``ModuleContext.syntax``);
+    the flow layer and the rules read it instead of calling ``ast.walk``,
+    ``ast.iter_child_nodes`` or building parent maps of their own.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.tree = tree
+        #: Filled by :meth:`_traverse`, with ``_parents``, on first use.
+        self._children: Optional[Dict[int, Tuple[ast.AST, ...]]] = None
+        self._parents: Dict[int, ast.AST] = {}
+        self._walks: Dict[int, Tuple[ast.AST, ...]] = {}
+
+    def _traverse(self) -> None:
+        children: Dict[int, Tuple[ast.AST, ...]] = {}
+        parents = self._parents
+        order: List[ast.AST] = [self.tree]
+        for node in order:  # ``order`` grows while it is read: a BFS queue
+            kids: List[ast.AST] = []
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, ast.AST):
+                    kids.append(value)
+                elif isinstance(value, list):
+                    kids.extend(item for item in value if isinstance(item, ast.AST))
+            children[id(node)] = tuple(kids)
+            for kid in kids:
+                parents[id(kid)] = node
+            order.extend(kids)
+        self._children = children
+
+    def children(self, node: ast.AST) -> Tuple[ast.AST, ...]:
+        """``node``'s direct children, in ``ast.iter_child_nodes`` order."""
+        if self._children is None:
+            self._traverse()
+        return self._children[id(node)]
+
+    def parent(self, node: ast.AST) -> Optional[ast.AST]:
+        """``node``'s parent; ``None`` for the root."""
+        if self._children is None:
+            self._traverse()
+        return self._parents.get(id(node))
+
+    def walk(self, node: ast.AST) -> Tuple[ast.AST, ...]:
+        """``node`` and every node under it, in ``ast.walk`` order."""
+        found = self._walks.get(id(node))
+        if found is None:
+            if self._children is None:
+                self._traverse()
+            children = self._children
+            order = [node]
+            for sub in order:
+                order.extend(children[id(sub)])
+            found = self._walks[id(node)] = tuple(order)
+        return found
+
+    @cached_property
+    def imports(self) -> Dict[str, str]:
+        """Local alias -> imported dotted target, for every absolute import
+        in the tree (see :func:`resolve_alias`)."""
+        table: Dict[str, str] = {}
+        for node in self.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        table[alias.asname] = alias.name
+                    else:
+                        head = alias.name.split(".")[0]
+                        table[head] = head
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return table
+
 
 # -- AST helpers -------------------------------------------------------------
 
@@ -38,15 +140,6 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
-    """``id(child) -> parent`` for every node under ``tree``."""
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
-
-
 def iter_functions(tree: ast.Module) -> Iterator[Tuple[Optional[str], ast.AST]]:
     """``(class name or None, def)`` for module-level functions and methods."""
     for node in tree.body:
@@ -65,26 +158,6 @@ def caught_names(handler: ast.ExceptHandler) -> Tuple[Optional[str], ...]:
         return ()
     types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
     return tuple(dotted_name(t) for t in types)
-
-
-def import_table(nodes: Iterable[ast.AST]) -> Dict[str, str]:
-    """Local alias -> imported dotted target, for the absolute imports among
-    ``nodes`` (pass ``ast.walk(tree)`` for a whole module)."""
-    table: Dict[str, str] = {}
-    for node in nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    table[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    table[head] = head
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return table
 
 
 def resolve_alias(name: str, imports: Dict[str, str]) -> str:

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.common.parallel import resolve_jobs
 from repro.lint.cache import LintCache, digest_text
+from repro.lint.common import SyntaxIndex
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow import ProjectSummaries, assemble, collect_module_flow
 from repro.lint.registry import RULESET_VERSION, Rule, all_rules
@@ -46,6 +47,8 @@ class ModuleContext:
     source: str
     lines: List[str]
     tree: ast.Module
+    #: The one traversal of ``tree`` the flow layer and every rule read.
+    syntax: SyntaxIndex
 
     def snippet(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -81,16 +84,19 @@ class ProjectContext:
     """Everything a rule may inspect: the root, modules, and flow summaries."""
 
     root: Path
-    modules: List[ModuleContext] = field(default_factory=list)
+    modules: Tuple[ModuleContext, ...] = ()
     #: Project-wide call-graph summaries, built by the engine before rules
     #: run. ``None`` only when a rule is invoked outside :func:`run_lint`.
     summaries: Optional[ProjectSummaries] = None
+    _by_rel: Dict[str, ModuleContext] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.modules = tuple(self.modules)
+        self._by_rel = {ctx.rel: ctx for ctx in self.modules}
 
     def module(self, rel: str) -> Optional[ModuleContext]:
-        for ctx in self.modules:
-            if ctx.rel == rel:
-                return ctx
-        return None
+        """The module at project-relative path ``rel``, if it is linted."""
+        return self._by_rel.get(rel)
 
 
 @dataclass
@@ -168,7 +174,12 @@ def load_module(path: Path, root: Path) -> Union[ModuleContext, Finding]:
             message=f"could not parse file: {exc}",
         )
     return ModuleContext(
-        path=path, rel=rel, source=source, lines=source.splitlines(), tree=tree
+        path=path,
+        rel=rel,
+        source=source,
+        lines=source.splitlines(),
+        tree=tree,
+        syntax=SyntaxIndex(tree),
     )
 
 
@@ -180,18 +191,41 @@ def _collect_flows(
     ``map`` preserves input order and :func:`~repro.lint.flow.
     collect_module_flow` is deterministic on ``(rel, source)``, so the
     assembled summaries — and every downstream finding — are byte-identical
-    for any worker count.
+    for any worker count. Serially the flow pass reads the tree and syntax
+    index :func:`load_module` built, which the rules reuse; workers get
+    ``(rel, source)`` and parse.
     """
     rels = [ctx.rel for ctx in modules]
-    sources = [ctx.source for ctx in modules]
     if jobs <= 1 or len(modules) <= 1:
-        records = [collect_module_flow(rel, src) for rel, src in zip(rels, sources)]
+        records = [collect_module_flow(ctx.rel, ctx.source, ctx.syntax) for ctx in modules]
     else:
+        sources = [ctx.source for ctx in modules]
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(modules))) as pool:
             records = list(pool.map(collect_module_flow, rels, sources, chunksize=4))
     return dict(zip(rels, records))
+
+
+def _read_digests(
+    project: ProjectContext, rules: Sequence[Rule], files: Sequence[Path]
+) -> List[Tuple[str, str]]:
+    """``(path, digest)`` of every file outside the linted set that a rule
+    reads from disk (:meth:`Rule.reads`), so editing, adding or deleting one
+    misses the cache. Linted files are keyed by their own digests already."""
+    linted = set(files)
+    extra = {path.resolve() for rule in rules for path in rule.reads(project)} - linted
+    digests: List[Tuple[str, str]] = []
+    for path in sorted(extra):
+        try:
+            shown = path.relative_to(project.root).as_posix()
+        except ValueError:
+            shown = path.as_posix()
+        try:
+            digests.append((shown, digest_text(path.read_bytes().hex())))
+        except OSError:
+            digests.append((shown, "<missing>"))
+    return digests
 
 
 def _result_to_payload(result: LintResult) -> dict:
@@ -249,7 +283,7 @@ def run_lint(
     )
     active_rules = list(rules) if rules is not None else all_rules()
 
-    project = ProjectContext(root=resolved_root)
+    modules: List[ModuleContext] = []
     findings: List[Finding] = []
     digests: List[Tuple[str, str]] = []
     for path in files:
@@ -263,11 +297,13 @@ def run_lint(
             except OSError:
                 digests.append((loaded.path, "<unreadable>"))
         else:
-            project.modules.append(loaded)
+            modules.append(loaded)
             digests.append((loaded.rel, digest_text(loaded.source)))
+    project = ProjectContext(root=resolved_root, modules=modules)
 
     cache_key: Optional[str] = None
     if cache is not None:
+        digests.extend(_read_digests(project, active_rules, files))
         cache_key = cache.key(
             RULESET_VERSION, [rule.code for rule in active_rules], digests
         )

@@ -26,6 +26,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from repro.lint.common import SyntaxIndex
+
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Branch condition carried on an edge: the test expression and the value it
@@ -113,6 +115,8 @@ class CFG:
     blocks: List[Block]
     entry: int
     exit: int  # normal exits (returns and fall-off-end) converge here
+    #: Index of a tree holding ``func``; the analyses walk items through it.
+    syntax: SyntaxIndex
     #: The construct the builder could not model ("" when it modelled all).
     unsupported: str = ""
 
@@ -134,8 +138,9 @@ class _LoopFrame:
 
 
 class _Builder:
-    def __init__(self, func: FunctionNode) -> None:
+    def __init__(self, func: FunctionNode, syntax: SyntaxIndex) -> None:
         self.func = func
+        self.syntax = syntax
         self.blocks: List[Block] = []
         self.loops: List[_LoopFrame] = []
         self.unsupported = ""
@@ -183,6 +188,7 @@ class _Builder:
             blocks=self.blocks,
             entry=entry,
             exit=exit_id,
+            syntax=self.syntax,
             unsupported=self.unsupported,
         )
 
@@ -343,6 +349,10 @@ class _Builder:
         return after
 
 
-def build_cfg(func: FunctionNode) -> CFG:
-    """Build the CFG of one function; never raises on valid ``ast`` input."""
-    return _Builder(func).build()
+def build_cfg(func: FunctionNode, syntax: SyntaxIndex) -> CFG:
+    """Build the CFG of one function; never raises on valid ``ast`` input.
+
+    ``syntax`` indexes a tree containing ``func``: the module's, so every
+    function's analyses share the walks it keeps.
+    """
+    return _Builder(func, syntax).build()

@@ -19,6 +19,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.lint.common import SyntaxIndex
 from repro.lint.flow.cfg import CFG, ExceptBind, ForIter, Item, Stmt, WithEnter, scan_expr
 
 #: Sentinel definition site for function parameters (no AST statement).
@@ -51,7 +52,7 @@ def _target_names(target: ast.AST) -> Iterator[str]:
             yield name
 
 
-def bound_names(item: Item) -> List[str]:
+def bound_names(item: Item, syntax: SyntaxIndex) -> List[str]:
     """Names (re)bound by one CFG item, in binding order."""
     node = item.node
     names: List[str] = []
@@ -81,16 +82,16 @@ def bound_names(item: Item) -> List[str]:
     # Walrus targets in the expressions this item actually evaluates.
     scanned = scan_expr(item)
     if scanned is not None:
-        for sub in ast.walk(scanned):
+        for sub in syntax.walk(scanned):
             if isinstance(sub, ast.NamedExpr):
                 names.extend(_target_names(sub.target))
     return names
 
 
-def used_names(expr: ast.AST) -> Set[str]:
+def used_names(expr: ast.AST, syntax: SyntaxIndex) -> Set[str]:
     """Canonical names read anywhere inside an expression."""
     names: Set[str] = set()
-    for node in ast.walk(expr):
+    for node in syntax.walk(expr):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif (
@@ -130,7 +131,7 @@ class ReachingDefs:
             live.setdefault(definition.name, set()).add(definition)
         block = self.cfg.block(block_id)
         for i, item in enumerate(block.items[:index]):
-            for name in bound_names(item):
+            for name in bound_names(item, self.cfg.syntax):
                 live[name] = {Definition(name=name, block=block_id, index=i)}
         return live
 
@@ -140,7 +141,9 @@ class ReachingDefs:
         for block in self.cfg.blocks:
             for i, item in enumerate(block.items):
                 reaching = self.defs_at(block.id, i).get(definition.name, set())
-                if definition in reaching and definition.name in used_names(item.node):
+                if definition in reaching and definition.name in used_names(
+                    item.node, self.cfg.syntax
+                ):
                     uses.append((block.id, i, definition.name))
         return uses
 
@@ -163,7 +166,7 @@ def reaching_definitions(cfg: CFG) -> ReachingDefs:
         for definition in facts:
             live.setdefault(definition.name, set()).add(definition)
         for i, item in enumerate(cfg.block(block_id).items):
-            for name in bound_names(item):
+            for name in bound_names(item, cfg.syntax):
                 live[name] = {Definition(name=name, block=block_id, index=i)}
         return {d for defs in live.values() for d in defs}
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.lint.common import normalize_rel, parent_map, terminal_name
+from repro.lint.common import SyntaxIndex, normalize_rel, terminal_name
 
 #: Version of the ``results/frame_grammars.json`` artifact schema.
 GRAMMAR_SCHEMA_VERSION = 1
@@ -250,12 +250,13 @@ class _ModuleEnv:
     ``CHECKSUM_BYTES`` evaluate without importing anything.
     """
 
-    def __init__(self, rel: str, tree: ast.Module) -> None:
+    def __init__(self, rel: str, syntax: SyntaxIndex) -> None:
         self.rel = rel
-        self.tree = tree
+        self.syntax = syntax
+        self.tree = syntax.tree
         self.consts: Dict[str, object] = {}
         self.spec_calls: List[Tuple[str, int, ast.Call]] = []
-        for stmt in tree.body:
+        for stmt in self.tree.body:
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
             if isinstance(stmt, ast.Assign):
@@ -462,17 +463,17 @@ def _graph_presets(env: _ModuleEnv) -> Dict[str, List[Tuple[str, List[int]]]]:
 # ---------------------------------------------------------------------------
 
 
-def _enclosing_statement(node: ast.AST, parents: Dict[int, ast.AST]) -> ast.stmt:
-    cur = node
-    while not isinstance(cur, ast.stmt):
-        cur = parents[id(cur)]
+def _enclosing_statement(node: ast.AST, syntax: SyntaxIndex) -> Optional[ast.stmt]:
+    cur: Optional[ast.AST] = node
+    while cur is not None and not isinstance(cur, ast.stmt):
+        cur = syntax.parent(cur)
     return cur
 
 
 def _statement_slot(
-    stmt: ast.stmt, parents: Dict[int, ast.AST]
+    stmt: Optional[ast.stmt], syntax: SyntaxIndex
 ) -> Optional[Tuple[List[ast.stmt], int]]:
-    parent = parents.get(id(stmt))
+    parent = syntax.parent(stmt) if stmt is not None else None
     if parent is None:
         return None
     for attr in ("body", "orelse", "finalbody"):
@@ -547,12 +548,12 @@ def _scan_operand(
 
 
 def _expression_trace(
-    call: ast.Call, kind: str, env: _ModuleEnv, parents: Dict[int, ast.AST]
+    call: ast.Call, kind: str, env: _ModuleEnv
 ) -> Tuple[List[Tuple[object, ...]], bool]:
     """Wire ops concatenated after the preamble call in its own expression."""
     ops: List[Tuple[object, ...]] = []
     cur: ast.AST = call
-    parent = parents.get(id(cur))
+    parent = env.syntax.parent(cur)
     while parent is not None and not isinstance(cur, ast.stmt):
         if (
             isinstance(parent, ast.BinOp)
@@ -563,7 +564,7 @@ def _expression_trace(
             ops.extend(got)
             if stop:
                 return ops, True
-        cur, parent = parent, parents.get(id(parent))
+        cur, parent = parent, env.syntax.parent(parent)
     return ops, False
 
 
@@ -591,13 +592,13 @@ def _statement_trace(
     return ops if ops and not stop else None
 
 
-def _qualname_of(call: ast.Call, parents: Dict[int, ast.AST]) -> str:
+def _qualname_of(call: ast.Call, syntax: SyntaxIndex) -> str:
     names: List[str] = []
     cur: Optional[ast.AST] = call
     while cur is not None:
         if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(cur.name)
-        cur = parents.get(id(cur))
+        cur = syntax.parent(cur)
     return ".".join(reversed(names)) or "<module>"
 
 
@@ -607,11 +608,11 @@ def _qualname_of(call: ast.Call, parents: Dict[int, ast.AST]) -> str:
 
 
 def extract_grammar_index(
-    modules: Iterable[Tuple[str, ast.Module]]
+    modules: Iterable[Tuple[str, SyntaxIndex]]
 ) -> GrammarIndex:
-    """Run the full wire-grammar pass over ``(rel, tree)`` modules."""
+    """Run the full wire-grammar pass over ``(rel, syntax index)`` modules."""
     envs: Dict[str, _ModuleEnv] = {
-        rel: _ModuleEnv(rel, tree) for rel, tree in modules
+        rel: _ModuleEnv(rel, syntax) for rel, syntax in modules
     }
     container_env = next(
         (
@@ -655,9 +656,8 @@ def extract_grammar_index(
 
     # Pass 2: surfaces with header-window traces + checksum evidence.
     for rel, env in sorted(envs.items()):
-        parents = parent_map(env.tree)
         evidence = ChecksumEvidence()
-        for node in ast.walk(env.tree):
+        for node in env.syntax.walk(env.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = terminal_name(node.func)
@@ -678,10 +678,10 @@ def extract_grammar_index(
             if spec is None:
                 continue
             kind = "write" if name in _WRITE_METHODS else "read"
-            ops, stop = _expression_trace(node, kind, env, parents)
+            ops, stop = _expression_trace(node, kind, env)
             if not stop:
-                stmt = _enclosing_statement(node, parents)
-                slot = _statement_slot(stmt, parents)
+                stmt = _enclosing_statement(node, env.syntax)
+                slot = _statement_slot(stmt, env.syntax)
                 if slot is not None:
                     block, idx = slot
                     for following in block[idx + 1 :]:
@@ -693,7 +693,7 @@ def extract_grammar_index(
                 SurfaceRec(
                     rel=rel,
                     lineno=node.lineno,
-                    func=_qualname_of(node, parents),
+                    func=_qualname_of(node, env.syntax),
                     spec=spec.identity,
                     kind=kind,
                     trace=tuple(ops),
@@ -742,7 +742,7 @@ def _codec_name(env: _ModuleEnv, spec: SpecInfo) -> str:
     """The registry name for a spec's codec: the module's ``CodecInfo``
     name literal when it declares exactly one, else the module stem."""
     names: List[str] = []
-    for node in ast.walk(env.tree):
+    for node in env.syntax.walk(env.tree):
         if isinstance(node, ast.Call) and terminal_name(node.func) == "CodecInfo":
             for keyword in node.keywords:
                 if keyword.arg == "name" and isinstance(
@@ -775,7 +775,9 @@ def iter_source_modules(root: Path) -> Iterable[Tuple[str, ast.Module]]:
 
 def extract_project_grammars(root: Path) -> GrammarIndex:
     """Extract the grammar index for the tree rooted at ``root``."""
-    return extract_grammar_index(iter_source_modules(root))
+    return extract_grammar_index(
+        (rel, SyntaxIndex(tree)) for rel, tree in iter_source_modules(root)
+    )
 
 
 def load_grammar_artifact(root: Path) -> Dict[str, object]:

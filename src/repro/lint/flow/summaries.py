@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.common import (
+    SyntaxIndex,
     caught_names,
     dotted_name,
-    import_table,
     in_decoder_tree,
     iter_functions,
 )
@@ -484,12 +484,12 @@ def _chain_display(node: ast.AST) -> str:
     return _chain_root(node) or "<expr>"
 
 
-def _local_names(func: ast.AST) -> Set[str]:
+def _local_names(func: ast.AST, scoped: Sequence[ast.AST]) -> Set[str]:
     """Every name bound in ``func``'s own scope (params, stores, imports).
 
-    Nested function/class bodies are separate scopes and are skipped;
-    ``global``-declared names are removed (assigning them writes the module,
-    not a local).
+    ``scoped`` is ``func``'s :func:`_scoped_walk`: nested function/class
+    bodies are separate scopes and are skipped. ``global``-declared names
+    are removed (assigning them writes the module, not a local).
     """
     names: Set[str] = set()
     args = func.args
@@ -502,7 +502,7 @@ def _local_names(func: ast.AST) -> Set[str]:
     ]:
         names.add(a.arg)
     declared_global: Set[str] = set()
-    for node in _scoped_walk(func):
+    for node in scoped:
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             names.add(node.id)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -520,15 +520,18 @@ def _local_names(func: ast.AST) -> Set[str]:
     return names - declared_global
 
 
-def _scoped_walk(func: ast.AST):
-    """``ast.walk`` over ``func``'s body, not descending into nested scopes."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+def _scoped_walk(func: ast.AST, syntax: SyntaxIndex) -> List[ast.AST]:
+    """Every node under ``func``, not descending into nested scopes (the
+    nested ``def``/``class``/``lambda`` node itself is included)."""
+    nodes: List[ast.AST] = []
+    stack: List[ast.AST] = list(syntax.children(func))
     while stack:
         node = stack.pop()
-        yield node
+        nodes.append(node)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
             continue
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(syntax.children(node))
+    return nodes
 
 
 class _EffectCollector(ast.NodeVisitor):
@@ -741,15 +744,16 @@ def _classify_unpicklable(
 
 
 def _collect_pool_facts(
-    func: ast.AST,
+    func: ast.AST, scoped: Sequence[ast.AST]
 ) -> Tuple[List[PoolDispatchRec], Tuple[str, ...]]:
-    """Pool-dispatch sites and initializer targets within one function."""
+    """Pool-dispatch sites and initializer targets within one function
+    (``scoped`` is its :func:`_scoped_walk`)."""
     defs: Dict[str, List[ast.AST]] = {}
     nested: Set[str] = set()
     pool_names: Set[str] = set()
     initializers: List[str] = []
 
-    for node in _scoped_walk(func):
+    for node in scoped:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.AST):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -772,7 +776,7 @@ def _collect_pool_facts(
                         initializers.append(name)
 
     dispatches: List[PoolDispatchRec] = []
-    for node in _scoped_walk(func):
+    for node in scoped:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         method = node.func.attr
@@ -833,11 +837,12 @@ def _collect_tainted_args(taint) -> List[TaintedArgRec]:
     """
     records: List[TaintedArgRec] = []
     seen: Set[Tuple[int, int, int, Optional[str]]] = set()
+    syntax = taint.cfg.syntax
     for _block, _index, item, env in taint.iter_items():
         target = scan_expr(item)
         if target is None:
             continue
-        for node in ast.walk(target):
+        for node in syntax.walk(target):
             if not isinstance(node, ast.Call):
                 continue
             if any(isinstance(a, ast.Starred) for a in node.args):
@@ -860,7 +865,7 @@ def _collect_tainted_args(taint) -> List[TaintedArgRec]:
                     sorted(
                         {
                             name
-                            for sub in ast.walk(arg)
+                            for sub in syntax.walk(arg)
                             for name in [canonical_name(sub)]
                             if name is not None and name in env.tainted
                         }
@@ -880,21 +885,26 @@ def _collect_tainted_args(taint) -> List[TaintedArgRec]:
     return records
 
 
-def collect_module_flow(rel: str, source: str) -> List[FunctionSummary]:
+def collect_module_flow(
+    rel: str, source: str, syntax: Optional[SyntaxIndex] = None
+) -> List[FunctionSummary]:
     """Per-file local analysis: one summary record per top-level function.
 
     Self-contained and deterministic on ``(rel, source)``, which makes it
-    the unit of work for ``--jobs`` process-pool workers. Files that fail
-    to parse yield no records (the engine reports those as R000 already).
+    the unit of work for ``--jobs`` process-pool workers. ``syntax``, when
+    given, is the index of ``source``'s already-parsed tree, which spares
+    the serial pass a second parse. Files that fail to parse yield no
+    records (the engine reports those as R000 already).
     """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []
+    if syntax is None:
+        try:
+            syntax = SyntaxIndex(ast.parse(source))
+        except SyntaxError:
+            return []
     records: List[FunctionSummary] = []
-    for cls_name, func in iter_functions(tree):
+    for cls_name, func in iter_functions(syntax.tree):
         local = f"{cls_name}.{func.name}" if cls_name else func.name
-        cfg = build_cfg(func)
+        cfg = build_cfg(func, syntax)
         taint = analyze_taint(cfg)
         summary = FunctionSummary(
             qualname=f"{rel}::{local}",
@@ -947,7 +957,8 @@ def collect_module_flow(rel: str, source: str) -> List[FunctionSummary]:
                             for param in sorted(risky)
                         )
             summary.tainted_args = _collect_tainted_args(taint)
-        collector = _EffectCollector(local_names=_local_names(func))
+        scoped = _scoped_walk(func, syntax)
+        collector = _EffectCollector(local_names=_local_names(func, scoped))
         for stmt in func.body:
             collector.visit(stmt)
         summary.raises = collector.raises
@@ -955,7 +966,9 @@ def collect_module_flow(rel: str, source: str) -> List[FunctionSummary]:
         summary.is_async = isinstance(func, ast.AsyncFunctionDef)
         summary.is_generator = collector.has_yield
         summary.global_writes = collector.global_writes
-        summary.pool_dispatches, summary.pool_initializers = _collect_pool_facts(func)
+        summary.pool_dispatches, summary.pool_initializers = _collect_pool_facts(
+            func, scoped
+        )
         records.append(summary)
     return records
 
@@ -965,7 +978,8 @@ def assemble(
 ) -> ProjectSummaries:
     """Stitch per-file records into the project-wide fixpoint.
 
-    ``modules`` supplies the parsed trees for the cheap global passes
+    ``modules`` supplies the parsed trees and their syntax indexes for the
+    cheap global passes
     (imports, class hierarchy); ``flows`` maps each module's ``rel`` to the
     records from :func:`collect_module_flow`. Single-threaded and
     deterministic, so parallel collection stays byte-identical to serial.
@@ -975,8 +989,8 @@ def assemble(
     # Pass 0: modules, imports, classes, exception hierarchy.
     for ctx in modules:
         project._module_rel[rel_to_module(ctx.rel)] = ctx.rel
-        project._imports[ctx.rel] = import_table(ast.walk(ctx.tree))
-        for node in ast.walk(ctx.tree):
+        project._imports[ctx.rel] = ctx.syntax.imports
+        for node in ctx.syntax.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 bases = [dotted_name(b) for b in node.bases]
                 project._class_bases[(ctx.rel, node.name)] = [
@@ -1058,12 +1072,15 @@ def build_summaries(modules: Sequence) -> ProjectSummaries:
     """Serial convenience wrapper: collect every module's flow, then assemble.
 
     ``modules`` is any sequence of objects with ``rel`` (project-relative
-    path), ``source``, and ``tree`` (parsed ``ast.Module``) — in practice
-    the engine's :class:`~repro.lint.engine.ModuleContext` list. The engine
-    uses :func:`collect_module_flow` + :func:`assemble` directly when
-    running with ``--jobs``.
+    path), ``source``, ``tree`` (parsed ``ast.Module``) and ``syntax`` (its
+    :class:`~repro.lint.common.SyntaxIndex`) — in practice the engine's
+    :class:`~repro.lint.engine.ModuleContext` list. The engine uses
+    :func:`collect_module_flow` + :func:`assemble` directly when running
+    with ``--jobs``.
     """
-    flows = {ctx.rel: collect_module_flow(ctx.rel, ctx.source) for ctx in modules}
+    flows = {
+        ctx.rel: collect_module_flow(ctx.rel, ctx.source, ctx.syntax) for ctx in modules
+    }
     return assemble(modules, flows)
 
 

@@ -50,6 +50,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from repro.lint.common import SyntaxIndex
 from repro.lint.flow.cfg import CFG, Cond, ExceptBind, Item, scan_expr
 from repro.lint.flow.dataflow import bound_names, canonical_name, used_names
 
@@ -340,7 +341,7 @@ class TaintAnalysis:
         """Abstract state just before item ``index`` of ``block_id``."""
         env = self._env_in.get(block_id, Env()).copy()
         for item in self.cfg.block(block_id).items[:index]:
-            env = _transfer_item(env, item)
+            env = _transfer_item(env, item, self.cfg.syntax)
         return env
 
     def iter_items(self) -> Iterator[Tuple[int, int, Item, Env]]:
@@ -349,18 +350,19 @@ class TaintAnalysis:
             env = self._env_in.get(block.id, Env()).copy()
             for index, item in enumerate(block.items):
                 yield block.id, index, item, env
-                env = _transfer_item(env, item)
+                env = _transfer_item(env, item, self.cfg.syntax)
 
     def sinks(self) -> List[SinkHit]:
         """Every unchecked-taint use at a slice/range/allocation position."""
         hits: List[SinkHit] = []
         seen: Set[Tuple[int, int]] = set()
+        syntax = self.cfg.syntax
         for block_id, index, item, env in self.iter_items():
             target = scan_expr(item)
             if target is None:
                 continue
-            for sub, sub_env in _refined_walk(target, env):
-                hit = _sink_at(sub, sub_env, block_id, index)
+            for sub, sub_env in _refined_walk(target, env, syntax):
+                hit = _sink_at(sub, sub_env, block_id, index, syntax)
                 if hit is None:
                     continue
                 key = (getattr(hit.node, "lineno", 0), getattr(hit.node, "col_offset", 0))
@@ -370,7 +372,9 @@ class TaintAnalysis:
         return hits
 
 
-def _refined_walk(expr: ast.AST, env: Env) -> Iterator[Tuple[ast.AST, Env]]:
+def _refined_walk(
+    expr: ast.AST, env: Env, syntax: SyntaxIndex
+) -> Iterator[Tuple[ast.AST, Env]]:
     """Walk an expression yielding each node with its *refined* environment.
 
     Short-circuit semantics refine facts mid-expression: in
@@ -382,22 +386,24 @@ def _refined_walk(expr: ast.AST, env: Env) -> Iterator[Tuple[ast.AST, Env]]:
     if isinstance(expr, ast.BoolOp):
         running = env
         for operand in expr.values:
-            yield from _refined_walk(operand, running)
-            running = _refine(running, (operand, isinstance(expr.op, ast.And)))
+            yield from _refined_walk(operand, running, syntax)
+            running = _refine(running, (operand, isinstance(expr.op, ast.And)), syntax)
         return
     if isinstance(expr, ast.IfExp):
-        yield from _refined_walk(expr.test, env)
-        yield from _refined_walk(expr.body, _refine(env, (expr.test, True)))
-        yield from _refined_walk(expr.orelse, _refine(env, (expr.test, False)))
+        yield from _refined_walk(expr.test, env, syntax)
+        yield from _refined_walk(expr.body, _refine(env, (expr.test, True), syntax), syntax)
+        yield from _refined_walk(
+            expr.orelse, _refine(env, (expr.test, False), syntax), syntax
+        )
         return
-    for child in ast.iter_child_nodes(expr):
-        yield from _refined_walk(child, env)
+    for child in syntax.children(expr):
+        yield from _refined_walk(child, env, syntax)
 
 
-def _tainted_in(expr: Optional[ast.AST], env: Env) -> Tuple[str, ...]:
+def _tainted_in(expr: Optional[ast.AST], env: Env, syntax: SyntaxIndex) -> Tuple[str, ...]:
     if expr is None or not env.expr_tainted(expr):
         return ()
-    names = tuple(sorted(n for n in used_names(expr) if n in env.tainted))
+    names = tuple(sorted(n for n in used_names(expr, syntax) if n in env.tainted))
     return names or ("<expr>",)
 
 
@@ -406,28 +412,30 @@ def _bytes_like(expr: ast.AST, env: Env) -> bool:
     return env._bytes_typed(expr)
 
 
-def _sink_at(sub: ast.AST, env: Env, block: int, index: int) -> Optional[SinkHit]:
+def _sink_at(
+    sub: ast.AST, env: Env, block: int, index: int, syntax: SyntaxIndex
+) -> Optional[SinkHit]:
     if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice):
         for bound in (sub.slice.lower, sub.slice.upper, sub.slice.step):
-            names = _tainted_in(bound, env)
+            names = _tainted_in(bound, env, syntax)
             if names:
                 return SinkHit(sub, "slice-bound", names, block, index)
     elif isinstance(sub, ast.Call):
         callee = _callee_name(sub)
         if callee == "range" and sub.args:
             for arg in sub.args:
-                names = _tainted_in(arg, env)
+                names = _tainted_in(arg, env, syntax)
                 if names:
                     return SinkHit(sub, "range-limit", names, block, index)
         elif callee in {"bytearray", "bytes"} and len(sub.args) == 1:
-            names = _tainted_in(sub.args[0], env)
+            names = _tainted_in(sub.args[0], env, syntax)
             if names:
                 return SinkHit(sub, "allocation", names, block, index)
     elif isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult):
         sides = (sub.left, sub.right)
         for this, other in (sides, sides[::-1]):
             if _bytes_like(this, env):
-                names = _tainted_in(other, env)
+                names = _tainted_in(other, env, syntax)
                 if names:
                     return SinkHit(sub, "repeat", names, block, index)
                 break
@@ -446,23 +454,23 @@ def _kill(env: Env, name: str, _seen: Optional[Set[str]] = None) -> None:
         _kill(env, source, _seen)
 
 
-def _refine(env: Env, cond: Cond) -> Env:
+def _refine(env: Env, cond: Cond, syntax: SyntaxIndex) -> Env:
     env = env.copy()
-    _apply_cond(env, cond[0], cond[1])
+    _apply_cond(env, cond[0], cond[1], syntax)
     return env
 
 
-def _apply_cond(env: Env, test: ast.expr, value: bool) -> None:
+def _apply_cond(env: Env, test: ast.expr, value: bool, syntax: SyntaxIndex) -> None:
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        _apply_cond(env, test.operand, not value)
+        _apply_cond(env, test.operand, not value, syntax)
         return
     if isinstance(test, ast.BoolOp):
         if isinstance(test.op, ast.And) and value:
             for operand in test.values:
-                _apply_cond(env, operand, True)
+                _apply_cond(env, operand, True, syntax)
         elif isinstance(test.op, ast.Or) and not value:
             for operand in test.values:
-                _apply_cond(env, operand, False)
+                _apply_cond(env, operand, False, syntax)
         return
     # Truthiness of a buffer (``if data:`` / the false edge of ``if not
     # data:``) proves it non-empty, guarding reads of ``data[0]``.
@@ -498,7 +506,7 @@ def _apply_cond(env: Env, test: ast.expr, value: bool) -> None:
     for small, big, strict in pairs:
         if env.expr_tainted(big):
             continue  # comparing against another untrusted value proves nothing
-        for name in used_names(small):
+        for name in used_names(small, syntax):
             _kill(env, name)
         # ``K <(=) len(buf)`` proves ``buf`` holds at least K(+1) elements;
         # a ``len()`` buried in arithmetic (``len(buf) - pos``) or on the
@@ -513,9 +521,9 @@ def _apply_cond(env: Env, test: ast.expr, value: bool) -> None:
             and small.value >= 0
         ):
             bound = small.value + (1 if strict else 0)
-        for buf in _len_arguments(big):
+        for buf in _len_arguments(big, syntax):
             _prove_len(env, buf, bound)
-        for buf in _len_arguments(small):
+        for buf in _len_arguments(small, syntax):
             _prove_len(env, buf, 1)
 
 
@@ -524,8 +532,8 @@ def _prove_len(env: Env, buf: str, minlen: int) -> None:
         env.lenchecked[buf] = minlen
 
 
-def _len_arguments(expr: ast.AST) -> Iterator[str]:
-    for node in ast.walk(expr):
+def _len_arguments(expr: ast.AST, syntax: SyntaxIndex) -> Iterator[str]:
+    for node in syntax.walk(expr):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -537,11 +545,11 @@ def _len_arguments(expr: ast.AST) -> Iterator[str]:
                 yield name
 
 
-def _transfer_item(env: Env, item: Item) -> Env:
+def _transfer_item(env: Env, item: Item, syntax: SyntaxIndex) -> Env:
     env = env.copy()
     node = item.node
     if isinstance(item, ExceptBind):
-        for name in bound_names(item):
+        for name in bound_names(item, syntax):
             _rebind(env, name)
         return env
     if isinstance(node, ast.Assign):
@@ -560,11 +568,11 @@ def _transfer_item(env: Env, item: Item) -> Env:
             if bytes_:
                 env.taintedbytes.add(target)
     elif isinstance(node, ast.Assert):
-        _apply_cond(env, node.test, True)
+        _apply_cond(env, node.test, True, syntax)
     else:
         iter_expr = node.iter if isinstance(node, (ast.For, ast.AsyncFor)) else None
         iter_fact = env._eval(iter_expr) if iter_expr is not None else _CLEAN
-        for name in bound_names(item):
+        for name in bound_names(item, syntax):
             _rebind(env, name)
             if iter_fact.tainted:
                 env.tainted.add(name)
@@ -573,7 +581,7 @@ def _transfer_item(env: Env, item: Item) -> Env:
     # Walrus assignments inside the item's scanned expressions.
     target_expr = scan_expr(item)
     if target_expr is not None:
-        for sub in ast.walk(target_expr):
+        for sub in syntax.walk(target_expr):
             if isinstance(sub, ast.NamedExpr):
                 target = canonical_name(sub.target)
                 if target is not None:
@@ -739,7 +747,7 @@ def index_read_sites(cfg: CFG, analysis: "TaintAnalysis") -> List[ReadSite]:
         target = scan_expr(item)
         if target is None:
             continue
-        for sub, sub_env in _refined_walk(target, env):
+        for sub, sub_env in _refined_walk(target, env, cfg.syntax):
             if not isinstance(sub, ast.Subscript):
                 continue
             if not isinstance(sub.ctx, ast.Load) or isinstance(sub.slice, ast.Slice):
@@ -751,7 +759,7 @@ def index_read_sites(cfg: CFG, analysis: "TaintAnalysis") -> List[ReadSite]:
             if key in seen:
                 continue
             seen.add(key)
-            names = used_names(sub.slice)
+            names = used_names(sub.slice, cfg.syntax)
             const_index = isinstance(sub.slice, ast.Constant) and isinstance(
                 sub.slice.value, int
             )
@@ -815,11 +823,11 @@ def analyze_taint(
         block_id = worklist.pop(0)
         env = env_in.get(block_id, Env()).copy()
         for item in cfg.block(block_id).items:
-            env = _transfer_item(env, item)
+            env = _transfer_item(env, item, cfg.syntax)
         for edge in cfg.block(block_id).succs:
             if edge.dst < 0:
                 continue
-            out = _refine(env, edge.cond) if edge.cond is not None else env.copy()
+            out = _refine(env, edge.cond, cfg.syntax) if edge.cond is not None else env.copy()
             if edge.cond is not None:
                 sibling_raises = any(
                     other.cond is not None

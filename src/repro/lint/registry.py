@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Type, TYPE_CHECKING
 
 from repro.lint.findings import Finding, Severity
@@ -34,6 +35,12 @@ class Rule:
 
     def check(self, project: "ProjectContext") -> Iterable[Finding]:
         raise NotImplementedError
+
+    def reads(self, project: "ProjectContext") -> Iterable[Path]:
+        """Files :meth:`check` reads from disk besides the linted modules,
+        present or not. The lint cache keys their contents, so a rule that
+        reads a file it does not list here replays stale results."""
+        return ()
 
 
 _RULES: Dict[str, Type[Rule]] = {}

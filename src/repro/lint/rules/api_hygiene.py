@@ -42,7 +42,7 @@ class ApiHygieneRule(Rule):
         return findings
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.syntax.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_defaults(ctx, node)
             elif isinstance(node, ast.Assert):
@@ -70,7 +70,7 @@ class ApiHygieneRule(Rule):
                 )
 
     def _check_assert(self, ctx: ModuleContext, node: ast.Assert) -> Iterable[Finding]:
-        for sub in ast.walk(node.test):
+        for sub in ctx.syntax.walk(node.test):
             if not isinstance(sub, ast.Compare):
                 continue
             operands = [sub.left] + list(sub.comparators)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List
 
-from repro.lint.common import dotted_name, import_table, is_test_path, resolve_alias
+from repro.lint.common import SyntaxIndex, dotted_name, is_test_path, resolve_alias
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
@@ -60,16 +60,18 @@ _BLOCKING_BUILTINS: Dict[str, str] = {
 }
 
 
-def _async_body_calls(func: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
+def _async_body_calls(
+    func: ast.AsyncFunctionDef, syntax: SyntaxIndex
+) -> Iterator[ast.Call]:
     """Calls lexically inside the coroutine, skipping nested scopes."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    stack: List[ast.AST] = list(syntax.children(func))
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Call):
             yield node
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(syntax.children(node))
 
 
 @register
@@ -91,10 +93,9 @@ class BlockingInAsyncRule(Rule):
         for ctx in project.modules:
             if is_test_path(ctx.rel):
                 continue
-            imports = import_table(ast.walk(ctx.tree))
-            for node in ast.walk(ctx.tree):
+            for node in ctx.syntax.walk(ctx.tree):
                 if isinstance(node, ast.AsyncFunctionDef):
-                    findings.extend(self._check_coroutine(ctx, node, imports))
+                    findings.extend(self._check_coroutine(ctx, node, ctx.syntax.imports))
         return findings
 
     def _check_coroutine(
@@ -103,7 +104,7 @@ class BlockingInAsyncRule(Rule):
         func: ast.AsyncFunctionDef,
         imports: Dict[str, str],
     ) -> Iterator[Finding]:
-        for call in _async_body_calls(func):
+        for call in _async_body_calls(func, ctx.syntax):
             name = dotted_name(call.func)
             if name is None:
                 continue

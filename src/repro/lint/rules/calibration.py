@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
-from repro.lint.common import is_test_path, path_matches
+from repro.lint.common import SyntaxIndex, is_test_path, path_matches
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
@@ -65,8 +65,8 @@ class CalibrationHygieneRule(Rule):
         return findings
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        named_constants = self._module_constant_nodes(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        named_constants = self._module_constant_nodes(ctx.syntax)
+        for node in ctx.syntax.walk(ctx.tree):
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value
@@ -109,10 +109,10 @@ class CalibrationHygieneRule(Rule):
                 )
 
     @staticmethod
-    def _module_constant_nodes(tree: ast.Module) -> Set[int]:
+    def _module_constant_nodes(syntax: SyntaxIndex) -> Set[int]:
         """IDs of Constant nodes on the RHS of module-level ALL_CAPS assigns."""
         allowed: Set[int] = set()
-        for stmt in tree.body:
+        for stmt in syntax.tree.body:
             targets: List[ast.expr] = []
             value = None
             if isinstance(stmt, ast.Assign):
@@ -125,7 +125,7 @@ class CalibrationHygieneRule(Rule):
                 isinstance(t, ast.Name) and t.id.upper() == t.id for t in targets
             )
             if targets and names_ok:
-                for node in ast.walk(value):
+                for node in syntax.walk(value):
                     if isinstance(node, ast.Constant):
                         allowed.add(id(node))
         return allowed

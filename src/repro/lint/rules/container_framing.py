@@ -26,7 +26,7 @@ import ast
 import re
 from typing import Iterable, List, Set
 
-from repro.lint.common import dotted_name, is_test_path, normalize_rel
+from repro.lint.common import SyntaxIndex, dotted_name, is_test_path, normalize_rel
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
@@ -60,11 +60,11 @@ class ContainerFramingRule(Rule):
         return findings
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        allowed = self._keyword_argument_nodes(ctx.tree)
+        allowed = self._keyword_argument_nodes(ctx.syntax)
         module = normalize_rel(ctx.rel)
         check_magic = module != _CONTAINER_MODULE
         check_stage_ids = module not in (_CONTAINER_MODULE, _STAGES_MODULE)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.syntax.walk(ctx.tree):
             if check_magic:
                 name = self._magic_load(node)
                 if name is not None and id(node) not in allowed:
@@ -123,11 +123,11 @@ class ContainerFramingRule(Rule):
         return None
 
     @staticmethod
-    def _keyword_argument_nodes(tree: ast.AST) -> Set[int]:
+    def _keyword_argument_nodes(syntax: SyntaxIndex) -> Set[int]:
         """Nodes passed as ``keyword=`` arguments (the FrameSpec declaration
         idiom): the one sanctioned way to hand a magic to the container."""
         allowed: Set[int] = set()
-        for node in ast.walk(tree):
+        for node in syntax.walk(syntax.tree):
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
                     allowed.add(id(keyword.value))

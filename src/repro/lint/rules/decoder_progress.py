@@ -38,7 +38,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
-from repro.lint.common import decode_side, in_decoder_tree, is_test_path, iter_functions
+from repro.lint.common import (
+    SyntaxIndex,
+    decode_side,
+    in_decoder_tree,
+    is_test_path,
+    iter_functions,
+)
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.dataflow import canonical_name
@@ -69,12 +75,12 @@ _MUTATORS = frozenset(
 )
 
 
-def _tracked_names(test: ast.expr) -> Optional[Set[str]]:
+def _tracked_names(test: ast.expr, syntax: SyntaxIndex) -> Optional[Set[str]]:
     """Names the loop condition reads, or ``None`` for ``while True``."""
     if isinstance(test, ast.Constant):
         return None if test.value else set()
     names: Set[str] = set()
-    for node in ast.walk(test):
+    for node in syntax.walk(test):
         name = canonical_name(node)
         if name is not None:
             names.add(name)
@@ -121,9 +127,11 @@ def _stmt_progress(stmt: ast.stmt, tracked: Optional[Set[str]]) -> bool:
     return bool(roots & tracked)
 
 
-def _subtree_progress(stmt: ast.stmt, tracked: Optional[Set[str]]) -> bool:
+def _subtree_progress(
+    stmt: ast.stmt, tracked: Optional[Set[str]], syntax: SyntaxIndex
+) -> bool:
     """Whether any statement under ``stmt`` can advance the condition."""
-    for node in ast.walk(stmt):
+    for node in syntax.walk(stmt):
         if isinstance(node, ast.stmt) and _stmt_progress(node, tracked):
             return True
         if tracked is None and isinstance(node, ast.Call):
@@ -172,13 +180,13 @@ class DecoderProgressRule(Rule):
             for cls, func in iter_functions(ctx.tree):
                 if not decode_side(func.name, cls):
                     continue
-                for node in ast.walk(func):
+                for node in ctx.syntax.walk(func):
                     if isinstance(node, ast.While):
                         findings.extend(self._check_loop(ctx, node))
         return findings
 
     def _check_loop(self, ctx: ModuleContext, loop: ast.While) -> Iterable[Finding]:
-        tracked = _tracked_names(loop.test)
+        tracked = _tracked_names(loop.test, ctx.syntax)
         if tracked is not None and not tracked:
             return  # condition reads no trackable name: skip, don't guess
         exits = any(
@@ -247,6 +255,6 @@ class DecoderProgressRule(Rule):
                 )
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 yield from self._check_continues(ctx, stmt.body, tracked, progressed)
-            if _subtree_progress(stmt, tracked):
+            if _subtree_progress(stmt, tracked, ctx.syntax):
                 progressed = True
         return

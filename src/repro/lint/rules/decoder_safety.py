@@ -21,6 +21,7 @@ import ast
 from typing import Iterable, List
 
 from repro.lint.common import (
+    SyntaxIndex,
     caught_names,
     decode_side,
     dotted_name,
@@ -58,12 +59,12 @@ class DecoderSafetyRule(Rule):
             for cls, func in iter_functions(ctx.tree)
             if decoder_module and decode_side(func.name, cls)
         ]
-        for node in ast.walk(ctx.tree):
+        for node in ctx.syntax.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             caught = {name for name in caught_names(node) if name}
             if node.type is None or caught & _BROAD:
-                if not any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                if not any(isinstance(n, ast.Raise) for n in ctx.syntax.walk(node)):
                     label = "bare 'except:'" if node.type is None else "broad 'except Exception'"
                     yield ctx.finding(
                         self,
@@ -72,7 +73,7 @@ class DecoderSafetyRule(Rule):
                         severity=Severity.ERROR if decoder_module else Severity.WARNING,
                     )
                 continue
-            if not caught & _LOW_LEVEL or self._raises_corrupt(node):
+            if not caught & _LOW_LEVEL or self._raises_corrupt(ctx.syntax, node):
                 continue
             if any(start <= node.lineno <= end for start, end in decoder_spans):
                 low = ", ".join(sorted(caught & _LOW_LEVEL))
@@ -84,8 +85,8 @@ class DecoderSafetyRule(Rule):
                 )
 
     @staticmethod
-    def _raises_corrupt(handler: ast.ExceptHandler) -> bool:
-        for node in ast.walk(handler):
+    def _raises_corrupt(syntax: SyntaxIndex, handler: ast.ExceptHandler) -> bool:
+        for node in syntax.walk(handler):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if "CorruptStreamError" in (dotted_name(target) or ""):

@@ -51,10 +51,9 @@ import re
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.lint.common import (
+    SyntaxIndex,
     dotted_name,
-    import_table,
     is_test_path,
-    parent_map,
     path_matches,
     resolve_alias,
     terminal_name,
@@ -117,21 +116,21 @@ def _is_time_call(expr: ast.AST) -> bool:
     return name in _TIME_SOURCES or (name.endswith(".now") and "datetime" in name)
 
 
-def _seed_material(calls: List[ast.Call]) -> Set[int]:
+def _seed_material(calls: List[ast.Call], syntax: SyntaxIndex) -> Set[int]:
     """``id()`` of every node inside an argument of a seeding call."""
     inside: Set[int] = set()
     for call in calls:
         if _SEED_SINKS.search(dotted_name(call.func) or ""):
             for arg in [*call.args, *(kw.value for kw in call.keywords)]:
-                inside.update(id(sub) for sub in ast.walk(arg))
+                inside.update(id(sub) for sub in syntax.walk(arg))
     return inside
 
 
-def _wrapped_order_safe(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
+def _wrapped_order_safe(node: ast.AST, syntax: SyntaxIndex) -> bool:
     """True when an ancestor call neutralizes iteration order."""
     cur = node
     while True:
-        parent = parents.get(id(cur))
+        parent = syntax.parent(cur)
         if parent is None or isinstance(parent, ast.stmt):
             return False
         if isinstance(parent, ast.Call):
@@ -152,7 +151,7 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-def _scope_nodes(scope: ast.AST) -> List[ast.AST]:
+def _scope_nodes(scope: ast.AST, syntax: SyntaxIndex) -> List[ast.AST]:
     """Nodes lexically in this scope, not descending into nested functions.
 
     Nested ``def``s are their own scopes; walking into them here would
@@ -165,7 +164,7 @@ def _scope_nodes(scope: ast.AST) -> List[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         nodes.append(node)
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(syntax.children(node))
     return nodes
 
 
@@ -212,7 +211,7 @@ class DeterminismHygieneRule(Rule):
         imports: List[ast.stmt] = []
         calls: List[ast.Call] = []
         scopes: List[ast.AST] = [ctx.tree]
-        for node in ast.walk(ctx.tree):
+        for node in ctx.syntax.walk(ctx.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imports.append(node)
             elif isinstance(node, ast.Call):
@@ -222,8 +221,8 @@ class DeterminismHygieneRule(Rule):
         for node in imports:
             yield from self._check_import(ctx, node)
         # An unimported ``np`` still means numpy.
-        aliases = {"np": "numpy", **import_table(imports)}
-        seed_material = _seed_material(calls)
+        aliases = {"np": "numpy", **ctx.syntax.imports}
+        seed_material = _seed_material(calls, ctx.syntax)
         enumerations: List[ast.Call] = []
         for node in calls:
             yield from self._check_rng_call(ctx, node, aliases)
@@ -243,13 +242,11 @@ class DeterminismHygieneRule(Rule):
                 enumerations.append(node)
         if not ordering:
             return
-        if enumerations:
-            parents = parent_map(ctx.tree)
-            for node in enumerations:
-                yield from self._check_enumeration(ctx, node, parents)
+        for node in enumerations:
+            yield from self._check_enumeration(ctx, node)
         module_consts: Dict[str, List[ast.AST]] = {}
         for scope in scopes:
-            nodes = _scope_nodes(scope)
+            nodes = _scope_nodes(scope, ctx.syntax)
             if isinstance(scope, ast.Module):
                 module_consts = _name_defs(nodes)
                 local_defs: Dict[str, List[ast.AST]] = {}
@@ -326,10 +323,8 @@ class DeterminismHygieneRule(Rule):
 
     # -- unsorted filesystem enumeration ---------------------------------
 
-    def _check_enumeration(
-        self, ctx: ModuleContext, node: ast.Call, parents: Dict[int, ast.AST]
-    ) -> Iterator[Finding]:
-        if _wrapped_order_safe(node, parents):
+    def _check_enumeration(self, ctx: ModuleContext, node: ast.Call) -> Iterator[Finding]:
+        if _wrapped_order_safe(node, ctx.syntax):
             return
         yield ctx.finding(
             self,
@@ -403,7 +398,7 @@ class DeterminismHygieneRule(Rule):
                         and isinstance(sub.ctx, ast.Load)
                         and sub.id in time_names
                     )
-                    for sub in ast.walk(arg)
+                    for sub in ctx.syntax.walk(arg)
                 )
                 if tainted:
                     yield ctx.finding(

@@ -79,7 +79,7 @@ class GrammarSymmetryRule(Rule):
             ctx.rel: ctx for ctx in project.modules if not is_test_path(ctx.rel)
         }
         index = extract_grammar_index(
-            (rel, ctx.tree) for rel, ctx in contexts.items()
+            (rel, ctx.syntax) for rel, ctx in contexts.items()
         )
         findings: List[Finding] = []
         for identity in sorted(index.specs):

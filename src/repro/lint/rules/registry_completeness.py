@@ -21,6 +21,10 @@ each pipeline must terminate in an ``ENTROPY_BACKENDS`` member, and the
 graph layer must have its own round-trip test file. A preset naming a stage
 that does not exist would otherwise only fail at import time of the first
 consumer.
+
+Codec modules and test files in the linted set are read from the run's own
+parsed modules; the ones outside it are read from disk and declared through
+:meth:`RegistryCompletenessRule.reads`, so the lint cache keys them too.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.lint.common import SyntaxIndex
 from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
@@ -38,6 +43,28 @@ _REGISTRY_CANDIDATES = (
     "repro/algorithms/registry.py",
     "algorithms/registry.py",
 )
+
+#: Round-trip tests live here, relative to the project root.
+_TESTS_DIR = "tests/algorithms"
+
+
+def _read(project: ProjectContext, rel: str) -> Optional[str]:
+    """Text of the project file ``rel``: the run's own copy when it is
+    linted, else read from disk (keyed through :meth:`Rule.reads`); ``None``
+    when there is no such file."""
+    ctx = project.module(rel)
+    if ctx is not None:
+        return ctx.source
+    path = project.root / rel
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def _parse(path: Path) -> Optional[SyntaxIndex]:
+    """Index of a module outside the linted set; ``None`` if unparsable."""
+    try:
+        return SyntaxIndex(ast.parse(path.read_text(encoding="utf-8")))
+    except (OSError, SyntaxError):
+        return None
 
 
 @register
@@ -51,15 +78,12 @@ class RegistryCompletenessRule(Rule):
         registry_ctx = self._find_registry(project)
         if registry_ctx is None:
             return []  # tree without a registry (e.g. rule fixtures): nothing to check
-        findings: List[Finding] = []
-        imports = self._class_imports(registry_ctx.tree)
-        factories = self._codec_factories(registry_ctx.tree)
-        if factories is None:
+        entries = self._codec_entries(registry_ctx)
+        if entries is None:
             return []
-        algorithms_dir = registry_ctx.path.parent
-        tests_dir = project.root / "tests" / "algorithms"
-        for name_node, codec_name, class_name in factories:
-            module_stem = imports.get(class_name)
+        findings: List[Finding] = []
+        rel_dir = registry_ctx.rel.rsplit("/", 1)[0]
+        for name_node, codec_name, class_name, module_stem in entries:
             if module_stem is None:
                 findings.append(
                     registry_ctx.finding(
@@ -70,8 +94,9 @@ class RegistryCompletenessRule(Rule):
                     )
                 )
                 continue
-            module_path = algorithms_dir / f"{module_stem}.py"
-            if not module_path.exists():
+            module_ctx = project.module(f"{rel_dir}/{module_stem}.py")
+            module_path = registry_ctx.path.parent / f"{module_stem}.py"
+            if module_ctx is None and not module_path.exists():
                 findings.append(
                     registry_ctx.finding(
                         self,
@@ -81,7 +106,8 @@ class RegistryCompletenessRule(Rule):
                     )
                 )
                 continue
-            missing = self._missing_methods(module_path, class_name)
+            syntax = module_ctx.syntax if module_ctx is not None else _parse(module_path)
+            missing = None if syntax is None else self._missing_methods(syntax, class_name)
             if missing is None:
                 findings.append(
                     registry_ctx.finding(
@@ -101,8 +127,8 @@ class RegistryCompletenessRule(Rule):
                         "a registry entry must both encode and decode",
                     )
                 )
-            test_path = tests_dir / f"test_{module_stem}.py"
-            if not test_path.exists():
+            test_text = _read(project, f"{_TESTS_DIR}/test_{module_stem}.py")
+            if test_text is None:
                 findings.append(
                     registry_ctx.finding(
                         self,
@@ -111,7 +137,7 @@ class RegistryCompletenessRule(Rule):
                         f"tests/algorithms/test_{module_stem}.py",
                     )
                 )
-            elif "decompress" not in test_path.read_text(encoding="utf-8"):
+            elif "decompress" not in test_text:
                 findings.append(
                     registry_ctx.finding(
                         self,
@@ -124,6 +150,18 @@ class RegistryCompletenessRule(Rule):
         findings.extend(self._check_graph_presets(project, registry_ctx))
         return findings
 
+    def reads(self, project: ProjectContext) -> Iterable[Path]:
+        """The codec modules and round-trip test files :meth:`check` opens."""
+        registry_ctx = self._find_registry(project)
+        if registry_ctx is None:
+            return []
+        paths = [project.root / _TESTS_DIR / "test_graphs.py"]
+        for _node, _codec, _cls, stem in self._codec_entries(registry_ctx) or ():
+            if stem is not None:
+                paths.append(registry_ctx.path.parent / f"{stem}.py")
+                paths.append(project.root / _TESTS_DIR / f"test_{stem}.py")
+        return paths
+
     def _check_graph_presets(
         self, project: ProjectContext, registry_ctx: ModuleContext
     ) -> List[Finding]:
@@ -134,9 +172,9 @@ class RegistryCompletenessRule(Rule):
         if graphs_ctx is None or stages_ctx is None:
             return []
         findings: List[Finding] = []
-        stage_names = self._dict_string_keys(stages_ctx.tree, "_STAGE_TYPES")
-        backends = self._string_tuple(stages_ctx.tree, "ENTROPY_BACKENDS")
-        presets = self._graph_presets(graphs_ctx.tree)
+        stage_names = self._dict_string_keys(stages_ctx.syntax, "_STAGE_TYPES")
+        backends = self._string_tuple(stages_ctx.syntax, "ENTROPY_BACKENDS")
+        presets = self._graph_presets(graphs_ctx.syntax)
         if stage_names is None or backends is None or presets is None:
             return []
         for key_node, preset_name, stages in presets:
@@ -171,10 +209,8 @@ class RegistryCompletenessRule(Rule):
                         f"ENTROPY_BACKENDS ({', '.join(backends)})",
                     )
                 )
-        test_path = project.root / "tests" / "algorithms" / "test_graphs.py"
-        if not test_path.exists() or "decompress" not in test_path.read_text(
-            encoding="utf-8"
-        ):
+        test_text = _read(project, f"{_TESTS_DIR}/test_graphs.py")
+        if test_text is None or "decompress" not in test_text:
             findings.append(
                 graphs_ctx.finding(
                     self,
@@ -186,8 +222,8 @@ class RegistryCompletenessRule(Rule):
         return findings
 
     @staticmethod
-    def _dict_string_keys(tree: ast.Module, var_name: str) -> Optional[set]:
-        for node in ast.walk(tree):
+    def _dict_string_keys(syntax: SyntaxIndex, var_name: str) -> Optional[set]:
+        for node in syntax.walk(syntax.tree):
             if not isinstance(node, ast.Assign):
                 continue
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -200,8 +236,8 @@ class RegistryCompletenessRule(Rule):
         return None
 
     @staticmethod
-    def _string_tuple(tree: ast.Module, var_name: str) -> Optional[Tuple[str, ...]]:
-        for node in ast.walk(tree):
+    def _string_tuple(syntax: SyntaxIndex, var_name: str) -> Optional[Tuple[str, ...]]:
+        for node in syntax.walk(syntax.tree):
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
             targets = (
@@ -219,10 +255,10 @@ class RegistryCompletenessRule(Rule):
 
     @staticmethod
     def _graph_presets(
-        tree: ast.Module,
+        syntax: SyntaxIndex,
     ) -> Optional[List[Tuple[ast.AST, str, List[str]]]]:
         """(key node, preset name, stage-name list) per GRAPH_PRESETS entry."""
-        for node in ast.walk(tree):
+        for node in syntax.walk(syntax.tree):
             if not isinstance(node, ast.Assign):
                 continue
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -258,36 +294,31 @@ class RegistryCompletenessRule(Rule):
         return None
 
     @staticmethod
-    def _class_imports(tree: ast.Module) -> Dict[str, str]:
-        """Map imported class name -> source module stem (snappy, zstd, ...)."""
-        imports: Dict[str, str] = {}
-        for node in ast.walk(tree):
+    def _codec_entries(
+        registry_ctx: ModuleContext,
+    ) -> Optional[List[Tuple[ast.AST, str, str, Optional[str]]]]:
+        """(key node, codec name, factory class name, stem of the module the
+        class is imported from or None) per ``_CODEC_FACTORIES`` entry."""
+        syntax = registry_ctx.syntax
+        imports: Dict[str, str] = {}  # imported class name -> module stem
+        for node in syntax.walk(syntax.tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 stem = node.module.split(".")[-1]
                 for alias in node.names:
                     imports[alias.asname or alias.name] = stem
-        return imports
-
-    @staticmethod
-    def _codec_factories(
-        tree: ast.Module,
-    ) -> Optional[List[Tuple[ast.AST, str, str]]]:
-        """(key node, codec name, factory class name) per registry entry."""
-        for node in ast.walk(tree):
+        for node in syntax.walk(syntax.tree):
             if not isinstance(node, ast.Assign):
                 continue
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
             if "_CODEC_FACTORIES" not in targets or not isinstance(node.value, ast.Dict):
                 continue
-            entries: List[Tuple[ast.AST, str, str]] = []
-            for key, value in zip(node.value.keys, node.value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(value, ast.Name)
-                ):
-                    entries.append((key, key.value, value.id))
-            return entries
+            return [
+                (key, key.value, value.id, imports.get(value.id))
+                for key, value in zip(node.value.keys, node.value.values)
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(value, ast.Name)
+            ]
         return None
 
     #: Any one of these per direction satisfies the encode/decode contract.
@@ -297,13 +328,9 @@ class RegistryCompletenessRule(Rule):
     }
 
     @classmethod
-    def _missing_methods(cls, module_path: Path, class_name: str) -> Optional[set]:
+    def _missing_methods(cls, syntax: SyntaxIndex, class_name: str) -> Optional[set]:
         """Directions missing from {compress, decompress}; None if class absent."""
-        try:
-            tree = ast.parse(module_path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            return None
-        for node in ast.walk(tree):
+        for node in syntax.walk(syntax.tree):
             if isinstance(node, ast.ClassDef) and node.name == class_name:
                 methods = {
                     b.name

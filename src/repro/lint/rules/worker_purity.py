@@ -35,7 +35,7 @@ import ast
 from collections import deque
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.lint.common import is_test_path, path_matches
+from repro.lint.common import SyntaxIndex, is_test_path, path_matches
 from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, register
@@ -47,13 +47,13 @@ _EXEMPT_PATHS = ("obs",)
 _CHAIN_LIMIT = 5
 
 
-def _module_level_names(tree: ast.Module) -> Set[str]:
+def _module_level_names(syntax: SyntaxIndex) -> Set[str]:
     """Names bound at module scope (assignments, defs, classes, imports)."""
     names: Set[str] = set()
-    for node in tree.body:
+    for node in syntax.tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                for sub in ast.walk(target):
+                for sub in syntax.walk(target):
                     if isinstance(sub, ast.Name):
                         names.add(sub.id)
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
@@ -142,7 +142,7 @@ class WorkerPurityRule(Rule):
             if ctx is None:
                 continue
             if fn.rel not in module_names:
-                module_names[fn.rel] = _module_level_names(ctx.tree)
+                module_names[fn.rel] = _module_level_names(ctx.syntax)
             for write in fn.global_writes:
                 if write.kind != "global" and write.root not in module_names[fn.rel]:
                     continue  # base unresolvable at module scope: stay quiet

@@ -4,6 +4,7 @@ and call-graph summary propagation (the machinery behind R007-R009)."""
 import ast
 import textwrap
 
+from repro.lint.common import SyntaxIndex
 from repro.lint.flow import (
     analyze_taint,
     build_cfg,
@@ -25,7 +26,8 @@ def parse_func(source):
 
 
 def cfg_of(source):
-    return build_cfg(parse_func(source))
+    func = parse_func(source)
+    return build_cfg(func, SyntaxIndex(func))
 
 
 class FakeModule:
@@ -35,6 +37,7 @@ class FakeModule:
         self.rel = rel
         self.source = textwrap.dedent(source)
         self.tree = ast.parse(self.source)
+        self.syntax = SyntaxIndex(self.tree)
 
 
 class TestCfgShape:

@@ -62,6 +62,56 @@ class TestWarmHits:
         assert rule.calls == 2
 
 
+class TestRuleReads:
+    """Files a rule reads from disk besides the linted modules (R005's codec
+    modules and round-trip tests) are part of the key: a warm run must not
+    replay a result those files no longer support."""
+
+    REGISTRY = """
+        from repro.algorithms.mycodec import MyCodec
+
+        _CODEC_FACTORIES = {"mycodec": MyCodec}
+        """
+    CODEC = """
+        class MyCodec:
+            def compress(self, data):
+                return data
+
+            def decompress(self, data):
+                return data
+        """
+
+    def _r005(self, targets, project, cache):
+        result = run_lint(targets, root=project.root, cache=cache)
+        return [f.message for f in result.findings if f.rule == "R005"]
+
+    def test_deleted_round_trip_test_misses(self, project, tmp_path):
+        project.write("src/repro/algorithms/registry.py", self.REGISTRY)
+        project.write("src/repro/algorithms/mycodec.py", self.CODEC)
+        test_file = project.write(
+            "tests/algorithms/test_mycodec.py", "def test(): decompress\n"
+        )
+        cache = LintCache(tmp_path / "lint-cache")
+        src = [project.root / "src"]
+        assert self._r005(src, project, cache) == []
+        test_file.unlink()
+        assert self._r005(src, project, cache) == [
+            "codec 'mycodec': no round-trip test file tests/algorithms/test_mycodec.py"
+        ]
+
+    def test_edited_unlinted_codec_module_misses(self, project, tmp_path):
+        registry = project.write("src/repro/algorithms/registry.py", self.REGISTRY)
+        codec = project.write("src/repro/algorithms/mycodec.py", self.CODEC)
+        project.write("tests/algorithms/test_mycodec.py", "def test(): decompress\n")
+        cache = LintCache(tmp_path / "lint-cache")
+        assert self._r005([registry], project, cache) == []
+        codec.write_text("class MyCodec:\n    def compress(self, data):\n        return data\n")
+        assert self._r005([registry], project, cache) == [
+            "codec 'mycodec': MyCodec is missing decompress — "
+            "a registry entry must both encode and decode"
+        ]
+
+
 class TestKeying:
     FILES = [("src/a.py", "digest-a"), ("src/b.py", "digest-b")]
 

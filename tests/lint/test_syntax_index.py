@@ -1,0 +1,153 @@
+"""The per-module syntax-tree index against the plain ``ast`` traversals it
+replaces, over every module of the library.
+
+The analyzer reads trees only through :class:`repro.lint.common.SyntaxIndex`,
+so any difference between its answers and ``ast.walk`` /
+``ast.iter_child_nodes`` / a whole-tree parent map would silently change
+findings. Each index-backed scope walker is checked against the generator it
+replaced, kept here as the reference.
+"""
+
+import ast
+import re
+from pathlib import Path
+from typing import Dict, Iterator, List
+
+import pytest
+
+import repro
+from repro.lint.common import SyntaxIndex
+from repro.lint.flow.summaries import _scoped_walk
+from repro.lint.rules.blocking_in_async import _async_body_calls
+from repro.lint.rules.determinism_hygiene import _scope_nodes
+
+PACKAGE = Path(repro.__file__).resolve().parent
+SOURCES = sorted(p for p in PACKAGE.rglob("*.py") if "__pycache__" not in p.parts)
+LINT_DIR = PACKAGE / "lint"
+
+
+def _ids(nodes) -> List[int]:
+    return [id(node) for node in nodes]
+
+
+# -- reference implementations: the traversals the index replaced -----------
+
+
+def reference_parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
+    parents: Dict[int, ast.AST] = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[id(child)] = node
+    return parents
+
+
+def reference_scoped_walk(func: ast.AST) -> Iterator[ast.AST]:
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def reference_async_body_calls(func: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def reference_scope_nodes(scope: ast.AST) -> List[ast.AST]:
+    nodes: List[ast.AST] = []
+    stack: List[ast.AST] = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+# -- the index against the reference traversals -------------------------------
+
+
+@pytest.fixture(scope="module")
+def parsed():
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES]
+
+
+def test_every_library_module_is_covered(parsed):
+    assert len(parsed) > 100
+    assert any(path.name == "engine.py" for path, _tree in parsed)
+
+
+def test_walk_children_and_parent_match_ast(parsed):
+    for path, tree in parsed:
+        syntax = SyntaxIndex(tree)
+        parents = reference_parent_map(tree)
+        assert syntax.parent(tree) is None, path
+        for node in ast.walk(tree):
+            assert _ids(syntax.walk(node)) == _ids(ast.walk(node)), (path, node)
+            assert _ids(syntax.children(node)) == _ids(ast.iter_child_nodes(node)), path
+            assert syntax.parent(node) is parents.get(id(node)), (path, node)
+
+
+def test_walk_is_kept_after_the_first_request(parsed):
+    _path, tree = parsed[0]
+    syntax = SyntaxIndex(tree)
+    node = tree.body[-1]
+    assert syntax.walk(node) is syntax.walk(node)
+    assert syntax.walk(tree) is syntax.walk(tree)
+
+
+def test_a_node_of_another_tree_is_rejected():
+    syntax = SyntaxIndex(ast.parse("x = 1"))
+    with pytest.raises(KeyError):
+        syntax.walk(ast.parse("y = 2").body[0])
+
+
+def test_scope_walkers_match_their_reference_generators(parsed):
+    scopes = coroutines = 0
+    for path, tree in parsed:
+        syntax = SyntaxIndex(tree)
+        assert _ids(_scope_nodes(tree, syntax)) == _ids(reference_scope_nodes(tree)), path
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scopes += 1
+                expected = reference_scoped_walk(node)
+                assert _ids(_scoped_walk(node, syntax)) == _ids(expected), (path, node.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                expected = reference_scope_nodes(node)
+                assert _ids(_scope_nodes(node, syntax)) == _ids(expected), (path, node.name)
+            if isinstance(node, ast.AsyncFunctionDef):
+                coroutines += 1
+                expected = reference_async_body_calls(node)
+                assert _ids(_async_body_calls(node, syntax)) == _ids(expected), (
+                    path,
+                    node.name,
+                )
+    assert scopes > 1000 and coroutines > 0
+
+
+# -- the one-index rule ---------------------------------------------------------
+
+_RAW_TRAVERSAL = re.compile(r"\bast\.walk\(|\bast\.iter_child_nodes\(|\bparent_map\(")
+
+
+def test_analyzer_traverses_trees_only_through_the_index():
+    """Outside ``common.py`` the analyzer asks :class:`SyntaxIndex`; a raw
+    ``ast.walk`` re-walks a tree the index has already walked."""
+    offenders = []
+    for path in sorted(LINT_DIR.rglob("*.py")):
+        if path.name == "common.py" and path.parent == LINT_DIR:
+            continue
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if _RAW_TRAVERSAL.search(line):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{number}: {line.strip()}")
+    assert offenders == []

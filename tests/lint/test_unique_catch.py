@@ -8,6 +8,7 @@ folded into it.
 
 import pytest
 
+from repro.lint import run_lint
 from repro.lint.registry import rule_codes
 
 #: Rule code -> ``{project-relative path: source}`` of its planted bug.
@@ -169,3 +170,67 @@ def test_only_this_rule_fires_on_its_planted_bug(project, code):
         project.write(rel, source)
     fired = sorted({f.rule for f in project.findings("src")})
     assert fired == [code]
+
+
+#: Every finding row ``(rule, path, line, col, message)`` the full rule set
+#: reports on each planted bug. Pinned so a change to how the analyzer reads
+#: its trees cannot move, add or drop a finding unnoticed: the library itself
+#: lints clean, so its own findings prove nothing here.
+PINNED_ROWS = {
+    'R002': [
+        ('R002', 'src/repro/algorithms/toy.py', 7, 4, 'handler for KeyError must translate underflow into CorruptStreamError (with stream offset context)'),
+    ],
+    'R003': [
+        ('R003', 'src/repro/sim/clock.py', 3, 20, 'frequency/throughput-scale literal 2100000000.0: define it in core/calibration.py (or build it from common.units)'),
+    ],
+    'R004': [
+        ('R004', 'src/repro/fleet/api.py', 2, 17, "mutable default argument in 'collect': the instance is shared across calls; default to None and create inside"),
+    ],
+    'R005': [
+        ('R005', 'src/repro/algorithms/registry.py', 5, 4, "codec 'mycodec': no round-trip test file tests/algorithms/test_mycodec.py"),
+    ],
+    'R006': [
+        ('R006', 'src/repro/algorithms/mycodec.py', 5, 19, "inline use of frame magic 'MAGIC': preamble byte handling belongs to the container layer — declare a FrameSpec and use encode_preamble()/decode_preamble() instead"),
+    ],
+    'R007': [
+        ('R007', 'src/repro/algorithms/toy.py', 5, 0, "public surface 'decompress' can leak error (via decompress -> unpack); wrap the failing path in a ReproError subclass such as CorruptStreamError"),
+    ],
+    'R008': [
+        ('R008', 'src/repro/algorithms/toy.py', 6, 0, "'length' comes from the untrusted stream and reaches a slice-bound in 'decode_block' without a bounds check (slice bounds silently clamp, hiding truncation); compare it against the buffer length or a documented limit first"),
+    ],
+    'R009': [
+        ('R009', 'src/repro/algorithms/toy.py', 3, 0, "read of 'data' in 'decode_header' has no dominating bounds check; corrupt input would surface as IndexError instead of CorruptStreamError — guard the index or translate the exception"),
+        ('R009', 'src/repro/algorithms/toy.py', 3, 0, "read of 'data' in 'decode_header' has no dominating bounds check; corrupt input would surface as IndexError instead of CorruptStreamError — guard the index or translate the exception"),
+    ],
+    'R010': [
+        ('R010', 'src/repro/fleet/sweep.py', 6, 0, "pool.submit in 'run' dispatches a lambda; process-pool targets must be importable top-level functions (workers unpickle them by qualified name)"),
+    ],
+    'R011': [
+        ('R011', 'src/repro/fleet/sweep.py', 8, 0, "'work' writes module-level state '_RESULTS' but is reachable from a process-pool dispatch (src/repro/fleet/sweep.py:13 pool.submit via work); worker-side writes silently diverge from the parent — return the data or use a pool initializer"),
+    ],
+    'R012': [
+        ('R012', 'src/repro/fleet/sampler.py', 1, 0, "import of stdlib 'random': use repro.common.rng.make_rng so runs are seed-deterministic"),
+    ],
+    'R013': [
+        ('R013', 'src/repro/service/worker.py', 5, 4, "blocking call 'time.sleep(...)' inside 'async def serve' stalls the event loop for every in-flight task; use await asyncio.sleep(...)"),
+    ],
+    'R014': [
+        ('R014', 'src/repro/algorithms/wonly.py', 7, 0, 'encoder writes FAKE_FRAME frames at src/repro/algorithms/wonly.py:7 (encode_frame) but no decode surface in the project consumes them — every emitted field needs a read-side counterpart'),
+    ],
+    'R015': [
+        ('R015', 'src/repro/algorithms/fakelz.py', 11, 0, "tainted length (size) crosses into _inflate()'s parameter 'size', which reaches an uncapped allocation sink at src/repro/algorithms/fakelz.py:5 before the CRC-32C trailer is verified — cap the value against the declared content length on one side of the call"),
+    ],
+    'R016': [
+        ('R016', 'src/repro/algorithms/spinner.py', 8, 12, 'this `continue` re-enters the loop without consuming input: no statement before it on this path advances the loop condition — a corrupt frame reaching it loops forever'),
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("code", rule_codes())
+def test_planted_bug_finding_rows_are_pinned(project, code, jobs):
+    for rel, source in PLANTED[code].items():
+        project.write(rel, source)
+    result = run_lint([project.root / "src"], root=project.root, jobs=jobs)
+    rows = [(f.rule, f.path, f.line, f.col, f.message) for f in result.findings]
+    assert rows == PINNED_ROWS[code]
