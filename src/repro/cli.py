@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=None,
-        help="process-pool workers per codec lane (default: $REPRO_JOBS, else 1)",
+        help="worker processes per codec lane (default: $REPRO_JOBS, else 1)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=8, help="requests per worker round-trip"

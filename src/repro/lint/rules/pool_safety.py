@@ -1,8 +1,7 @@
 """R010: pool-dispatched callables and their arguments must pickle.
 
-The repo's two parallel substrates (the DSE sweep pool and the lint flow
-pool) and every future one (the planned ``repro.service`` worker pools) ship
-work to ``ProcessPoolExecutor``/``multiprocessing.Pool`` workers by
+The repo's pool substrates (the DSE sweep pool and the lint flow pool)
+ship work to ``ProcessPoolExecutor``/``multiprocessing.Pool`` workers by
 pickling. A lambda, a nested function, an open file handle, a lock, or a
 generator slipped into a ``submit``/``map`` call fails at runtime — usually
 only on the parallel path, which is exactly the path local test runs skip.

@@ -3,7 +3,7 @@
 The gateway to the "millions of users" scenarios (ROADMAP item 1): an
 asyncio dispatcher (:mod:`repro.service.dispatcher`) accepts open-loop
 compress/decompress traffic, batches per codec, executes on per-codec
-process pools (:mod:`repro.service.workers`), bounds its queues, and sheds
+worker processes (:mod:`repro.service.workers`), bounds its queues, and sheds
 overload with typed :class:`~repro.common.errors.ServiceOverloadError`
 rejections. The load harness (:mod:`repro.service.harness`) drives it with
 fleet-mix arrival streams, and :mod:`repro.service.validation` replays each

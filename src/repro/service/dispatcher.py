@@ -6,20 +6,22 @@ queues and shed overload instead of letting tail latency grow without limit.
 
 Architecture (DESIGN.md §7.6)::
 
-    submit() ──admission──▶ lane queue ──drainer──▶ batch ──▶ process pool
-       │          │                                             (per codec)
+    submit() ──admission──▶ lane queue ──drainers──▶ batch ──▶ lane worker
+       │          │                                          (pipe, per codec)
        │          └─ depth ≥ max_queue_depth → ServiceOverloadError
        └───────────────── awaits a per-request future ◀── outcomes fan back
 
 Every codec gets one *lane*: an unbounded ``asyncio.Queue`` guarded by an
 explicit outstanding-request counter (queued **plus** in flight, so a slow
-batch cannot hide queue growth), drained by one coroutine that gathers up to
-``max_batch`` requests per worker round-trip. Workers are per-codec process
-pools (:mod:`repro.service.workers`); results resolve per-request futures.
+batch cannot hide queue growth), drained by one coroutine per lane worker,
+each gathering up to ``max_batch`` requests per round trip and keeping at
+most one batch in flight. Workers are per-codec processes
+(:mod:`repro.service.workers`) whose replies the event loop reads straight
+off their pipes; results resolve per-request futures.
 
 All failures stay typed: codec errors come back as
 :class:`~repro.common.errors.ReproError` values inside an ``ok=False``
-response, pool crashes become :class:`ServiceInternalError` responses, and
+response, worker crashes become :class:`ServiceInternalError` responses, and
 overload/closed conditions raise
 :class:`~repro.common.errors.ServiceOverloadError` /
 :class:`~repro.common.errors.ServiceClosedError` at the submit site.
@@ -57,12 +59,12 @@ class _PendingCall:
 
 @dataclass
 class _Lane:
-    """One codec's queue + drainer; ``outstanding`` enforces admission."""
+    """One codec's queue + drainers; ``outstanding`` enforces admission."""
 
     codec: str
     queue: "asyncio.Queue" = field(default_factory=asyncio.Queue)
     outstanding: int = 0
-    drainer: Optional["asyncio.Task"] = None
+    drainers: List["asyncio.Task"] = field(default_factory=list)
     max_batch_observed: int = 0
 
 
@@ -93,23 +95,24 @@ class CompressionService:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        self._pool.bind(self._loop)
         self._running = True
 
     async def close(self) -> None:
-        """Stop admission, drain every lane, and shut the pools down."""
+        """Stop admission, drain every lane, and stop the lane workers."""
         self._running = False
         for name in sorted(self._lanes):
-            self._lanes[name].queue.put_nowait(_CLOSE)
+            lane = self._lanes[name]
+            for _ in lane.drainers:
+                lane.queue.put_nowait(_CLOSE)
         for name in sorted(self._lanes):
-            drainer = self._lanes[name].drainer
-            if drainer is not None:
-                await drainer
+            await asyncio.gather(*self._lanes[name].drainers)
         self._pool.shutdown()
         self._lanes.clear()
 
     @property
     def workers(self) -> int:
-        """Resolved per-codec pool width (see ``common.parallel.resolve_jobs``)."""
+        """Resolved worker processes per lane (see ``common.parallel.resolve_jobs``)."""
         return self._pool.workers
 
     # -- submission ----------------------------------------------------------
@@ -172,12 +175,19 @@ class CompressionService:
         if lane is None:
             lane = _Lane(codec=codec)
             assert self._loop is not None
-            lane.drainer = self._loop.create_task(self._drain(lane))
+            lane.drainers = [
+                self._loop.create_task(self._drain(lane))
+                for _ in range(self._pool.workers)
+            ]
             self._lanes[codec] = lane
         return lane
 
     async def _drain(self, lane: _Lane) -> None:
         """Lane drainer: gather a batch, round-trip it, resolve futures.
+
+        A lane runs one drainer per worker, and each awaits its batch before
+        gathering the next, so a lane keeps up to ``workers`` batches in
+        flight, each on an idle worker. Each drainer leaves on one ``_CLOSE``.
 
         A batch lingers for ``linger_seconds`` only while it is *short*: the
         drainer first takes everything already queued, and a batch that is
@@ -232,13 +242,10 @@ class CompressionService:
         lane.max_batch_observed = max(lane.max_batch_observed, len(batch))
         obs.histogram_observe("service.batch.size", len(batch))
         try:
-            pid, outcomes = await asyncio.wrap_future(
-                self._pool.submit_batch(lane.codec, work)
-            )
-        except Exception as exc:  # repro: noqa[R002] - a dead pool (BrokenProcessPool, pickling failure) must surface as error responses, never hang callers
-            self._pool.discard(lane.codec)
+            pid, outcomes = await self._pool.submit_batch(lane.codec, work)
+        except Exception as exc:  # repro: noqa[R002] - a lost worker (killed, broken pipe) must surface as error responses, never hang callers
             error = ServiceInternalError(
-                f"{lane.codec} worker pool failed mid-batch: {type(exc).__name__}: {exc}"
+                f"{lane.codec} batch failed: {type(exc).__name__}: {exc}"
             )
             pid, outcomes = 0, [("error", error, 0.0)] * len(batch)
         completed_at = self._loop.time()

@@ -63,10 +63,12 @@ class ServiceResponse:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Dispatcher knobs: pool width, batching, and admission control.
+    """Dispatcher knobs: lane width, batching, and admission control.
 
-    ``workers`` is the per-codec pool size (each codec lane owns a process
-    pool, mirroring the paper's per-algorithm CDPU instances). ``max_batch``
+    ``workers`` is the number of worker processes per codec lane (each lane
+    owns its own, mirroring the paper's per-algorithm CDPU instances); each
+    process has at most one batch in flight, so a lane runs up to
+    ``workers`` batches at once. ``max_batch``
     bounds how many queued requests one worker round-trip carries;
     ``batching=False`` pins the effective batch to 1. ``max_queue_depth``
     bounds outstanding requests per lane — queued *plus* in flight — beyond

@@ -1,25 +1,49 @@
-"""Per-codec process-pool workers for the serving layer.
+"""Per-codec lane worker processes for the serving layer.
 
-Reuses the conventions of :mod:`repro.dse.parallel` (the DSE sweep pool):
-worker counts resolve through :func:`~repro.common.parallel.resolve_jobs`
-(explicit arg, then ``REPRO_JOBS``, then serial), the dispatched callable is
-an importable top-level function with plain-data arguments (lint rule R010),
-and timings ride back with the result as ``(pid, seconds, payload)`` tuples
-so the parent can account per-worker time without cross-process metric
-registries.
+Each codec lane owns up to ``workers`` processes, started on the lane's
+first batches. A worker is one :class:`multiprocessing.Process` (default
+start method) holding one end of a duplex :func:`multiprocessing.Pipe`; its
+target, :func:`serve_lane`, loops: ``recv`` a ``(codec, items)`` batch, run
+:func:`run_service_batch`, ``send`` back ``(pid, outcomes)``. The loop keeps
+its :class:`ContextCache` in a local variable, so reused contexts live
+exactly as long as the process.
 
-Each codec gets its *own* pool, mirroring the paper's per-algorithm CDPU
-instances: a heavyweight brotli batch can never head-of-line-block the
-snappy lane's workers.
+The parent reads a pipe one of two ways:
+
+* a pool **bound** to an event loop (:meth:`CodecWorkerPool.bind`, called
+  by ``CompressionService.start()``) watches every pipe with
+  ``loop.add_reader``. ``submit_batch`` sends the batch and returns an
+  asyncio future, which the reader callback completes on the loop thread:
+  no helper thread sits between a worker and the loop;
+* an **unbound** pool does a blocking round trip and returns an
+  already-completed :class:`concurrent.futures.Future` (calibration and
+  IPC probes call ``.result()`` on it).
+
+A worker that dies (killed hard, e.g. by the OOM killer) shows up as EOF on
+its pipe: its batch fails with
+:class:`~repro.common.errors.ServiceInternalError` and the lane starts a
+fresh process for its next batch.
+
+Worker counts resolve through :func:`~repro.common.parallel.resolve_jobs`
+(explicit arg, then ``REPRO_JOBS``, then 1), and timings ride back with the
+result as ``(pid, outcomes)`` with per-item seconds, so the parent can
+account per-worker time without cross-process metric registries. Each codec
+gets its *own* workers, mirroring the paper's per-algorithm CDPU instances:
+a heavyweight brotli batch can never head-of-line-block the snappy lane.
 """
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Future
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.base import Operation
 from repro.algorithms.registry import get_codec
@@ -33,6 +57,13 @@ WorkItem = Tuple[str, bytes, Optional[int]]
 
 #: One outcome crossing back: (status, payload-or-error, service seconds).
 Outcome = Tuple[str, object, float]
+
+#: What a batch resolves to: the serving worker's pid and one outcome per item.
+BatchResult = Tuple[int, List[Outcome]]
+
+#: What ``submit_batch`` returns: an asyncio future from a bound pool, an
+#: already-completed concurrent one from an unbound pool.
+BatchFuture = Union["asyncio.Future[BatchResult]", "Future[BatchResult]"]
 
 
 class ContextCache:
@@ -71,21 +102,9 @@ class ContextCache:
         return out
 
 
-#: Worker-process context cache, set once per process by the pool
-#: ``initializer=`` (the sanctioned R011 idiom, as in ``repro.dse.parallel``);
-#: all per-request mutation happens inside the :class:`ContextCache` object.
-_WORKER_CONTEXTS: Optional[ContextCache] = None
-
-
-def _init_service_worker() -> None:
-    """Process-pool initializer: give this worker its own context cache."""
-    global _WORKER_CONTEXTS
-    _WORKER_CONTEXTS = ContextCache()
-
-
 def run_service_batch(
-    codec_name: str, items: List[WorkItem]
-) -> Tuple[int, List[Outcome]]:
+    codec_name: str, items: List[WorkItem], cache: Optional[ContextCache] = None
+) -> BatchResult:
     """Execute one batch of requests for one codec inside a worker process.
 
     Every item is timed individually (``service_seconds`` is the quantity the
@@ -94,13 +113,11 @@ def run_service_batch(
     a raw exception must never cross the process boundary, and one corrupt
     payload must never poison its batch peers.
 
-    Contexts persist across batches through the worker's
-    :class:`ContextCache` (falling back to a batch-local cache when invoked
-    outside a pool, e.g. from tests), so repeated small calls stop paying
-    per-call context setup. A failed item only poisons its own context,
-    which the cache replaces on the next use of that key.
+    ``cache`` is the worker's :class:`ContextCache`, so repeated small calls
+    stop paying per-call context setup (a batch-local cache when omitted,
+    e.g. from tests). A failed item only poisons its own context, which the
+    cache replaces on the next use of that key.
     """
-    cache = _WORKER_CONTEXTS
     if cache is None:
         cache = ContextCache()
     outcomes: List[Outcome] = []
@@ -119,45 +136,135 @@ def run_service_batch(
     return os.getpid(), outcomes
 
 
-class CodecWorkerPool:
-    """Lazy family of per-codec process pools sharing one worker-count knob.
+def serve_lane(conn: Connection) -> None:
+    """A lane worker's whole life: serve batches from ``conn`` in order.
 
-    Pools are created on a lane's first batch and torn down together. A
-    broken pool (a worker killed hard, e.g. by the OOM killer) is discarded
-    and rebuilt on the next batch, so one crash degrades to one failed batch
-    rather than a permanently dead lane.
+    The parent ends the process when it retires the worker; EOF (the parent
+    is gone) ends the loop too.
+    """
+    cache = ContextCache()
+    while True:
+        try:
+            codec_name, items = conn.recv()
+        except EOFError:
+            return
+        conn.send(run_service_batch(codec_name, items, cache))
+
+
+@dataclass
+class _Worker:
+    """One lane process, the parent's end of its pipe, and its batch in flight."""
+
+    process: BaseProcess
+    conn: Connection
+    pending: Optional["asyncio.Future[BatchResult]"] = None
+
+
+#: Exceptions that mean a worker's pipe is broken: the worker died, or a
+#: message was cut short.
+_PIPE_BROKEN = (EOFError, OSError, pickle.PickleError)
+
+
+class CodecWorkerPool:
+    """Per-codec lane processes sharing one worker-count knob.
+
+    A lane starts a process when a batch finds every existing one busy, up
+    to ``workers``; each process runs at most one batch at a time. A worker
+    whose pipe breaks is retired and its batch fails with
+    :class:`ServiceInternalError`, so one crash costs one batch rather than
+    the lane.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_jobs(workers)
-        self._pools: Dict[str, ProcessPoolExecutor] = {}
+        self._lanes: Dict[str, List[_Worker]] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    def submit_batch(self, codec_name: str, items: List[WorkItem]) -> Future:
-        pool = self._pools.get(codec_name)
-        if pool is None:
-            pool = self._new_pool()
-            self._pools[codec_name] = pool
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Complete batches on ``loop``: from now on ``submit_batch`` returns
+        asyncio futures, completed by ``loop.add_reader`` callbacks."""
+        self._loop = loop
+        for name in sorted(self._lanes):
+            for worker in self._lanes[name]:
+                self._watch(name, worker)
+
+    def submit_batch(self, codec_name: str, items: List[WorkItem]) -> BatchFuture:
+        """Send one batch to an idle worker of ``codec_name``'s lane."""
+        worker = self._idle_worker(codec_name)
+        future: BatchFuture = Future() if self._loop is None else self._loop.create_future()
         try:
-            return pool.submit(run_service_batch, codec_name, items)
-        except (BrokenProcessPool, RuntimeError):
-            # Rebuild once; if the fresh pool also refuses, let it surface.
-            self.discard(codec_name)
-            pool = self._new_pool()
-            self._pools[codec_name] = pool
-            return pool.submit(run_service_batch, codec_name, items)
+            worker.conn.send((codec_name, items))
+            if self._loop is None:
+                future.set_result(worker.conn.recv())
+            else:
+                worker.pending = future
+        except _PIPE_BROKEN as exc:
+            self._lost(codec_name, worker, future, exc)
+        return future
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_init_service_worker
-        )
+    def _idle_worker(self, codec_name: str) -> _Worker:
+        lane = self._lanes.setdefault(codec_name, [])
+        for worker in lane:
+            if worker.pending is None:
+                return worker
+        if len(lane) >= self.workers:
+            raise ServiceInternalError(
+                f"{codec_name}: all {self.workers} workers already have a batch in flight"
+            )
+        parent_end, child_end = multiprocessing.Pipe()
+        process = multiprocessing.Process(target=serve_lane, args=(child_end,), daemon=True)
+        process.start()
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        lane.append(worker)
+        if self._loop is not None:
+            self._watch(codec_name, worker)
+        return worker
 
-    def discard(self, codec_name: str) -> None:
-        """Drop a (presumed broken) pool; the next batch builds a fresh one."""
-        pool = self._pools.pop(codec_name, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _watch(self, codec_name: str, worker: _Worker) -> None:
+        assert self._loop is not None
+        self._loop.add_reader(worker.conn.fileno(), self._on_readable, codec_name, worker)
+
+    def _on_readable(self, codec_name: str, worker: _Worker) -> None:
+        """Reader callback: complete the worker's batch, or retire a dead one."""
+        future, worker.pending = worker.pending, None
+        try:
+            result = worker.conn.recv()
+        except _PIPE_BROKEN as exc:
+            self._lost(codec_name, worker, future, exc)
+            return
+        if future is not None and not future.done():
+            future.set_result(result)
+
+    def _lost(
+        self,
+        codec_name: str,
+        worker: _Worker,
+        future: Optional[BatchFuture],
+        exc: BaseException,
+    ) -> None:
+        """Retire a worker whose pipe broke and fail the batch it held."""
+        pid = worker.process.pid
+        self._retire(codec_name, worker)
+        if future is not None and not future.done():
+            future.set_exception(
+                ServiceInternalError(
+                    f"{codec_name} worker {pid} lost mid-batch: {type(exc).__name__}: {exc}"
+                )
+            )
+
+    def _retire(self, codec_name: str, worker: _Worker) -> None:
+        self._lanes[codec_name].remove(worker)
+        if self._loop is not None:
+            self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        worker.process.terminate()
+        worker.process.join()
+        worker.process.close()
 
     def shutdown(self) -> None:
-        for name in sorted(self._pools):
-            self._pools[name].shutdown(wait=True)
-        self._pools.clear()
+        """Stop every lane's processes; a later batch starts fresh ones."""
+        for name in sorted(self._lanes):
+            for worker in list(self._lanes[name]):
+                self._retire(name, worker)
+        self._lanes.clear()
