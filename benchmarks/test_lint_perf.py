@@ -1,4 +1,4 @@
-"""Lint wall-clock baseline: cold vs warm cache, jobs 1 vs 4.
+"""Lint wall-clock baseline: cold vs warm cache, jobs 1, 2 and 4.
 
 Emits ``results/BENCH_lint.json`` — the repo's first lint perf artifact —
 so the performance trajectory of the analyzer is tracked the same way the
@@ -10,9 +10,14 @@ architectural, not machine-dependent:
 * every configuration must produce identical findings (jobs parity).
 
 The cold ``jobs=1`` run is also broken down by layer — parse, flow
-(per-function CFG + taint, then summary assembly) and each rule's check —
+(per-function CFG + taint on demand, then summary assembly) and each rule's check —
 and the layers must account for that run's total within
-``LAYER_SUM_TOLERANCE``, so a regression names the layer that moved.
+``LAYER_SUM_TOLERANCE``, so a regression names the layer that moved. The
+same run counts the functions the flow pass read and the taint solves it
+made (``repro.obs`` counters ``lint.flow.functions`` and
+``lint.flow.taint_solves``). The artifact keeps the numbers of the one it
+replaces under ``previous``, so a regeneration carries its before and
+after.
 
 The comparison against the *committed* baseline is deliberately soft: CI
 machines vary, so a slowdown beyond the allowed ratio emits a prominent
@@ -27,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.lint import engine, run_lint
 from repro.lint.cache import LintCache
 from repro.lint.registry import all_rules
@@ -51,8 +57,11 @@ def _timed_run(src: Path, *, jobs: int, cache: LintCache):
 def _layered_run(src: Path, *, cache: LintCache, monkeypatch):
     """A jobs=1 run that also returns seconds per layer: ``parse``
     (``load_module``), ``flow`` (``_collect_flows`` + ``assemble``) and
-    ``rule.<code>`` for each rule's check."""
+    ``rule.<code>`` for each rule's check, and the flow counters it added."""
     layers = {}
+    counted = ("lint.flow.functions", "lint.flow.taint_solves")
+    was_enabled = obs.enabled()
+    before = obs.snapshot().counters
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -73,10 +82,17 @@ def _layered_run(src: Path, *, cache: LintCache, monkeypatch):
             rule.check = timed(
                 f"rule.{rule.code}", lambda project, check=rule.check: list(check(project))
             )
-        start = time.perf_counter()
-        result = run_lint([src], root=_REPO_ROOT, jobs=1, cache=cache, rules=rules)
-        total = time.perf_counter() - start
-    return result, total, layers
+        obs.enable()
+        try:
+            start = time.perf_counter()
+            result = run_lint([src], root=_REPO_ROOT, jobs=1, cache=cache, rules=rules)
+            total = time.perf_counter() - start
+        finally:
+            if not was_enabled:
+                obs.disable()
+    after = obs.snapshot().counters
+    counters = {name: after.get(name, 0) - before.get(name, 0) for name in counted}
+    return result, total, layers, counters
 
 
 @pytest.mark.bench
@@ -84,10 +100,12 @@ def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir, monkeypa
     src = _REPO_ROOT / "src"
     timings = {}
     findings = {}
-    for jobs in (1, 4):
+    for jobs in (1, 2, 4):
         cache = LintCache(tmp_path / f"lint-cache-j{jobs}")
         if jobs == 1:
-            result_cold, cold, layers = _layered_run(src, cache=cache, monkeypatch=monkeypatch)
+            result_cold, cold, layers, counters = _layered_run(
+                src, cache=cache, monkeypatch=monkeypatch
+            )
         else:
             result_cold, cold = _timed_run(src, jobs=jobs, cache=cache)
         result_warm, warm = _timed_run(src, jobs=jobs, cache=cache)
@@ -101,7 +119,7 @@ def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir, monkeypa
         )
 
     # Jobs parity: the parallel flow pass must not perturb findings.
-    assert findings[1] == findings[4]
+    assert findings[1] == findings[2] == findings[4]
 
     accounted = sum(layers.values())
     cold = timings["cold_jobs1_seconds"]
@@ -115,11 +133,14 @@ def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir, monkeypa
         "cold_jobs1_layers_seconds": {
             name: round(seconds, 4) for name, seconds in sorted(layers.items())
         },
+        "cold_jobs1_counters": counters,
         **timings,
     }
     previous = None
     if _BASELINE.exists():
         previous = json.loads(_BASELINE.read_text())
+        previous.pop("previous", None)
+        payload["previous"] = previous
     (results_dir / "BENCH_lint.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )

@@ -45,8 +45,8 @@ Rules
 
 The decoder tree and the decode-side classifier the decoder rules share
 live in :mod:`repro.lint.common`. The flow rules run on a shared flow layer
-(:mod:`repro.lint.flow`): per-function CFGs over :mod:`ast`, reaching
-definitions, a taint lattice, and a project-wide call graph with
+(:mod:`repro.lint.flow`): per-function CFGs over :mod:`ast`, a taint
+lattice solved where a rule reads it, and a project-wide call graph with
 per-function summaries, built once per lint run and handed to the rules
 (see DESIGN.md §7.4 for the architecture and its soundness caveats).
 

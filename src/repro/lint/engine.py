@@ -1,7 +1,8 @@
 """Lint engine: file discovery, AST parsing, suppressions, rule dispatch.
 
-Analysis runs in two passes. Pass one builds the flow layer — one CFG plus
-taint solve per function (:func:`repro.lint.flow.collect_module_flow`),
+Analysis runs in two passes. Pass one builds the flow layer — one CFG per
+function, plus a taint solve where a rule reads taint facts
+(:func:`repro.lint.flow.collect_module_flow`),
 assembled into project-wide call-graph summaries
 (:func:`repro.lint.flow.assemble`). Pass two runs the rules, which see the
 summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009,

@@ -10,17 +10,22 @@ that machinery in four layers, each usable on its own:
   ``ast`` (``if``/``while``/``for``/``try``/``with``/``return``/``raise``/
   ``break``/``continue``), with branch edges annotated by their condition so
   downstream analyses can refine facts per edge.
-* :mod:`repro.lint.flow.dataflow` — reaching definitions and def-use chains
-  over a CFG (classic forward may-analysis, worklist solver).
+* :mod:`repro.lint.flow.dataflow` — the canonical names each CFG item
+  binds and reads.
 * :mod:`repro.lint.flow.taint` — a small taint lattice tracking integers
   that originate from untrusted stream reads, with *kills* on dominating
-  bounds checks (``if length > len(buf) - pos: raise``) and reports of
-  unchecked slice/``range()``/allocation sinks.
+  bounds checks (``if length > len(buf) - pos: raise``), solved by the one
+  worklist solver here. One replay of the solved facts reports unchecked
+  slice/``range()``/allocation sinks, tainted call arguments and buffer
+  read sites with their guards.
 * :mod:`repro.lint.flow.summaries` — a project-wide call graph with
   per-function summaries: which exception classes can escape, and whether
   buffer-ish parameters are bounds-checked before indexed use. Summaries are
   propagated to a fixpoint so a leak three helpers deep is charged to the
-  public surface that exposes it.
+  public surface that exposes it. Taint is solved on demand: only for
+  functions that call a taint source or that R009 reads in the decoder
+  tree (:func:`~repro.lint.flow.summaries.demands_taint`), and the seeded
+  parameter pass only for the callees R015 asks about.
 
 Soundness stance (see DESIGN.md §7.4): the analyses are *best-effort and
 deliberately unsound* in the direction that keeps findings actionable —
@@ -30,20 +35,19 @@ is decode-side.
 """
 
 from repro.lint.flow.cfg import CFG, build_cfg, scan_expr
-from repro.lint.flow.dataflow import ReachingDefs, reaching_definitions
 from repro.lint.flow.summaries import (
     FunctionSummary,
     ProjectSummaries,
     assemble,
     build_summaries,
     collect_module_flow,
+    demands_taint,
 )
 from repro.lint.flow.taint import (
     Env,
-    SinkHit,
+    SinkRec,
     TaintAnalysis,
     analyze_taint,
-    index_read_sites,
 )
 
 __all__ = [
@@ -51,15 +55,13 @@ __all__ = [
     "Env",
     "FunctionSummary",
     "ProjectSummaries",
-    "ReachingDefs",
-    "SinkHit",
+    "SinkRec",
     "TaintAnalysis",
     "analyze_taint",
     "assemble",
     "build_cfg",
     "build_summaries",
     "collect_module_flow",
-    "index_read_sites",
-    "reaching_definitions",
+    "demands_taint",
     "scan_expr",
 ]

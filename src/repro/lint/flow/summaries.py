@@ -9,17 +9,20 @@ For every function in the project this module computes:
   (``struct.unpack`` → ``struct.error``), and — for decoder-tree functions
   with a modelable CFG — an implicit ``IndexError`` for every unguarded
   direct buffer read found by the taint analysis.
-* **param_risks** — integer-ish parameters that flow into a slice bound,
+* **param_sinks** — integer-ish parameters that flow into a slice bound,
   ``range()`` limit, or allocation size without a dominating bounds check,
   so callers passing untrusted lengths can be flagged at the call site.
+  Only R015 reads them, for the callees its tainted arguments resolve to,
+  so :meth:`ProjectSummaries.param_sinks` solves them on first request.
 
 Summaries are *plain data* — strings, ints, frozensets — never AST nodes or
 solved lattices. That keeps them picklable, which is what lets the engine
-fan the per-file local analysis (the expensive part: one CFG + taint solve
-per function) out to a process pool with ``--jobs`` and still assemble
-byte-identical results: workers each run :func:`collect_module_flow` on
-``(rel, source)`` pairs in sorted order, and the single-threaded
-:func:`assemble` pass stitches the records into the call-graph fixpoint.
+fan the per-file local analysis (the expensive part: one CFG per function,
+and a taint solve for each function whose taint facts a rule reads) out to
+a process pool with ``--jobs`` and still assemble byte-identical results:
+workers each run :func:`collect_module_flow` on ``(rel, source)`` pairs in
+sorted order, and the single-threaded :func:`assemble` pass stitches the
+records into the call-graph fixpoint.
 
 Call resolution is best-effort and name-based: module-level functions,
 ``self.method`` through the class and its project-resolvable bases, and
@@ -34,16 +37,25 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.lint.common import (
     SyntaxIndex,
     caught_names,
+    decode_side,
     dotted_name,
     in_decoder_tree,
     iter_functions,
 )
-from repro.lint.flow.cfg import build_cfg, scan_expr
+from repro.lint.flow.cfg import build_cfg
 from repro.lint.flow.dataflow import canonical_name
-from repro.lint.flow.taint import analyze_taint, index_read_sites, is_buffer_name
+from repro.lint.flow.taint import (
+    ReadSiteRec,
+    SinkRec,
+    TaintedArgRec,
+    analyze_taint,
+    is_buffer_name,
+    is_taint_source,
+)
 
 #: Builtin exception hierarchy (child -> parent), enough to decide whether a
 #: handler for a base class absorbs a low-level raise.
@@ -135,58 +147,18 @@ class RaiseRec:
 
 
 @dataclass(frozen=True)
-class ReadSiteRec:
-    """One direct ``buf[i]`` read, with its guardedness verdict."""
-
-    lineno: int
-    col: int
-    base: str
-    guarded: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class SinkRec:
-    """One unchecked-taint sink (slice bound / range limit / allocation)."""
-
-    lineno: int
-    col: int
-    kind: str
-    names: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ParamSinkRec:
     """One dangerous sink an integer *parameter* reaches unchecked.
 
-    Produced by the seeded-taint pass: the parameter is assumed untrusted
-    on entry, and if no in-function cap dominates the sink, the function
-    amplifies whatever its callers pass in. R015 joins these against
+    Produced by the seeded-taint pass (:meth:`ProjectSummaries.param_sinks`):
+    the parameter is assumed untrusted on entry, and if no in-function cap
+    dominates the sink, the function amplifies whatever its callers pass in. R015 joins these against
     tainted call arguments to bound allocation interprocedurally.
     """
 
     param: str
     kind: str  # "allocation" | "repeat" | "range-limit" | "slice-bound"
     lineno: int
-
-
-@dataclass(frozen=True)
-class TaintedArgRec:
-    """One call site passing a stream-tainted, unchecked value as argument.
-
-    ``arg_index`` is the positional index with ``self`` receivers excluded
-    (matching :attr:`FunctionSummary.params` on the callee side); keyword
-    arguments carry ``kw`` instead. ``names`` are the tainted variables
-    feeding the argument, for blame messages.
-    """
-
-    target: Optional[str]
-    terminal: str
-    lineno: int
-    col: int
-    arg_index: int  # -1 for keyword arguments
-    names: Tuple[str, ...]
-    kw: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -261,9 +233,6 @@ class FunctionSummary:
     escapes: Set[str] = field(default_factory=set)
     #: escaping exception -> (line, provenance chain "a -> b -> c").
     escape_traces: Dict[str, Tuple[int, str]] = field(default_factory=dict)
-    param_risks: Set[str] = field(default_factory=set)
-    #: Sinks behind each risky parameter (R015's callee side).
-    param_sinks: List[ParamSinkRec] = field(default_factory=list)
     #: Calls forwarding unchecked tainted values (R015's caller side).
     tainted_args: List[TaintedArgRec] = field(default_factory=list)
     raises: List[RaiseRec] = field(default_factory=list)
@@ -301,6 +270,9 @@ class ProjectSummaries:
         #: Exception class name -> parent name (project classes + builtins).
         self.exception_bases: Dict[str, str] = dict(_BUILTIN_BASES)
         self.repro_errors: Set[str] = {"ReproError"}
+        #: module rel -> its syntax index, for the seeded pass.
+        self._syntax: Dict[str, SyntaxIndex] = {}
+        self._param_sinks: Dict[str, Tuple[ParamSinkRec, ...]] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -314,6 +286,16 @@ class ProjectSummaries:
             if summary.rel == rel and summary.lineno == lineno:
                 return summary
         return None
+
+    def param_sinks(self, fn: FunctionSummary) -> Tuple[ParamSinkRec, ...]:
+        """Sinks ``fn``'s integer-ish parameters reach uncapped (R015's
+        callee side), solved on first request from the parsed module."""
+        found = self._param_sinks.get(fn.qualname)
+        if found is None:
+            syntax = self._syntax.get(fn.rel)
+            found = () if syntax is None or not fn.supported else _param_sinks(fn, syntax)
+            self._param_sinks[fn.qualname] = found
+        return found
 
     def is_repro_error(self, name: str) -> bool:
         terminal = name.split(".")[-1]
@@ -828,61 +810,30 @@ def _collect_pool_facts(
     return dispatches, tuple(initializers)
 
 
-def _collect_tainted_args(taint) -> List[TaintedArgRec]:
-    """Call sites whose arguments carry unchecked stream-tainted values.
+def demands_taint(
+    rel: str, cls: Optional[str], func: ast.AST, syntax: SyntaxIndex
+) -> bool:
+    """Whether a rule reads ``func``'s unseeded taint facts: the demand set.
 
-    The caller-side half of R015: a tainted length that was capped before
-    the call never gets here (the env cleared its taint), so every record
-    is a value crossing a function boundary unchecked.
+    Taint starts only at a source call (:func:`~repro.lint.flow.taint.
+    is_taint_source`), so a function that calls none has no sink and no
+    tainted argument. Its read sites matter only in the decoder tree: R009
+    reads decode-side functions (and reports one whose solve diverges), and
+    assembly charges an implicit ``IndexError`` to every unguarded buffer
+    read there. The whole subtree is searched, lambdas and nested scopes
+    included, so the set can only over-approximate.
     """
-    records: List[TaintedArgRec] = []
-    seen: Set[Tuple[int, int, int, Optional[str]]] = set()
-    syntax = taint.cfg.syntax
-    for _block, _index, item, env in taint.iter_items():
-        target = scan_expr(item)
-        if target is None:
-            continue
-        for node in syntax.walk(target):
-            if not isinstance(node, ast.Call):
-                continue
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                continue  # positional indices would be unknowable
-            callee = dotted_name(node.func)
-            terminal = callee.split(".")[-1] if callee else None
-            if terminal is None:
-                continue
-            slots = [(i, None, a) for i, a in enumerate(node.args)] + [
-                (-1, k.arg, k.value) for k in node.keywords if k.arg
-            ]
-            for index, kw, arg in slots:
-                if not env.expr_tainted(arg):
-                    continue
-                key = (node.lineno, node.col_offset, index, kw)
-                if key in seen:
-                    continue
-                seen.add(key)
-                names = tuple(
-                    sorted(
-                        {
-                            name
-                            for sub in syntax.walk(arg)
-                            for name in [canonical_name(sub)]
-                            if name is not None and name in env.tainted
-                        }
-                    )
-                ) or ("<expr>",)
-                records.append(
-                    TaintedArgRec(
-                        target=callee,
-                        terminal=terminal,
-                        lineno=node.lineno,
-                        col=node.col_offset,
-                        arg_index=index,
-                        names=names,
-                        kw=kw,
-                    )
-                )
-    return records
+    decoder = in_decoder_tree(rel)
+    if decoder and decode_side(func.name, cls):
+        return True
+    for node in syntax.walk(func):
+        if isinstance(node, ast.Call) and is_taint_source(node):
+            return True
+        if decoder and isinstance(node, ast.Subscript):
+            base = canonical_name(node.value)
+            if base is not None and is_buffer_name(base):
+                return True
+    return False
 
 
 def collect_module_flow(
@@ -890,6 +841,9 @@ def collect_module_flow(
 ) -> List[FunctionSummary]:
     """Per-file local analysis: one summary record per top-level function.
 
+    Every function gets a CFG and its effect summary; only the
+    :func:`demands_taint` set also gets a taint solve, replayed once for
+    its sinks, tainted call arguments and read sites.
     Self-contained and deterministic on ``(rel, source)``, which makes it
     the unit of work for ``--jobs`` process-pool workers. ``syntax``, when
     given, is the index of ``source``'s already-parsed tree, which spares
@@ -903,60 +857,27 @@ def collect_module_flow(
             return []
     records: List[FunctionSummary] = []
     for cls_name, func in iter_functions(syntax.tree):
+        obs.counter_add("lint.flow.functions", 1)
         local = f"{cls_name}.{func.name}" if cls_name else func.name
         cfg = build_cfg(func, syntax)
-        taint = analyze_taint(cfg)
         summary = FunctionSummary(
             qualname=f"{rel}::{local}",
             rel=rel,
             name=func.name,
             cls=cls_name,
             lineno=func.lineno,
-            unsupported=cfg.unsupported
-            or ("" if taint.converged else "a taint solve that did not converge"),
+            unsupported=cfg.unsupported,
             params=_param_names(func),
         )
-        if summary.supported:
-            summary.read_sites = [
-                ReadSiteRec(
-                    lineno=site.node.lineno,
-                    col=site.node.col_offset,
-                    base=site.base,
-                    guarded=site.guarded,
-                    reason=site.reason,
-                )
-                for site in index_read_sites(cfg, taint)
-            ]
-            summary.sinks = [
-                SinkRec(
-                    lineno=hit.node.lineno,
-                    col=hit.node.col_offset,
-                    kind=hit.kind,
-                    names=hit.names,
-                )
-                for hit in taint.sinks()
-            ]
-            # Parameter-risk pass: seed integer-ish params as tainted.
-            seeds = {
-                a.arg
-                for a in [*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs]
-                if a.arg != "self" and not is_buffer_name(a.arg) and _int_param(a)
-            }
-            if seeds:
-                seeded = analyze_taint(cfg, tainted_params=seeds)
-                if seeded.converged:
-                    for hit in seeded.sinks():
-                        risky = set(hit.names) & seeds
-                        summary.param_risks |= risky
-                        summary.param_sinks.extend(
-                            ParamSinkRec(
-                                param=param,
-                                kind=hit.kind,
-                                lineno=hit.node.lineno,
-                            )
-                            for param in sorted(risky)
-                        )
-            summary.tainted_args = _collect_tainted_args(taint)
+        if cfg.supported and demands_taint(rel, cls_name, func, syntax):
+            taint = analyze_taint(cfg)
+            if not taint.converged:
+                summary.unsupported = "a taint solve that did not converge"
+            else:
+                facts = taint.scan()
+                summary.read_sites = facts.read_sites
+                summary.sinks = facts.sinks
+                summary.tainted_args = facts.tainted_args
         scoped = _scoped_walk(func, syntax)
         collector = _EffectCollector(local_names=_local_names(func, scoped))
         for stmt in func.body:
@@ -971,6 +892,33 @@ def collect_module_flow(
         )
         records.append(summary)
     return records
+
+
+def _param_sinks(
+    summary: FunctionSummary, syntax: SyntaxIndex
+) -> Tuple[ParamSinkRec, ...]:
+    """The seeded pass: integer-ish parameters assumed untrusted on entry,
+    and every sink one reaches with no in-function cap."""
+    func = next(
+        node
+        for cls_name, node in iter_functions(syntax.tree)
+        if cls_name == summary.cls and node.lineno == summary.lineno
+    )
+    seeds = {
+        a.arg
+        for a in [*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs]
+        if a.arg != "self" and not is_buffer_name(a.arg) and _int_param(a)
+    }
+    if not seeds:
+        return ()
+    seeded = analyze_taint(build_cfg(func, syntax), tainted_params=seeds)
+    if not seeded.converged:
+        return ()
+    return tuple(
+        ParamSinkRec(param=param, kind=hit.kind, lineno=hit.lineno)
+        for hit in seeded.scan().sinks
+        for param in sorted(set(hit.names) & seeds)
+    )
 
 
 def assemble(
@@ -990,6 +938,7 @@ def assemble(
     for ctx in modules:
         project._module_rel[rel_to_module(ctx.rel)] = ctx.rel
         project._imports[ctx.rel] = ctx.syntax.imports
+        project._syntax[ctx.rel] = ctx.syntax
         for node in ctx.syntax.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 bases = [dotted_name(b) for b in node.bases]

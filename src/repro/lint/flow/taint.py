@@ -47,10 +47,12 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.common import SyntaxIndex
+from repro import obs
+from repro.lint.common import SyntaxIndex, dotted_name
 from repro.lint.flow.cfg import CFG, Cond, ExceptBind, Item, scan_expr
 from repro.lint.flow.dataflow import bound_names, canonical_name, used_names
 
@@ -311,6 +313,19 @@ def _is_wide_read(call: ast.Call) -> bool:
     return False  # variable-width entropy fields: structurally capped
 
 
+def is_taint_source(call: ast.Call) -> bool:
+    """Whether ``call`` is tainted whatever its arguments hold. Only these
+    calls start taint: a function without one (and without tainted
+    parameters) has no tainted value anywhere, so it has no sink and no
+    tainted argument. A zero-argument ``min()`` (numpy's ``arr.min()``)
+    counts, because :meth:`Env._eval_call` reads it as a cap whose every
+    argument is tainted."""
+    callee = _callee_name(call)
+    if callee in _CAPPING_CALLS:
+        return not call.args
+    return callee in TAINT_SOURCES or (callee in _BIT_READS and _is_wide_read(call))
+
+
 def _tuple_pattern(call: ast.Call) -> Optional[Tuple[bool, ...]]:
     callee = _callee_name(call)
     if callee in TAINT_SOURCES:
@@ -318,58 +333,183 @@ def _tuple_pattern(call: ast.Call) -> Optional[Tuple[bool, ...]]:
     return None
 
 
-@dataclass
-class SinkHit:
+@dataclass(frozen=True)
+class SinkRec:
     """One use of an unchecked untrusted value at a dangerous position."""
 
-    node: ast.AST  # the innermost expression at the sink
+    lineno: int
+    col: int
     kind: str  # "slice-bound" | "range-limit" | "allocation" | "repeat"
     names: Tuple[str, ...]  # tainted names feeding the sink
-    block: int
-    index: int
+
+
+@dataclass(frozen=True)
+class ReadSiteRec:
+    """One direct ``buf[i]`` read, with its guardedness verdict."""
+
+    lineno: int
+    col: int
+    base: str
+    guarded: bool
+    reason: str  # why it is (or is not) considered guarded
+
+
+@dataclass(frozen=True)
+class TaintedArgRec:
+    """One call site passing a stream-tainted, unchecked value as argument.
+
+    ``arg_index`` is the positional index with ``self`` receivers excluded
+    (matching :attr:`~repro.lint.flow.summaries.FunctionSummary.params` on
+    the callee side); keyword arguments carry ``kw`` instead. ``names`` are
+    the tainted variables feeding the argument, for blame messages.
+    """
+
+    target: Optional[str]
+    terminal: str
+    lineno: int
+    col: int
+    arg_index: int  # -1 for keyword arguments
+    names: Tuple[str, ...]
+    kw: Optional[str] = None
+
+
+@dataclass
+class TaintScan:
+    """Everything one replay of a solved CFG reports (:meth:`TaintAnalysis.scan`).
+
+    Plain data, so it rides in the picklable function summaries as is.
+    """
+
+    sinks: List[SinkRec]
+    read_sites: List[ReadSiteRec]
+    tainted_args: List[TaintedArgRec]
 
 
 class TaintAnalysis:
-    """Solved taint facts plus sink scanning for one function CFG."""
+    """Solved taint facts for one function CFG."""
 
     def __init__(self, cfg: CFG, env_in: Dict[int, Env], converged: bool) -> None:
         self.cfg = cfg
         self._env_in = env_in
         self.converged = converged
 
-    def env_at(self, block_id: int, index: int) -> Env:
-        """Abstract state just before item ``index`` of ``block_id``."""
-        env = self._env_in.get(block_id, Env()).copy()
-        for item in self.cfg.block(block_id).items[:index]:
-            env = _transfer_item(env, item, self.cfg.syntax)
-        return env
+    def scan(self) -> TaintScan:
+        """Sinks, tainted call arguments and buffer read sites, from one
+        replay of the solved facts over every item.
 
-    def iter_items(self) -> Iterator[Tuple[int, int, Item, Env]]:
-        """Yield ``(block, index, item, env-before-item)`` in program order."""
-        for block in self.cfg.blocks:
+        Sinks and read sites are judged under the environment refined
+        mid-expression (:func:`_refined_walk`); call arguments under the
+        item's own. Each is reported once per source position.
+        """
+        sinks: Dict[Tuple[int, int], SinkRec] = {}
+        sites: Dict[Tuple[int, int], ReadSiteRec] = {}
+        args: Dict[Tuple[int, int, int, Optional[str]], TaintedArgRec] = {}
+        cfg = self.cfg
+        syntax = cfg.syntax
+        for block in cfg.blocks:
             env = self._env_in.get(block.id, Env()).copy()
-            for index, item in enumerate(block.items):
-                yield block.id, index, item, env
-                env = _transfer_item(env, item, self.cfg.syntax)
+            for item in block.items:
+                target = scan_expr(item)
+                if target is not None:
+                    for sub, sub_env in _refined_walk(target, env, syntax):
+                        hit = _sink_at(sub, sub_env, syntax)
+                        if hit is not None:
+                            sinks.setdefault((hit.lineno, hit.col), hit)
+                        site = _read_site(sub, sub_env, syntax)
+                        if site is not None and (site.lineno, site.col) not in sites:
+                            if not site.guarded and _in_translating_try(cfg, block.id):
+                                site = replace(
+                                    site, guarded=True, reason="inside an IndexError-translating try"
+                                )
+                            sites[site.lineno, site.col] = site
+                    _tainted_args(target, env, args, syntax)
+                env = _transfer_item(env, item, syntax)
+        return TaintScan(list(sinks.values()), list(sites.values()), list(args.values()))
 
-    def sinks(self) -> List[SinkHit]:
-        """Every unchecked-taint use at a slice/range/allocation position."""
-        hits: List[SinkHit] = []
-        seen: Set[Tuple[int, int]] = set()
-        syntax = self.cfg.syntax
-        for block_id, index, item, env in self.iter_items():
-            target = scan_expr(item)
-            if target is None:
+
+def _read_site(sub: ast.AST, env: Env, syntax: SyntaxIndex) -> Optional[ReadSiteRec]:
+    """The verdict on ``sub`` if it is a direct read of a buffer-shaped
+    name. A read ``buf[i]`` is guarded when any of these dominates it:
+
+    * the index is a constant *covered by the proven minimum length* — a
+      dominating ``len(buf) >= K`` (or truthiness, K=1) check admits
+      ``buf[0]``..``buf[K-1]`` and ``buf[-1]``..``buf[-K]``, nothing more;
+    * every name in the index expression is :attr:`Env.checked` (a bounds
+      comparison held on all paths here);
+    * a CorruptStreamError-raising validation branched off on every path
+      (``corrupt_guard``), the weaker "validated before reading" form —
+      unless a known proven length *contradicts* the constant index (a
+      ``len(data) < 2`` guard does not vouch for ``data[2]``);
+    * the read sits inside a ``try`` that translates IndexError into
+      CorruptStreamError (judged per block by the caller).
+    """
+    if not isinstance(sub, ast.Subscript):
+        return None
+    if not isinstance(sub.ctx, ast.Load) or isinstance(sub.slice, ast.Slice):
+        return None
+    base = canonical_name(sub.value)
+    if base is None or not is_buffer_name(base):
+        return None
+    names = used_names(sub.slice, syntax)
+    const_index = isinstance(sub.slice, ast.Constant) and isinstance(sub.slice.value, int)
+    minlen = env.lenchecked.get(base, 0)
+    if const_index and _constant_covered(sub.slice.value, minlen):
+        guarded, reason = True, "constant index with a dominating len() check"
+    elif names and names <= (env.checked | env.lenlike):
+        guarded, reason = True, "index bounds-checked on every path"
+    elif env.corrupt_guard and not (const_index and minlen > 0):
+        guarded, reason = True, "dominated by a CorruptStreamError check"
+    else:
+        guarded, reason = False, "no dominating bounds check"
+    return ReadSiteRec(sub.lineno, sub.col_offset, base, guarded, reason)
+
+
+def _tainted_args(
+    target: ast.AST,
+    env: Env,
+    out: Dict[Tuple[int, int, int, Optional[str]], TaintedArgRec],
+    syntax: SyntaxIndex,
+) -> None:
+    """Record each call argument in ``target`` that carries an unchecked
+    untrusted value, once per ``(line, col, index, keyword)``. A value
+    capped before the call lost its taint in ``env``, so every record is a
+    value crossing a function boundary unchecked."""
+    for node in syntax.walk(target):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            continue  # positional indices would be unknowable
+        callee = dotted_name(node.func)
+        if callee is None:
+            continue
+        slots = [(i, None, a) for i, a in enumerate(node.args)] + [
+            (-1, k.arg, k.value) for k in node.keywords if k.arg
+        ]
+        for index, kw, arg in slots:
+            if not env.expr_tainted(arg):
                 continue
-            for sub, sub_env in _refined_walk(target, env, syntax):
-                hit = _sink_at(sub, sub_env, block_id, index, syntax)
-                if hit is None:
-                    continue
-                key = (getattr(hit.node, "lineno", 0), getattr(hit.node, "col_offset", 0))
-                if key not in seen:
-                    seen.add(key)
-                    hits.append(hit)
-        return hits
+            key = (node.lineno, node.col_offset, index, kw)
+            if key in out:
+                continue
+            names = tuple(
+                sorted(
+                    {
+                        name
+                        for sub in syntax.walk(arg)
+                        for name in [canonical_name(sub)]
+                        if name is not None and name in env.tainted
+                    }
+                )
+            ) or ("<expr>",)
+            out[key] = TaintedArgRec(
+                target=callee,
+                terminal=callee.split(".")[-1],
+                lineno=node.lineno,
+                col=node.col_offset,
+                arg_index=index,
+                names=names,
+                kw=kw,
+            )
 
 
 def _refined_walk(
@@ -412,32 +552,30 @@ def _bytes_like(expr: ast.AST, env: Env) -> bool:
     return env._bytes_typed(expr)
 
 
-def _sink_at(
-    sub: ast.AST, env: Env, block: int, index: int, syntax: SyntaxIndex
-) -> Optional[SinkHit]:
+def _sink_at(sub: ast.AST, env: Env, syntax: SyntaxIndex) -> Optional[SinkRec]:
     if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice):
         for bound in (sub.slice.lower, sub.slice.upper, sub.slice.step):
             names = _tainted_in(bound, env, syntax)
             if names:
-                return SinkHit(sub, "slice-bound", names, block, index)
+                return SinkRec(sub.lineno, sub.col_offset, "slice-bound", names)
     elif isinstance(sub, ast.Call):
         callee = _callee_name(sub)
         if callee == "range" and sub.args:
             for arg in sub.args:
                 names = _tainted_in(arg, env, syntax)
                 if names:
-                    return SinkHit(sub, "range-limit", names, block, index)
+                    return SinkRec(sub.lineno, sub.col_offset, "range-limit", names)
         elif callee in {"bytearray", "bytes"} and len(sub.args) == 1:
             names = _tainted_in(sub.args[0], env, syntax)
             if names:
-                return SinkHit(sub, "allocation", names, block, index)
+                return SinkRec(sub.lineno, sub.col_offset, "allocation", names)
     elif isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult):
         sides = (sub.left, sub.right)
         for this, other in (sides, sides[::-1]):
             if _bytes_like(this, env):
                 names = _tainted_in(other, env, syntax)
                 if names:
-                    return SinkHit(sub, "repeat", names, block, index)
+                    return SinkRec(sub.lineno, sub.col_offset, "repeat", names)
                 break
     return None
 
@@ -686,16 +824,6 @@ def _transfer_assign(env: Env, targets: List[ast.expr], value: ast.expr) -> None
             env.taintedbytes.add(name)
 
 
-@dataclass
-class ReadSite:
-    """One direct index read (``buf[i]``) of an untrusted byte buffer."""
-
-    node: ast.Subscript
-    base: str
-    guarded: bool
-    reason: str  # why it is (or is not) considered guarded
-
-
 def _handler_catches_index(handler: ast.ExceptHandler) -> bool:
     if handler.type is None:
         return True
@@ -722,60 +850,6 @@ def _in_translating_try(cfg: CFG, block_id: int) -> bool:
         ):
             return True
     return False
-
-
-def index_read_sites(cfg: CFG, analysis: "TaintAnalysis") -> List[ReadSite]:
-    """Every direct index read of a buffer-shaped name, with guardedness.
-
-    A read ``buf[i]`` is guarded when any of these dominates it:
-
-    * every name in the index expression is :attr:`Env.checked` (a bounds
-      comparison held on all paths here);
-    * the index is a constant *covered by the proven minimum length* — a
-      dominating ``len(buf) >= K`` (or truthiness, K=1) check admits
-      ``buf[0]``..``buf[K-1]`` and ``buf[-1]``..``buf[-K]``, nothing more;
-    * a CorruptStreamError-raising validation branched off on every path
-      (``corrupt_guard``), the weaker "validated before reading" form —
-      unless a known proven length *contradicts* the constant index (a
-      ``len(data) < 2`` guard does not vouch for ``data[2]``);
-    * the read sits inside a ``try`` that translates IndexError into
-      CorruptStreamError.
-    """
-    sites: List[ReadSite] = []
-    seen: Set[Tuple[int, int]] = set()
-    for block_id, index, item, env in analysis.iter_items():
-        target = scan_expr(item)
-        if target is None:
-            continue
-        for sub, sub_env in _refined_walk(target, env, cfg.syntax):
-            if not isinstance(sub, ast.Subscript):
-                continue
-            if not isinstance(sub.ctx, ast.Load) or isinstance(sub.slice, ast.Slice):
-                continue
-            base = canonical_name(sub.value)
-            if base is None or not is_buffer_name(base):
-                continue
-            key = (getattr(sub, "lineno", 0), getattr(sub, "col_offset", 0))
-            if key in seen:
-                continue
-            seen.add(key)
-            names = used_names(sub.slice, cfg.syntax)
-            const_index = isinstance(sub.slice, ast.Constant) and isinstance(
-                sub.slice.value, int
-            )
-            minlen = sub_env.lenchecked.get(base, 0)
-            if const_index and _constant_covered(sub.slice.value, minlen):
-                guarded, reason = True, "constant index with a dominating len() check"
-            elif names and names <= (sub_env.checked | sub_env.lenlike):
-                guarded, reason = True, "index bounds-checked on every path"
-            elif sub_env.corrupt_guard and not (const_index and minlen > 0):
-                guarded, reason = True, "dominated by a CorruptStreamError check"
-            elif _in_translating_try(cfg, block_id):
-                guarded, reason = True, "inside an IndexError-translating try"
-            else:
-                guarded, reason = False, "no dominating bounds check"
-            sites.append(ReadSite(node=sub, base=base, guarded=guarded, reason=reason))
-    return sites
 
 
 def _constant_covered(index: int, minlen: int) -> bool:
@@ -810,9 +884,11 @@ def analyze_taint(
     ``tainted_params`` seeds parameters as untrusted (used when computing
     whether a callee bounds-checks a parameter before using it as a bound).
     """
+    obs.counter_add("lint.flow.taint_solves", 1)
     entry_env = Env(tainted=set(tainted_params))
     env_in: Dict[int, Env] = {cfg.entry: entry_env}
-    worklist: List[int] = [cfg.entry]
+    worklist = deque([cfg.entry])
+    queued = {cfg.entry}
     passes = 0
     converged = True
     while worklist:
@@ -820,7 +896,8 @@ def analyze_taint(
         if passes > _MAX_PASSES * max(1, len(cfg.blocks)):
             converged = False
             break
-        block_id = worklist.pop(0)
+        block_id = worklist.popleft()
+        queued.discard(block_id)
         env = env_in.get(block_id, Env()).copy()
         for item in cfg.block(block_id).items:
             env = _transfer_item(env, item, cfg.syntax)
@@ -846,6 +923,7 @@ def analyze_taint(
             merged = out if current is None else current.merge(out)
             if current is None or merged != current:
                 env_in[edge.dst] = merged
-                if edge.dst not in worklist:
+                if edge.dst not in queued:
+                    queued.add(edge.dst)
                     worklist.append(edge.dst)
     return TaintAnalysis(cfg, env_in, converged)

@@ -18,7 +18,8 @@ This rule joins the two halves the flow summaries already collect:
   *unchecked* (a dominating cap clears the taint, so capped values never
   produce a record);
 * callee side — :class:`~repro.lint.flow.summaries.ParamSinkRec`: the
-  seeded-taint pass marks parameters that reach an allocation/repeat/range
+  seeded-taint pass, run only for the callees these records resolve to,
+  marks parameters that reach an allocation/repeat/range
   sink with no in-function cap.
 
 A finding means neither side bounded the value, and it names both blame
@@ -109,7 +110,7 @@ class AllocationAmplificationRule(Rule):
                 return
             sinks = [
                 ps
-                for ps in callee.param_sinks
+                for ps in summaries.param_sinks(callee)
                 if ps.param == param and ps.kind in _AMPLIFYING
             ]
             if not sinks:

@@ -1,4 +1,4 @@
-"""Flow-core tests on synthetic fixtures: CFG shape, reaching defs, taint,
+"""Flow-core tests on synthetic fixtures: CFG shape, taint,
 and call-graph summary propagation (the machinery behind R007-R009)."""
 
 import ast
@@ -9,8 +9,6 @@ from repro.lint.flow import (
     analyze_taint,
     build_cfg,
     build_summaries,
-    index_read_sites,
-    reaching_definitions,
     scan_expr,
 )
 from repro.lint.flow.cfg import ExceptBind, ForIter, WithEnter
@@ -163,69 +161,6 @@ class TestCfgShape:
         assert isinstance(scanned, ast.Name) and scanned.id == "rows"
 
 
-class TestReachingDefs:
-    def test_reassignment_kills_earlier_definition(self):
-        cfg = cfg_of(
-            """
-            def f():
-                x = 1
-                x = 2
-                return x
-            """
-        )
-        defs = reaching_definitions(cfg)
-        entry = cfg.block(cfg.entry)
-        # Before the return (item 2) only the second definition reaches.
-        reaching = defs.defs_at(entry.id, 2)["x"]
-        assert {d.index for d in reaching} == {1}
-
-    def test_branch_definitions_merge_at_join(self):
-        cfg = cfg_of(
-            """
-            def f(a):
-                if a:
-                    x = 1
-                else:
-                    x = 2
-                return x
-            """
-        )
-        defs = reaching_definitions(cfg)
-        return_block = next(
-            b
-            for b in cfg.blocks
-            if any(isinstance(i.node, ast.Return) for i in b.items)
-        )
-        reaching = defs.defs_at(return_block.id, 0)["x"]
-        assert len(reaching) == 2  # one per branch
-
-    def test_parameters_reach_entry(self):
-        cfg = cfg_of(
-            """
-            def f(data):
-                return data
-            """
-        )
-        defs = reaching_definitions(cfg)
-        reaching = defs.defs_at(cfg.entry, 0)["data"]
-        assert all(d.is_param for d in reaching)
-
-    def test_def_use_chain_finds_reads(self):
-        cfg = cfg_of(
-            """
-            def f():
-                x = 1
-                y = x + 1
-                return y
-            """
-        )
-        defs = reaching_definitions(cfg)
-        entry = cfg.block(cfg.entry)
-        definition = next(iter(defs.defs_at(entry.id, 1)["x"]))
-        uses = defs.uses_of(definition)
-        assert len(uses) == 1  # read once, in the y assignment
-
-
 class TestTaintKills:
     def test_unchecked_varint_length_reaches_sink(self):
         cfg = cfg_of(
@@ -235,7 +170,7 @@ class TestTaintKills:
                 return buf[pos:pos + length]
             """
         )
-        hits = analyze_taint(cfg).sinks()
+        hits = analyze_taint(cfg).scan().sinks
         assert [h.kind for h in hits] == ["slice-bound"]
         assert "length" in hits[0].names
 
@@ -249,7 +184,7 @@ class TestTaintKills:
                 return buf[pos:pos + length]
             """
         )
-        assert analyze_taint(cfg).sinks() == []
+        assert analyze_taint(cfg).scan().sinks == []
 
     def test_kill_is_transitive_through_arithmetic(self):
         # Bounding the derived value (packed bit count) bounds its source.
@@ -263,7 +198,7 @@ class TestTaintKills:
                 return list(range(count))
             """
         )
-        assert analyze_taint(cfg).sinks() == []
+        assert analyze_taint(cfg).scan().sinks == []
 
     def test_min_cap_discharges_taint(self):
         cfg = cfg_of(
@@ -273,7 +208,7 @@ class TestTaintKills:
                 return bytearray(n)
             """
         )
-        assert analyze_taint(cfg).sinks() == []
+        assert analyze_taint(cfg).scan().sinks == []
 
     def test_constant_read_guarded_only_up_to_proven_length(self):
         cfg = cfg_of(
@@ -284,11 +219,8 @@ class TestTaintKills:
                 return data[0], data[1], data[2]
             """
         )
-        sites = analyze_taint(cfg)
-        verdicts = {
-            s.node.slice.value: s.guarded for s in index_read_sites(cfg, sites)
-        }
-        assert verdicts == {0: True, 1: True, 2: False}
+        sites = sorted(analyze_taint(cfg).scan().read_sites, key=lambda s: s.col)
+        assert [s.guarded for s in sites] == [True, True, False]  # data[0], [1], [2]
 
     def test_loop_variable_read_checked_by_while_condition(self):
         cfg = cfg_of(
@@ -302,7 +234,7 @@ class TestTaintKills:
                 return out
             """
         )
-        sites = index_read_sites(cfg, analyze_taint(cfg))
+        sites = analyze_taint(cfg).scan().read_sites
         assert all(s.guarded for s in sites)
 
 

@@ -1,0 +1,169 @@
+"""The flow pass solves taint only where a rule reads it.
+
+:func:`~repro.lint.flow.summaries.demands_taint` picks the functions that
+get an unseeded taint solve: those that call a taint source, and in the
+decoder tree those that are decode-side or index a buffer-shaped name. The
+seeded parameter pass runs only for the callees R015 asks about. These
+tests hold the cut sound: every function outside the set, solved in full
+anyway, carries no fact a rule reads.
+"""
+
+import ast
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro import obs
+from repro.lint import run_lint
+from repro.lint.common import SyntaxIndex, in_decoder_tree, iter_functions
+from repro.lint.engine import iter_python_files, load_module
+from repro.lint.flow import analyze_taint, build_cfg, build_summaries, demands_taint
+from repro.lint.flow import taint as taint_module
+from tests.lint.test_flow import FakeModule
+from tests.lint.test_unique_catch import PLANTED
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _src_modules():
+    for path in iter_python_files([_SRC]):
+        ctx = load_module(path, _SRC.parent)
+        yield ctx.rel, ctx.syntax
+
+
+def _planted_modules():
+    for files in PLANTED.values():
+        for rel, source in files.items():
+            yield rel, SyntaxIndex(ast.parse(textwrap.dedent(source)))
+
+
+def _outside_demand_set(modules):
+    for rel, syntax in modules:
+        for cls, func in iter_functions(syntax.tree):
+            if not demands_taint(rel, cls, func, syntax):
+                cfg = build_cfg(func, syntax)
+                if cfg.supported:
+                    yield rel, f"{cls}.{func.name}" if cls else func.name, cfg
+
+
+@pytest.mark.parametrize("modules", [_src_modules, _planted_modules], ids=["src", "planted"])
+def test_functions_outside_the_demand_set_carry_no_taint(modules):
+    skipped = 0
+    for rel, name, cfg in _outside_demand_set(modules()):
+        skipped += 1
+        solved = analyze_taint(cfg)
+        assert solved.converged, f"{rel}::{name} needs its solve to prove convergence"
+        facts = solved.scan()
+        assert facts.sinks == [], f"{rel}::{name}"
+        assert facts.tainted_args == [], f"{rel}::{name}"
+        if in_decoder_tree(rel):
+            assert facts.read_sites == [], f"{rel}::{name}"
+    assert skipped > 0
+
+
+def _demand(rel, source):
+    module = FakeModule(rel, source)
+    return {
+        func.name: demands_taint(rel, cls, func, module.syntax)
+        for cls, func in iter_functions(module.tree)
+    }
+
+
+@pytest.fixture
+def counters():
+    obs.reset()
+    obs.enable()
+    yield lambda: obs.snapshot().counters
+    obs.reset()
+    obs.disable()
+
+
+def test_source_calling_helper_outside_the_decoder_tree_is_solved(project):
+    source = """
+        def parse_counts(blob):
+            count = int.from_bytes(blob[:4], "little")
+            return list(range(count))
+        """
+    assert _demand("src/repro/fleet/loader.py", source) == {"parse_counts": True}
+    project.write("src/repro/fleet/loader.py", source)
+    assert [(f.rule, f.line) for f in project.findings("src")] == [("R008", 4)]
+
+
+def test_callee_reached_only_through_a_tainted_argument_gets_param_sinks(project):
+    source = """
+        from repro.common.varint import decode_varint
+
+        def _grow(size):
+            return bytearray(size)
+
+        def decode_block(data):
+            size, pos = decode_varint(data, 0)
+            return _grow(size)
+        """
+    rel = "src/repro/algorithms/fakelz.py"
+    assert _demand(rel, source) == {"_grow": False, "decode_block": True}
+    summaries = build_summaries([FakeModule(rel, source)])
+    grow = summaries.lookup(rel, "_grow")
+    assert grow.supported and grow.sinks == []
+    assert [(p.param, p.kind) for p in summaries.param_sinks(grow)] == [("size", "allocation")]
+    project.write(rel, source)
+    assert [(f.rule, f.line) for f in project.findings("src")] == [("R015", 9)]
+
+
+def test_pure_helper_is_skipped(counters):
+    source = """
+        def scale(value, factor):
+            return value * factor
+
+        def decode_pair(data):
+            return data[:2]
+        """
+    rel = "src/repro/algorithms/toy.py"
+    assert _demand(rel, source) == {"scale": False, "decode_pair": True}
+    build_summaries([FakeModule(rel, source)])
+    seen = counters()
+    assert seen["lint.flow.functions"] == 2
+    assert seen["lint.flow.taint_solves"] == 1
+
+
+#: A decode-side method whose callee resolves only by terminal name (R015's
+#: fallback, filtered on ``fn.supported``), next to a helper outside the set
+#: and a decode-side method that is in the set only for being decode-side.
+_DECODER = """
+    from repro.common.varint import decode_varint
+
+    def _grow(size):
+        return bytearray(size)
+
+    class BlockDecoder:
+        def decode(self, data):
+            size, pos = decode_varint(data, 0)
+            return self._codec._grow(size)
+
+        def decode_all(self, blocks):
+            return [self.decode(block) for block in blocks]
+    """
+
+
+def test_out_of_set_candidate_passes_the_supported_filter(project):
+    project.write("src/repro/algorithms/fakelz.py", _DECODER)
+    assert [(f.rule, f.line) for f in project.findings("src")] == [("R015", 10)]
+
+
+def test_diverging_decoder_solve_is_still_reported_unmodelled(project, monkeypatch):
+    monkeypatch.setattr(taint_module, "_MAX_PASSES", 0)
+    rel = "src/repro/algorithms/fakelz.py"
+    summaries = build_summaries([FakeModule(rel, _DECODER)])
+    decode = summaries.lookup(rel, "BlockDecoder.decode")
+    assert decode.unsupported == "a taint solve that did not converge"
+    # Outside the set nothing is solved, so the helper stays supported; its
+    # seeded solve diverges too, leaving R015 nothing, as before the cut.
+    grow = summaries.lookup(rel, "_grow")
+    assert grow.supported and summaries.param_sinks(grow) == ()
+    project.write(rel, _DECODER)
+    result = run_lint([project.root / "src"], root=project.root, jobs=1)
+    rows = [(f.rule, f.line, f.message) for f in result.findings]
+    assert [(rule, line) for rule, line, _ in rows] == [("R009", 8), ("R009", 12)]
+    assert "could not model decoder 'BlockDecoder.decode'" in rows[0][2]
+    assert "could not model decoder 'BlockDecoder.decode_all'" in rows[1][2]
