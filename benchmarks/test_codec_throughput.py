@@ -371,7 +371,7 @@ def test_snappy_parse_elements_roundtrip():
 @pytest.mark.bench
 def test_zstd_analyze_frame_roundtrip():
     """The ZStd decompression DSE hot path still analyzes a 64 KiB frame."""
-    from repro.algorithms.zstd_analyze import analyze_frame
+    from repro.algorithms.zstd import analyze_frame
 
     raw = _payload(64 * 1024)
     frame = get_codec("zstd").compress(raw)

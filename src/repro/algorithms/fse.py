@@ -323,12 +323,13 @@ class FseTable:
 
     @classmethod
     def deserialize_counts(
-        cls, data: bytes, alphabet_size: int, accuracy_log: int
+        cls, data: bytes, alphabet_size: int, accuracy_log: int, pos: int = 0
     ) -> Tuple["FseTable", int]:
-        """Inverse of :meth:`serialize_counts`; returns (table, bytes read)."""
+        """Inverse of :meth:`serialize_counts` for the header at ``data[pos:]``;
+        returns (table, bytes read)."""
         width = accuracy_log + 1
         header_bytes = (alphabet_size * width + 7) // 8
-        counts, underflow = read_fields(data[:header_bytes], [width] * alphabet_size)
+        counts, underflow = read_fields(data[pos : pos + header_bytes], [width] * alphabet_size)
         if underflow is not None:
             raise underflow
         normalized = {symbol: count for symbol, count in enumerate(counts.tolist()) if count}

@@ -198,10 +198,11 @@ def serialize_lengths(table: HuffmanTable, alphabet_size: int) -> bytes:
 
 
 def deserialize_lengths(
-    data: bytes, alphabet_size: int, max_bits: int = DEFAULT_MAX_BITS
+    data: bytes, alphabet_size: int, max_bits: int = DEFAULT_MAX_BITS, pos: int = 0
 ) -> Tuple[HuffmanTable, int]:
-    """Inverse of :func:`serialize_lengths`; returns (table, bytes consumed)."""
-    reader = BitReader(data)
+    """Inverse of :func:`serialize_lengths` for the header at ``data[pos:]``;
+    returns (table, bytes consumed)."""
+    reader = BitReader(data, 8 * pos)
     lengths: Dict[int, int] = {}
     for symbol in range(alphabet_size):
         length = reader.read(4)
@@ -214,7 +215,7 @@ def deserialize_lengths(
         table = HuffmanTable.from_lengths(lengths, max_bits=max(max_bits, max(lengths.values())))
     except ValueError as exc:
         raise CorruptStreamError(f"invalid huffman header: {exc}") from None
-    return table, reader.byte_position()
+    return table, reader.byte_position() - pos
 
 
 def encode_symbols(symbols: Sequence[int], table: HuffmanTable) -> bytes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro import obs
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import FrameSpec
 from repro.algorithms.lz77 import (
@@ -180,29 +181,31 @@ def parse_elements(data: bytes) -> Tuple[int, TokenStream]:
     tokens = TokenStreamBuilder()
     produced = 0
     n = len(data)
-    while pos < n:
-        parsed = try_parse_element(data, pos)
-        if parsed is None:
-            raise CorruptStreamError("truncated element at end of stream")
-        offset, length, pos = parsed
-        if not offset:
-            tokens.literal(data[pos - length : pos])
-        else:
-            if offset > produced:
+    with obs.stage("stage.lz77.parse"):
+        while pos < n:
+            parsed = try_parse_element(data, pos)
+            if parsed is None:
+                raise CorruptStreamError("truncated element at end of stream")
+            offset, length, pos = parsed
+            if not offset:
+                tokens.literal(data[pos - length : pos])
+            else:
+                if offset > produced:
+                    raise CorruptStreamError(
+                        f"copy offset {offset} exceeds produced output {produced}"
+                    )
+                tokens.copy(offset, length)
+            produced += length
+            if produced > expected:
                 raise CorruptStreamError(
-                    f"copy offset {offset} exceeds produced output {produced}"
+                    f"stream produces {produced} bytes, preamble promised {expected}"
                 )
-            tokens.copy(offset, length)
-        produced += length
-        if produced > expected:
-            raise CorruptStreamError(
-                f"stream produces {produced} bytes, preamble promised {expected}"
-            )
+        stream = tokens.build()
     if produced != expected:
         raise CorruptStreamError(
             f"stream produced {produced} bytes, preamble promised {expected}"
         )
-    return expected, tokens.build()
+    return expected, stream
 
 
 class _SnappyDecompressContext(DecompressContext):
@@ -249,31 +252,32 @@ class _SnappyDecompressContext(DecompressContext):
             self._expected = preamble.content_length
         work = self._history
         base = len(work)
-        while True:
-            element = try_parse_element(data, pos)
-            if element is None:
-                break
-            offset, length, pos = element
-            if not offset:
-                work += data[pos - length : pos]
-            else:
-                if offset > self._produced:
+        with obs.stage("stage.lz77.decode"):
+            while True:
+                element = try_parse_element(data, pos)
+                if element is None:
+                    break
+                offset, length, pos = element
+                if not offset:
+                    work += data[pos - length : pos]
+                else:
+                    if offset > self._produced:
+                        raise CorruptStreamError(
+                            f"copy offset {offset} exceeds produced output "
+                            f"{self._produced}"
+                        )
+                    if offset > len(work):
+                        raise CorruptStreamError(
+                            f"copy offset {offset} reaches beyond the "
+                            f"retained {SNAPPY_WINDOW}-byte streaming window"
+                        )
+                    copy_match(work, offset, length)
+                self._produced += length
+                if self._produced > self._expected:
                     raise CorruptStreamError(
-                        f"copy offset {offset} exceeds produced output "
-                        f"{self._produced}"
+                        f"stream produces {self._produced} bytes, preamble "
+                        f"promised {self._expected}"
                     )
-                if offset > len(work):
-                    raise CorruptStreamError(
-                        f"copy offset {offset} reaches beyond the "
-                        f"retained {SNAPPY_WINDOW}-byte streaming window"
-                    )
-                copy_match(work, offset, length)
-            self._produced += length
-            if self._produced > self._expected:
-                raise CorruptStreamError(
-                    f"stream produces {self._produced} bytes, preamble "
-                    f"promised {self._expected}"
-                )
         del data[:pos]
         out = bytes(work[base:])
         if len(work) > SNAPPY_WINDOW:

@@ -15,17 +15,22 @@ component the paper's ZStd CDPU contains (Fig. 9/10) has a counterpart here:
 
 The container guarantees ratio >= ~1 by falling back to raw blocks, and the
 decoder validates every length so corrupt inputs raise
-:class:`~repro.common.errors.CorruptStreamError`.
+:class:`~repro.common.errors.CorruptStreamError`. One block reader
+(:func:`_try_decode_block`) decodes the block grammar for the streaming
+context (``decompress`` is one feed of it) and for the whole-frame loop
+that the dictionary codec (:mod:`repro.algorithms.zstd_dict`) and
+:func:`analyze_frame`, the hardware model's view of a frame, share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.fse import FseTable
 from repro.algorithms.huffman import (
@@ -45,6 +50,7 @@ from repro.algorithms.lz77 import (
 )
 from repro.algorithms.container import (
     CHECKSUM_BYTES,
+    FramePreamble,
     FrameSpec,
     append_content_checksum,
     split_content_checksum,
@@ -273,18 +279,20 @@ class SequenceCoder:
     @staticmethod
     def decode_columns(
         data: bytes, pos: int
-    ) -> Tuple[List[int], List[int], List[int], int]:
+    ) -> Tuple[List[int], List[int], List[int], List[int], int]:
         """The sequence section as ``(literal_lengths, offsets,
-        match_lengths, end)`` columns — what execution consumes."""
+        match_lengths, accuracy_logs, end)``: the columns execution
+        consumes, and the accuracy log of each FSE table it built."""
         num_sequences, pos = decode_varint(data, pos)
         if num_sequences == 0:
-            return [], [], [], pos
+            return [], [], [], [], pos
         # A zero-bit FSE state decodes a symbol without reading input, so
         # the count itself must be bounded: no block holds more sequences
         # than bytes.
         if num_sequences > BLOCK_SIZE:
             raise CorruptStreamError(f"sequence count {num_sequences} exceeds block limit")
         streams: List[List[int]] = []
+        accuracy_logs: List[int] = []
         for _ in range(3):
             if pos >= len(data):
                 raise CorruptStreamError("truncated sequence section")
@@ -298,7 +306,7 @@ class SequenceCoder:
             if not 1 <= alphabet <= CODE_ALPHABET:
                 raise CorruptStreamError(f"invalid sequence-code alphabet {alphabet}")
             # Decoded codes are symbols of this table, hence < alphabet.
-            table, consumed = FseTable.deserialize_counts(data[pos:], alphabet, acc_log)
+            table, consumed = FseTable.deserialize_counts(data, alphabet, acc_log, pos)
             pos += consumed
             if pos + 2 > len(data):
                 raise CorruptStreamError("truncated FSE state")
@@ -310,6 +318,7 @@ class SequenceCoder:
             payload = data[pos : pos + payload_len]
             pos += payload_len
             streams.append(table.decode(payload, state, num_sequences))
+            accuracy_logs.append(acc_log)
         extra_bits, pos = decode_varint(data, pos)
         extra_bytes = (extra_bits + 7) // 8
         if pos + extra_bytes > len(data):
@@ -328,7 +337,7 @@ class SequenceCoder:
             raise CorruptStreamError("sequence offset must be positive")
         if error is not None:
             raise error
-        return literal_lengths, offsets, match_lengths, pos
+        return literal_lengths, offsets, match_lengths, accuracy_logs, pos
 
 
 def _encode_literals(literals: bytes) -> bytes:
@@ -369,7 +378,7 @@ def _decode_literals(data: bytes, pos: int) -> Tuple[bytes, int]:
             raise CorruptStreamError("truncated raw literals")
         return data[pos : pos + count], pos + count
     if mode == _LITERALS_HUFFMAN:
-        table, consumed = deserialize_lengths(data[pos:], 256)
+        table, consumed = deserialize_lengths(data, 256, pos=pos)
         pos += consumed
         payload_len, pos = decode_varint(data, pos)
         if pos + payload_len > len(data):
@@ -377,6 +386,201 @@ def _decode_literals(data: bytes, pos: int) -> Tuple[bytes, int]:
         symbols = decode_symbols(data[pos : pos + payload_len], count, table)
         return bytes(symbols), pos + payload_len
     raise CorruptStreamError(f"unknown literals mode {mode}")
+
+
+@dataclass
+class BlockStats:
+    """Work performed decoding one frame block."""
+
+    block_type: str  # "raw", "rle", or "compressed"
+    raw_size: int
+    literal_count: int = 0
+    huffman_coded: bool = False
+    num_sequences: int = 0
+    fse_tables: int = 0
+    fse_accuracy_logs: List[int] = field(default_factory=list)
+
+
+@dataclass
+class FrameStats:
+    """Aggregate per-frame statistics plus the executed token stream."""
+
+    window_log: int
+    content_bytes: int
+    compressed_bytes: int
+    blocks: List[BlockStats]
+    tokens: TokenStream
+
+    @property
+    def huffman_symbols(self) -> int:
+        return sum(b.literal_count for b in self.blocks if b.huffman_coded)
+
+    @property
+    def huffman_tables(self) -> int:
+        return sum(1 for b in self.blocks if b.huffman_coded)
+
+    @property
+    def total_sequences(self) -> int:
+        return sum(b.num_sequences for b in self.blocks)
+
+    @property
+    def total_fse_tables(self) -> int:
+        return sum(b.fse_tables for b in self.blocks)
+
+    @property
+    def max_fse_accuracy_log(self) -> int:
+        """The largest FSE table any block builds (9 when none does)."""
+        return max((log for b in self.blocks for log in b.fse_accuracy_logs), default=9)
+
+
+@dataclass
+class _FrameSink:
+    """What the block decoder executes, block by block: the decode-side
+    mirror of the ``tokens`` builder :meth:`ZstdCodec._compress_block`
+    feeds."""
+
+    blocks: List[BlockStats] = field(default_factory=list)
+    tokens: TokenStreamBuilder = field(default_factory=TokenStreamBuilder)
+
+
+def _try_decode_block(
+    data: bytes,
+    pos: int,
+    window: int,
+    out: bytearray,
+    room: int,
+    prefix: bytes = b"",
+    sink: Optional[_FrameSink] = None,
+) -> Optional[Tuple[int, bool]]:
+    """Decode the block at ``data[pos:]`` onto ``out``: ``(end, last)``,
+    or ``None`` while the block is incomplete.
+
+    The zstd block grammar's one reader, in the manner of
+    :func:`~repro.algorithms.snappy.try_parse_element`: the whole-frame
+    loop turns ``None`` into a truncation error, the streaming context
+    waits for more input. ``room`` is what the frame header still lets the
+    frame produce. The size checks run as soon as the header is read, and
+    nothing is decoded until the whole block is present.
+    """
+    if pos >= len(data):
+        return None
+    tag = data[pos]
+    block_type = tag & 0x7F
+    parsed = try_decode_varint(data, pos + 1)
+    if parsed is None:
+        return None
+    raw_size, body = parsed
+    if block_type == _BLOCK_RAW:
+        end = body + raw_size
+    elif block_type == _BLOCK_RLE:
+        end = body + 1
+    elif block_type == _BLOCK_COMPRESSED:
+        parsed = try_decode_varint(data, body)
+        if parsed is None:
+            return None
+        body_size, body = parsed
+        end = body + body_size
+    else:
+        raise CorruptStreamError(f"unknown block type {block_type}")
+    # The encoder never emits a block beyond BLOCK_SIZE, so a larger
+    # declared size is corruption — and waiting for or materialising it
+    # would let a two-byte header demand a 2**64 buffer.
+    if raw_size > BLOCK_SIZE:
+        raise CorruptStreamError(f"block size {raw_size} exceeds block limit")
+    if raw_size > room:
+        raise CorruptStreamError("frame produced more bytes than declared")
+    if end > len(data):
+        return None
+    if block_type == _BLOCK_RAW:
+        out += data[body:end]
+        if sink is not None:
+            sink.blocks.append(BlockStats("raw", raw_size))
+            if raw_size:
+                sink.tokens.literal(data[body:end])
+    elif block_type == _BLOCK_RLE:
+        out += bytes((data[body],)) * raw_size
+        if sink is not None:
+            sink.blocks.append(BlockStats("rle", raw_size))
+            if raw_size:
+                sink.tokens.rle(data[body], raw_size)
+    else:
+        _decode_block(data, body, end, raw_size, window, out, prefix, sink)
+    return end, bool(tag & 0x80)
+
+
+def _decode_block(
+    data: bytes,
+    pos: int,
+    end: int,
+    raw_size: int,
+    window: int,
+    out: bytearray,
+    prefix: bytes = b"",
+    sink: Optional[_FrameSink] = None,
+) -> None:
+    """Execute the compressed block body ``data[pos:end]`` onto ``out``.
+
+    A match may reach back to the block's own start, or into ``prefix``:
+    the history seeded before it (the dictionary codec's tail, for block 0).
+    """
+    literals, at = _decode_literals(data, pos)
+    literal_lengths, offsets, match_lengths, accuracy_logs, at = SequenceCoder.decode_columns(
+        data, at
+    )
+    trailing, at = decode_varint(data, at)
+    if at != end:
+        raise CorruptStreamError("compressed block body size mismatch")
+    target = bytearray(prefix) if prefix else out
+    with obs.stage("stage.lz77.decode"):
+        execute_sequences(
+            target, literals, literal_lengths, offsets, match_lengths, trailing,
+            history_start=len(target) - len(prefix),
+            max_offset=window + len(prefix),
+            end=len(target) + raw_size,
+            bad_offset="match offset {offset} outside window/history",
+            bad_trailing="trailing literal count mismatch",
+            wrong_size="block decoded to wrong size",
+        )
+    if prefix:
+        out += target[len(prefix) :]
+    if sink is not None:
+        sink.blocks.append(
+            BlockStats(
+                "compressed", raw_size, len(literals), data[pos] == _LITERALS_HUFFMAN,
+                len(offsets), len(accuracy_logs), accuracy_logs,
+            )
+        )
+        sink.tokens.extend(literals, literal_lengths, offsets, match_lengths, trailing)
+
+
+def _decode_blocks(
+    frame: bytes,
+    pos: int,
+    preamble: FramePreamble,
+    prefix: bytes = b"",
+    sink: Optional[_FrameSink] = None,
+) -> bytes:
+    """The content of the blocks at ``frame[pos:]``, which must end the
+    frame: the whole-frame block loop (``prefix`` seeds block 0's
+    history)."""
+    expected = preamble.content_length
+    out = bytearray()
+    last = False
+    while not last:
+        block = _try_decode_block(
+            frame, pos, preamble.window, out, expected - len(out), prefix, sink
+        )
+        if block is None:
+            raise CorruptStreamError(
+                "truncated block" if pos < len(frame) else "frame missing last block"
+            )
+        pos, last = block
+        prefix = b""
+    if pos != len(frame):
+        raise CorruptStreamError("data after last block")
+    if len(out) != expected:
+        raise CorruptStreamError(f"frame produced {len(out)} bytes, header declared {expected}")
+    return bytes(out)
 
 
 class ZstdCodec(Codec):
@@ -445,8 +649,8 @@ class ZstdCodec(Codec):
     ) -> Tuple[bytes, TokenStream]:
         """:meth:`compress` at the default level and window, matching each
         block with ``match``, plus the token stream the frame carries: the
-        stream :func:`~repro.algorithms.zstd_analyze.analyze_frame` reads
-        back from it (the hardware model's accounting entry)."""
+        stream the decoder executes, which :func:`analyze_frame` records
+        (the hardware model's accounting entry)."""
         level = self.info.clamp_level(None)
         window = self.resolve_window(None, level=level)
         coder = self._coder(level)
@@ -506,80 +710,28 @@ class ZstdCodec(Codec):
         header += encode_varint(len(body))
         return bytes(header) + bytes(body)
 
-    def _decompress_buffer(
-        self, data: bytes, *, window_size: Optional[int] = None
-    ) -> bytes:
-        frame, stored_crc = split_content_checksum(data)
-        out = self._decompress_frame(frame)
-        verify_content_checksum(out, stored_crc)
-        return out
 
-    def _decompress_frame(self, data: bytes) -> bytes:
-        preamble, pos = ZSTD_FRAME.decode_preamble(data)
-        window = preamble.window
-        expected = preamble.content_length
-        out = bytearray()
-        saw_last = False
-        while pos < len(data):
-            if saw_last:
-                raise CorruptStreamError("data after last block")
-            block_tag = data[pos]
-            pos += 1
-            block_type = block_tag & 0x7F
-            saw_last = bool(block_tag & 0x80)
-            raw_size, pos = decode_varint(data, pos)
-            if block_type == _BLOCK_RAW:
-                if pos + raw_size > len(data):
-                    raise CorruptStreamError("truncated raw block")
-                out += data[pos : pos + raw_size]
-                pos += raw_size
-            elif block_type == _BLOCK_RLE:
-                if pos >= len(data):
-                    raise CorruptStreamError("truncated RLE block")
-                # The encoder never emits blocks beyond BLOCK_SIZE, so a
-                # larger declared size is corruption — and materialising it
-                # first would let a one-byte block demand a 2**64 buffer.
-                if raw_size > BLOCK_SIZE:
-                    raise CorruptStreamError(f"RLE block size {raw_size} exceeds block limit")
-                out += bytes([data[pos]]) * raw_size
-                pos += 1
-            elif block_type == _BLOCK_COMPRESSED:
-                body_size, pos = decode_varint(data, pos)
-                if pos + body_size > len(data):
-                    raise CorruptStreamError("truncated compressed block")
-                self._decode_block(data, pos, raw_size, window, out)
-                pos += body_size
-            else:
-                raise CorruptStreamError(f"unknown block type {block_type}")
-            if len(out) > expected:
-                raise CorruptStreamError("frame produced more bytes than declared")
-        if not saw_last:
-            raise CorruptStreamError("frame missing last block")
-        if len(out) != expected:
-            raise CorruptStreamError(
-                f"frame produced {len(out)} bytes, header declared {expected}"
-            )
-        return bytes(out)
+def analyze_frame(data: bytes) -> FrameStats:
+    """Decode a ZStd-like frame and collect what its blocks executed: the
+    hardware decompressor's workload (the DSE's Figure 14 input).
 
-    def _decode_block(
-        self, data: bytes, pos: int, raw_size: int, window: int, out: bytearray
-    ) -> None:
-        # As for RLE blocks: the encoder never emits a larger block, and the
-        # declared size is what bounds execution below.
-        if raw_size > BLOCK_SIZE:
-            raise CorruptStreamError(f"compressed block size {raw_size} exceeds block limit")
-        literals, pos = _decode_literals(data, pos)
-        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
-        trailing, pos = decode_varint(data, pos)
-        execute_sequences(
-            out, literals, literal_lengths, offsets, match_lengths, trailing,
-            history_start=len(out),
-            max_offset=window,
-            end=len(out) + raw_size,
-            bad_offset="match offset {offset} outside window/history",
-            bad_trailing="trailing literal count mismatch",
-            wrong_size="block decoded to wrong size",
-        )
+    This is the block decoder run with a sink, so it accepts and rejects
+    exactly what :meth:`ZstdCodec.decompress` does. The token stream's
+    offsets are frame-relative: blocks are matched independently, so
+    every offset stays within its block.
+    """
+    frame, stored_crc = split_content_checksum(data)
+    preamble, pos = ZSTD_FRAME.decode_preamble(frame)
+    sink = _FrameSink()
+    content = _decode_blocks(frame, pos, preamble, sink=sink)
+    verify_content_checksum(content, stored_crc)
+    return FrameStats(
+        window_log=preamble.window_log,
+        content_bytes=len(content),
+        compressed_bytes=len(data),
+        blocks=sink.blocks,
+        tokens=sink.tokens.build(),
+    )
 
 
 class _ZstdCompressContext(CompressContext):
@@ -666,9 +818,10 @@ class _ZstdDecompressContext(DecompressContext):
 
     Blocks are matched independently (offsets never cross a block boundary,
     see :meth:`ZstdCodec._compress_block`), so each complete block decodes
-    into a fresh scratch buffer and is emitted immediately — no decoded
-    history is retained at all. The CRC-32C trailer is verified from a
-    running digest once the last-flagged block has been consumed.
+    through the one-shot path's block reader straight into the output of
+    the feed that completes it — no decoded history is retained at all.
+    The CRC-32C trailer is verified from a running digest once the
+    last-flagged block has been consumed.
     """
 
     bounded = True
@@ -716,15 +869,20 @@ class _ZstdDecompressContext(DecompressContext):
             self._expected = preamble.content_length
             self._stage = self._BLOCKS
         out = bytearray()
+        pos = 0
         while self._stage == self._BLOCKS:
-            block = self._try_take_block()
+            block = _try_decode_block(
+                data, pos, self._window, out, self._expected - self._produced - len(out)
+            )
             if block is None:
                 break
-            out += block
-            self._produced += len(block)
-            self._crc = crc32c(block, self._crc)
-            if self._produced > self._expected:
-                raise CorruptStreamError("frame produced more bytes than declared")
+            pos, last = block
+            if last:
+                self._stage = self._TRAILER
+        del data[:pos]
+        if out:
+            self._produced += len(out)
+            self._crc = crc32c(out, self._crc)
         if self._stage == self._TRAILER and len(data) >= CHECKSUM_BYTES:
             stored = int.from_bytes(data[:CHECKSUM_BYTES], "little")
             del data[:CHECKSUM_BYTES]
@@ -738,55 +896,6 @@ class _ZstdDecompressContext(DecompressContext):
         if self._stage == self._DONE and data:
             raise CorruptStreamError("data after last block")
         return bytes(out)
-
-    def _try_take_block(self) -> Optional[bytes]:
-        """Decode one complete block from the buffer, or ``None`` to wait."""
-        data = self._pending
-        if not data:
-            return None
-        tag = data[0]
-        block_type = tag & 0x7F
-        parsed = try_decode_varint(data, 1, max_bits=64)
-        if parsed is None:
-            return None
-        raw_size, pos = parsed
-        if block_type == _BLOCK_RAW:
-            if len(data) < pos + raw_size:
-                return None
-            block = bytes(data[pos : pos + raw_size])
-            pos += raw_size
-        elif block_type == _BLOCK_RLE:
-            if len(data) <= pos:
-                return None
-            if raw_size > BLOCK_SIZE:
-                raise CorruptStreamError(
-                    f"RLE block size {raw_size} exceeds block limit"
-                )
-            block = bytes([data[pos]]) * raw_size
-            pos += 1
-        elif block_type == _BLOCK_COMPRESSED:
-            parsed = try_decode_varint(data, pos, max_bits=64)
-            if parsed is None:
-                return None
-            body_size, body_pos = parsed
-            if len(data) < body_pos + body_size:
-                return None
-            scratch = bytearray()
-            self._codec._decode_block(
-                bytes(data[body_pos : body_pos + body_size]),
-                0,
-                raw_size,
-                self._window,
-                scratch,
-            )
-            block = bytes(scratch)
-            pos = body_pos + body_size
-        else:
-            raise CorruptStreamError(f"unknown block type {block_type}")
-        del data[:pos]
-        if tag & 0x80:
-            self._stage = self._TRAILER
-        return block
 
     def _flush(self, end: bool) -> bytes:
         if not end:

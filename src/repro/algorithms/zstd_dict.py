@@ -25,21 +25,20 @@ from repro.algorithms.container import (
     split_content_checksum,
     verify_content_checksum,
 )
-from repro.algorithms.lz77 import Lz77Encoder, TokenStream, execute_sequences
+from repro.algorithms.lz77 import Lz77Encoder, TokenStream
 from repro.algorithms.zstd import (
     BLOCK_SIZE,
-    DEFAULT_LEVEL,
     SequenceCoder,
     ZSTD_INFO,
     ZstdCodec,
-    _decode_literals,
+    _decode_blocks,
     _encode_block_body,
     level_params,
 )
 from repro.common.crc32c import crc32c
 from repro.common.errors import CorruptStreamError
 from repro.common.units import KiB
-from repro.common.varint import decode_varint, encode_varint
+from repro.common.varint import encode_varint
 
 DICT_MAGIC = b"ZSRD"
 #: Version 2 added the CRC-32C content trailer (see algorithms.container).
@@ -175,79 +174,16 @@ class ZstdDictCodec(Codec):
         self, data: bytes, *, window_size: Optional[int] = None
     ) -> bytes:
         frame, stored_crc = split_content_checksum(data)
-        out = self._decompress_frame(frame)
-        verify_content_checksum(out, stored_crc)
-        return out
-
-    def _decompress_frame(self, data: bytes) -> bytes:
-        preamble, pos = DICT_FRAME.decode_preamble(data)
-        window = preamble.window
-        expected = preamble.content_length
-        stored_checksum = int.from_bytes(preamble.extra, "little")
-        if stored_checksum != self._checksum:
+        preamble, pos = DICT_FRAME.decode_preamble(frame)
+        if int.from_bytes(preamble.extra, "little") != self._checksum:
             raise CorruptStreamError(
                 "frame was compressed with a different dictionary (CRC mismatch)"
             )
-        dict_tail = self.dictionary[-window:]
-        out = bytearray()
-        saw_last = False
-        first = True
-        while pos < len(data):
-            if saw_last:
-                raise CorruptStreamError("data after last block")
-            tag = data[pos]
-            pos += 1
-            block_type = tag & 0x7F
-            saw_last = bool(tag & 0x80)
-            raw_size, pos = decode_varint(data, pos)
-            if block_type == 0x00:  # raw
-                if pos + raw_size > len(data):
-                    raise CorruptStreamError("truncated raw block")
-                out += data[pos : pos + raw_size]
-                pos += raw_size
-            elif block_type == 0x02:  # compressed
-                body_size, pos = decode_varint(data, pos)
-                if pos + body_size > len(data):
-                    raise CorruptStreamError("truncated compressed block")
-                prefix = dict_tail if first else b""
-                self._decode_block(data, pos, raw_size, window, prefix, out)
-                pos += body_size
-            else:
-                raise CorruptStreamError(f"unknown dict-frame block type {block_type}")
-            first = False
-        if not saw_last:
-            raise CorruptStreamError("frame missing last block")
-        if len(out) != expected:
-            raise CorruptStreamError("frame produced wrong number of bytes")
-        return bytes(out)
-
-    def _decode_block(
-        self,
-        data: bytes,
-        pos: int,
-        raw_size: int,
-        window: int,
-        prefix: bytes,
-        out: bytearray,
-    ) -> None:
-        if raw_size > BLOCK_SIZE:
-            raise CorruptStreamError(f"compressed block size {raw_size} exceeds block limit")
-        literals, pos = _decode_literals(data, pos)
-        literal_lengths, offsets, match_lengths, pos = SequenceCoder.decode_columns(data, pos)
-        trailing, pos = decode_varint(data, pos)
-        # Execute against a scratch buffer seeded with the dictionary so
-        # copies may reach into it; only the produced part is appended.
-        scratch = bytearray(prefix)
-        execute_sequences(
-            scratch, literals, literal_lengths, offsets, match_lengths, trailing,
-            history_start=0,
-            max_offset=window + len(prefix),
-            end=len(prefix) + raw_size,
-            bad_offset="match offset {offset} outside history",
-            bad_trailing="trailing literal count mismatch",
-            wrong_size="block decoded to wrong size",
-        )
-        out += scratch[len(prefix) :]
+        # The plain container's block loop; the dictionary tail is block
+        # 0's history, so its copies may reach into it.
+        out = _decode_blocks(frame, pos, preamble, self.dictionary[-preamble.window :])
+        verify_content_checksum(out, stored_crc)
+        return out
 
 
 def train_dictionary(samples: List[bytes], max_size: int = 4 * KiB) -> bytes:

@@ -3,7 +3,8 @@
 The decompressor consumes a real ZStd-like frame: Huffman symbol counts,
 FSE sequence counts, table builds, and the LZ77 token stream (with true
 offsets for history-fallback accounting) all come from
-:func:`repro.algorithms.zstd_analyze.analyze_frame`.
+:func:`repro.algorithms.zstd.analyze_frame` — the software decoder run
+with a sink, so the model accounts what the decoder executed.
 
 The compressor re-uses the LZ77 encoder block *as configured for Snappy*
 (§6.5 does exactly this, and attributes its 84%-of-software compression
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.algorithms.lz77 import MatcherStats, TokenStream, decode_tokens
-from repro.algorithms.zstd import ZstdCodec
-from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
+from repro.algorithms.zstd import FrameStats, ZstdCodec, analyze_frame
 from repro.core.blocks.entropy import (
     FseCompressorBlock,
     FseExpanderBlock,
@@ -80,8 +80,10 @@ class ZstdDecompressorPipeline:
         report.add_pipelined("lz77-writer", decoder.execute_cycles(stats.tokens))
         report.add_serial("history-fallback", decoder.fallback_cycles(stats.tokens))
         report.add_serial("huffman-table-build", huffman.table_build_cycles(stats.huffman_tables))
-        acc = max(stats.blocks[0].fse_accuracy_logs, default=9) if stats.blocks else 9
-        report.add_serial("fse-table-build", fse.table_build_cycles(stats.total_fse_tables, acc))
+        report.add_serial(
+            "fse-table-build",
+            fse.table_build_cycles(stats.total_fse_tables, stats.max_fse_accuracy_log),
+        )
         report.add_serial("cmd-router", CommandRouter(self.memory).dispatch_cycles())
         return CallResult(
             input_bytes=stats.compressed_bytes,

@@ -6,8 +6,10 @@ the **total time to (de)compress every file in a suite**.
 
 The runner memoizes the config-independent part of each evaluation:
 
-* decompression workloads — parsed element streams / frame analyses — are
-  shared across every placement and SRAM size;
+* decompression workloads — what the software decoder executes per file:
+  Snappy's parsed element stream, a ZStd frame decoded with a sink
+  (:func:`~repro.algorithms.zstd.analyze_frame`) — are shared across
+  every placement and SRAM size;
 * compression workloads — each pipeline's :meth:`encode` of every file:
   the token stream and matcher stats the emitted frame carries, and the
   frame's size — are keyed by the encoder-relevant parameters only, so all
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 from repro.algorithms.base import Operation
 from repro.algorithms.lz77 import MatcherStats, TokenStream
 from repro.algorithms.snappy import parse_elements
-from repro.algorithms.zstd_analyze import FrameStats, analyze_frame
+from repro.algorithms.zstd import FrameStats, analyze_frame
 from repro.core import calibration as cal
 from repro.core.area import pipeline_area_mm2
 from repro.core.generator import CdpuGenerator

@@ -24,8 +24,7 @@ from repro.algorithms.lz77 import (
     TokenStream,
 )
 from repro.algorithms.snappy import parse_elements
-from repro.algorithms.zstd import ZSTD_FRAME, SequenceCoder, _encode_block_body
-from repro.algorithms.zstd_analyze import analyze_frame
+from repro.algorithms.zstd import ZSTD_FRAME, SequenceCoder, _encode_block_body, analyze_frame
 from repro.common.varint import encode_varint
 
 HASH_FUNCTIONS = ("multiplicative", "zstd5", "xor_shift")

@@ -183,13 +183,14 @@ class TestSequenceCoder:
             [(i % 11) + 3 for i in range(200)],
         )
         blob = SequenceCoder(9).encode(*columns)
-        *decoded, consumed = SequenceCoder.decode_columns(blob, 0)
+        *decoded, accuracy_logs, consumed = SequenceCoder.decode_columns(blob, 0)
         assert consumed == len(blob)
         assert tuple(decoded) == columns
+        assert accuracy_logs == [9, 9, 9]
 
     def test_empty_sequences(self):
         blob = SequenceCoder(9).encode([], [], [])
-        assert SequenceCoder.decode_columns(blob, 0) == ([], [], [], len(blob))
+        assert SequenceCoder.decode_columns(blob, 0) == ([], [], [], [], len(blob))
 
     def test_sequence_count_beyond_block_rejected(self):
         # A one-symbol FSE table reads no bits per symbol: only the count

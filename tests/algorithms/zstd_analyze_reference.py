@@ -1,80 +1,40 @@
-"""Structural analysis of ZStd-like frames for the hardware model.
+"""Reference ZStd-like frame analysis: a parser that mirrors the decoder.
 
-The ZStd decompressor pipeline needs to know, per compressed frame, how much
-work each hardware block performs: Huffman-coded literal symbols (expander),
-sequences (FSE expander), table counts/sizes (table builders), and the full
-LZ77 token stream with real offsets (LZ77 decoder + history fallbacks).
-:func:`analyze_frame` extracts all of that in one validating pass that
-mirrors :meth:`repro.algorithms.zstd.ZstdCodec.decompress`.
+This was the hardware model's frame analysis before the decoder itself
+gained a sink (:func:`repro.algorithms.zstd.analyze_frame`). It walks the
+block grammar with its own loop, re-parses the FSE table headers for their
+accuracy logs and executes the token stream once to check the content
+trailer. Kept only as the oracle the sink is checked against
+(``test_zstd_analyze.py``): on frames the encoder writes, both must report
+the same blocks, sizes and token columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 from repro.algorithms.container import split_content_checksum, verify_content_checksum
-from repro.algorithms.lz77 import TokenStream, TokenStreamBuilder, decode_tokens
+from repro.algorithms.lz77 import TokenStreamBuilder, decode_tokens
 from repro.algorithms.zstd import (
     ZSTD_FRAME,
+    BlockStats,
+    FrameStats,
     SequenceCoder,
     _BLOCK_COMPRESSED,
     _BLOCK_RAW,
     _BLOCK_RLE,
     _LITERALS_HUFFMAN,
-    _LITERALS_RAW,
+    _decode_literals,
 )
 from repro.common.errors import CorruptStreamError
 from repro.common.varint import decode_varint
 
 
-@dataclass
-class BlockStats:
-    """Work performed decoding one frame block."""
-
-    block_type: str  # "raw", "rle", or "compressed"
-    raw_size: int
-    literal_count: int = 0
-    huffman_coded: bool = False
-    num_sequences: int = 0
-    fse_tables: int = 0
-    fse_accuracy_logs: List[int] = field(default_factory=list)
-
-
-@dataclass
-class FrameStats:
-    """Aggregate per-frame statistics plus the executable token stream."""
-
-    window_log: int
-    content_bytes: int
-    compressed_bytes: int
-    blocks: List[BlockStats]
-    tokens: TokenStream
-
-    @property
-    def huffman_symbols(self) -> int:
-        return sum(b.literal_count for b in self.blocks if b.huffman_coded)
-
-    @property
-    def huffman_tables(self) -> int:
-        return sum(1 for b in self.blocks if b.huffman_coded)
-
-    @property
-    def total_sequences(self) -> int:
-        return sum(b.num_sequences for b in self.blocks)
-
-    @property
-    def total_fse_tables(self) -> int:
-        return sum(b.fse_tables for b in self.blocks)
-
-
 def analyze_frame(data: bytes) -> FrameStats:
     """Parse a ZStd-like frame and collect hardware-relevant statistics.
 
-    Raises :class:`CorruptStreamError` on malformed frames, like the real
-    decoder. The returned token stream reconstructs the content when executed
-    (offsets are frame-relative: blocks are matched independently, so every
-    offset stays within its block — consistent with the encoder).
+    Raises :class:`CorruptStreamError` on the malformed frames its own
+    checks see; it does not check every block the way the decoder does.
     """
     total_bytes = len(data)
     data, stored_crc = split_content_checksum(data)
@@ -136,11 +96,9 @@ def analyze_frame(data: bytes) -> FrameStats:
 
 def _analyze_block(data: bytes, pos: int, raw_size: int, tokens: TokenStreamBuilder) -> BlockStats:
     """One compressed block's statistics; its sequences go to ``tokens``."""
-    from repro.algorithms.zstd import _decode_literals
-
     mode = data[pos] if pos < len(data) else -1
     literals, pos = _decode_literals(data, pos)
-    literal_lengths, offsets, match_lengths, seq_end = SequenceCoder.decode_columns(data, pos)
+    literal_lengths, offsets, match_lengths, _, seq_end = SequenceCoder.decode_columns(data, pos)
     # Re-parse the accuracy logs for the table-builder model.
     acc_logs: List[int] = []
     scan = pos

@@ -8,8 +8,18 @@ import pytest
 from repro.algorithms.base import Operation
 from repro.algorithms.lz77 import Lz77Encoder, MatcherStats, TokenStream
 from repro.algorithms.snappy import SnappyCodec
-from repro.algorithms.zstd import BLOCK_SIZE, ZstdCodec
-from repro.algorithms.zstd_analyze import analyze_frame
+from repro.algorithms.container import append_content_checksum
+from repro.algorithms.zstd import (
+    BLOCK_SIZE,
+    ZSTD_FRAME,
+    SequenceCoder,
+    ZstdCodec,
+    _encode_block_body,
+    analyze_frame,
+    level_params,
+)
+from repro.common.varint import encode_varint
+from repro.core.blocks.entropy import FseExpanderBlock
 from repro.core.generator import CdpuGenerator
 from repro.core.params import CdpuConfig
 from repro.core.pipelines.snappy import SnappyCompressorPipeline, SnappyDecompressorPipeline
@@ -140,6 +150,25 @@ class TestZstdDecompressor:
         slow = make(ZstdDecompressorPipeline, CdpuConfig(huffman_speculation=4)).run(stream)
         fast = make(ZstdDecompressorPipeline, CdpuConfig(huffman_speculation=32)).run(stream)
         assert fast.cycles < slow.cycles
+
+    def test_fse_table_builds_charged_at_the_widest_block_table(self):
+        """A frame opening with a raw block still pays for the accuracy
+        log its later compressed block's tables use."""
+        text = b"tables built at accuracy log eleven, block two. " * 40
+        stream = Lz77Encoder(level_params(3).lz77_params(1 << 17)).encode(text)
+        body = _encode_block_body(stream, SequenceCoder(11))
+        raw = b"raw block zero"
+        frame = ZSTD_FRAME.encode_preamble(content_length=len(raw) + len(text), window_log=17)
+        frame += bytes([0x00]) + encode_varint(len(raw)) + raw
+        frame += bytes([0x82]) + encode_varint(len(text)) + encode_varint(len(body)) + body
+        stats = analyze_frame(append_content_checksum(frame, raw + text))
+        assert [b.block_type for b in stats.blocks] == ["raw", "compressed"]
+        assert stats.max_fse_accuracy_log == 11
+        config = CdpuConfig(fse_max_accuracy_log=12)
+        report = make(ZstdDecompressorPipeline, config).account(stats).report
+        fse = FseExpanderBlock(config)
+        assert report.serial["fse-table-build"] == fse.table_build_cycles(3, 11)
+        assert report.serial["fse-table-build"] > fse.table_build_cycles(3, 9)
 
     def test_slower_than_snappy_decomp_per_byte(self, payloads):
         """§6.4: the entropy stages cost throughput vs the Snappy pipeline."""

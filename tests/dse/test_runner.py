@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.base import Operation
-from repro.algorithms.zstd_analyze import analyze_frame
+from repro.algorithms.zstd import analyze_frame
 from repro.core.params import CdpuConfig
 from repro.dse.runner import DseRunner
 from repro.hcbench.suite import HyperCompressBench, Suite
