@@ -30,7 +30,6 @@ from repro.algorithms.registry import (
     lightweight_algorithms,
 )
 from repro.algorithms.snappy import SnappyCodec
-from repro.algorithms.snappy_framing import compress_framed, decompress_framed
 from repro.algorithms.streaming import (
     CompressContext,
     DecompressContext,
@@ -56,8 +55,6 @@ __all__ = [
     "LzoCodec",
     "Operation",
     "SnappyCodec",
-    "compress_framed",
-    "decompress_framed",
     "Token",
     "TokenStream",
     "TokenStreamBuilder",

@@ -96,7 +96,7 @@ def _decode_codes_huffman(data: bytes, pos: int) -> Tuple[List[int], int]:
     count, pos = decode_varint(data, pos)
     if count == 0:
         return [], pos
-    table, consumed = deserialize_lengths(data[pos:], CODE_ALPHABET)
+    table, consumed = deserialize_lengths(data, CODE_ALPHABET, pos=pos)
     pos += consumed
     payload_len, pos = decode_varint(data, pos)
     if pos + payload_len > len(data):
@@ -130,7 +130,7 @@ def _decode_literal_section(data: bytes, pos: int) -> Tuple[bytes, int]:
             raise CorruptStreamError("truncated raw literals")
         return data[pos : pos + lit_count], pos + lit_count
     if lit_mode == 1:
-        table, consumed = deserialize_lengths(data[pos:], 256)
+        table, consumed = deserialize_lengths(data, 256, pos=pos)
         pos += consumed
         payload_len, pos = decode_varint(data, pos)
         if payload_len > len(data) - pos:

@@ -21,16 +21,13 @@ from repro.algorithms.container import (
     FrameSpec,
     append_content_checksum,
     split_content_checksum,
-    verify_content_checksum,
     verify_running_checksum,
 )
 from repro.algorithms.lz77 import (
     Lz77Encoder,
     Lz77Params,
     TokenStream,
-    TokenStreamBuilder,
     copy_match,
-    decode_tokens,
     split_long_copies,
 )
 from repro.algorithms.streaming import DecompressContext
@@ -42,9 +39,10 @@ MAGIC = b"LZRL"
 
 #: Copy elements carry a 3-byte (offset16, len8) body; lengths cap at 255+4.
 _MAX_COPY_LEN = 259
-#: Largest offset the 20-bit copy encoding can express: the streaming
-#: decoder retains this much output history for structural parity with the
-#: one-shot decoder (the encoder itself never exceeds its 64 KiB window).
+#: Largest offset the 20-bit copy encoding can express: the decoder retains
+#: this much output history, so every offset within the produced output is
+#: in reach however the frame is fed (the encoder itself never exceeds its
+#: 64 KiB window).
 _MAX_COPY_OFFSET = 0xFFFFF
 
 #: Frame layout: magic, varint content length, element stream, CRC trailer.
@@ -107,7 +105,8 @@ def _try_parse_element(data, pos: int, end: int) -> Optional[Tuple[int, int, int
 
 
 class _LzoDecompressContext(DecompressContext):
-    """Element-at-a-time LZO decoder with bounded history and running CRC.
+    """Element-at-a-time LZO decoder with bounded history and running CRC:
+    the codec's one element loop (``decompress`` is one feed of it).
 
     Withholds the final ``CHECKSUM_BYTES`` of input at all times (the frame
     body is only delimited by the trailer), verifies the CRC-32C from a
@@ -165,11 +164,6 @@ class _LzoDecompressContext(DecompressContext):
                     raise CorruptStreamError(
                         f"copy offset {offset} reaches before start of "
                         f"output (only {self._produced} bytes produced)"
-                    )
-                if offset > len(work):
-                    raise CorruptStreamError(
-                        f"copy offset {offset} reaches beyond the "
-                        f"retained {_MAX_COPY_OFFSET}-byte streaming window"
                     )
                 copy_match(work, offset, length)
             self._produced += length
@@ -241,23 +235,3 @@ class LzoCodec(Codec):
             out += (offset & 0xFFFF).to_bytes(2, "little")
         _emit_literal(out, stream.tail)
         return append_content_checksum(bytes(out), data)
-
-    def _decompress_buffer(
-        self, data: bytes, *, window_size: Optional[int] = None
-    ) -> bytes:
-        frame, stored_crc = split_content_checksum(data)
-        preamble, pos = LZO_FRAME.decode_preamble(frame)
-        tokens = TokenStreamBuilder()
-        n = len(frame)
-        while pos < n:
-            parsed = _try_parse_element(frame, pos, n)
-            if parsed is None:
-                raise CorruptStreamError("truncated element at end of stream")
-            offset, length, pos = parsed
-            if offset:
-                tokens.copy(offset, length)
-            else:
-                tokens.literal(frame[pos - length : pos])
-        out = decode_tokens(tokens.build(), expected_length=preamble.content_length)
-        verify_content_checksum(out, stored_crc)
-        return out

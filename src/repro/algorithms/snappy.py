@@ -7,11 +7,11 @@ matching over a fixed 64 KiB window, no entropy coding, no compression levels
 (paper §2.2) — including its *skipping* heuristic for incompressible data,
 which §6.3 identifies as the reason hardware can beat software ratio.
 
-The element parser is shared with the hardware model
-(:func:`parse_elements` returns the LZ77 token stream a decompressor CDPU
-would execute), and the streaming decompress context consumes the same
-element grammar one complete element at a time, retaining only the format's
-64 KiB history window.
+One element loop, the streaming decompress context's, executes the element
+grammar one complete element at a time, retaining only the format's 64 KiB
+history window. ``decompress`` is one feed of it, and the hardware model
+reads the same loop through a sink (:func:`parse_elements` returns the LZ77
+token stream a decompressor CDPU executes).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.algorithms.lz77 import (
     TokenStream,
     TokenStreamBuilder,
     copy_match,
-    decode_tokens,
     split_long_copies,
 )
 from repro.algorithms.streaming import DecompressContext
@@ -125,8 +124,8 @@ def try_parse_element(data, pos: int) -> Optional[Tuple[int, int, int]]:
 
     Structural validation only (a zero copy offset is corruption regardless
     of position); offset-vs-produced validation is the caller's job since it
-    depends on stream position. The incremental streaming decoder and the
-    one-shot :func:`parse_elements` share this grammar.
+    depends on stream position. Its one caller is the streaming decoder's
+    element loop.
     """
     n = len(data)
     if pos >= n:
@@ -170,62 +169,51 @@ def try_parse_element(data, pos: int) -> Optional[Tuple[int, int, int]]:
     return offset, length, pos
 
 
+def decode_with_tokens(data: bytes) -> Tuple[bytes, TokenStream]:
+    """Decode a whole Snappy stream: ``(content, token stream)``.
+
+    This is the codec's element loop run with a sink over one feed, so it
+    accepts and rejects exactly what :meth:`SnappyCodec.decompress` does,
+    and the stream is the element sequence the loop executed.
+    """
+    sink = TokenStreamBuilder()
+    ctx = _SnappyDecompressContext(SnappyCodec(), sink)
+    content = ctx.feed(data) + ctx.flush()
+    return content, sink.build()
+
+
 def parse_elements(data: bytes) -> Tuple[int, TokenStream]:
     """Parse a Snappy stream into (uncompressed_length, token stream).
 
     This is the exact element sequence a decompressor CDPU executes; the
     hardware model consumes it directly.
     """
-    preamble, pos = SNAPPY_FRAME.decode_preamble(data)
-    expected = preamble.content_length
-    tokens = TokenStreamBuilder()
-    produced = 0
-    n = len(data)
-    with obs.stage("stage.lz77.parse"):
-        while pos < n:
-            parsed = try_parse_element(data, pos)
-            if parsed is None:
-                raise CorruptStreamError("truncated element at end of stream")
-            offset, length, pos = parsed
-            if not offset:
-                tokens.literal(data[pos - length : pos])
-            else:
-                if offset > produced:
-                    raise CorruptStreamError(
-                        f"copy offset {offset} exceeds produced output {produced}"
-                    )
-                tokens.copy(offset, length)
-            produced += length
-            if produced > expected:
-                raise CorruptStreamError(
-                    f"stream produces {produced} bytes, preamble promised {expected}"
-                )
-        stream = tokens.build()
-    if produced != expected:
-        raise CorruptStreamError(
-            f"stream produced {produced} bytes, preamble promised {expected}"
-        )
-    return expected, stream
+    content, stream = decode_with_tokens(data)
+    return len(content), stream
 
 
 class _SnappyDecompressContext(DecompressContext):
-    """Element-at-a-time Snappy decoder with window-bounded history.
+    """Element-at-a-time Snappy decoder with window-bounded history: the
+    codec's one element loop.
 
     Retains only the last 64 KiB of output (the format's fixed window, which
     also covers every offset our encoder can emit) plus any incomplete
-    element bytes — O(window + chunk), never O(stream). A foreign stream
-    using a copy-4 offset beyond the retained window is rejected as corrupt;
-    the buffered one-shot path never produced such offsets.
+    element bytes — O(window + chunk), never O(stream). A copy offset beyond
+    the window is rejected as corrupt however the stream is fed. With a
+    ``sink``, every executed element is also appended to it.
     """
 
     bounded = True
 
-    def __init__(self, codec: "SnappyCodec") -> None:
+    def __init__(
+        self, codec: "SnappyCodec", sink: Optional[TokenStreamBuilder] = None
+    ) -> None:
         super().__init__(codec)
         self._pending = bytearray()
         self._history = bytearray()
         self._expected: Optional[int] = None
         self._produced = 0
+        self._sink = sink
 
     @property
     def buffered_bytes(self) -> int:
@@ -252,6 +240,7 @@ class _SnappyDecompressContext(DecompressContext):
             self._expected = preamble.content_length
         work = self._history
         base = len(work)
+        sink = self._sink
         with obs.stage("stage.lz77.decode"):
             while True:
                 element = try_parse_element(data, pos)
@@ -259,19 +248,24 @@ class _SnappyDecompressContext(DecompressContext):
                     break
                 offset, length, pos = element
                 if not offset:
-                    work += data[pos - length : pos]
+                    run = data[pos - length : pos]
+                    work += run
+                    if sink is not None:
+                        sink.literal(run)
                 else:
                     if offset > self._produced:
                         raise CorruptStreamError(
                             f"copy offset {offset} exceeds produced output "
                             f"{self._produced}"
                         )
-                    if offset > len(work):
+                    if offset > SNAPPY_WINDOW:
                         raise CorruptStreamError(
-                            f"copy offset {offset} reaches beyond the "
-                            f"retained {SNAPPY_WINDOW}-byte streaming window"
+                            f"copy offset {offset} exceeds the "
+                            f"{SNAPPY_WINDOW}-byte window"
                         )
                     copy_match(work, offset, length)
+                    if sink is not None:
+                        sink.copy(offset, length)
                 self._produced += length
                 if self._produced > self._expected:
                     raise CorruptStreamError(
@@ -288,8 +282,7 @@ class _SnappyDecompressContext(DecompressContext):
         if not end:
             return b""
         if self._expected is None:
-            # Never saw a complete preamble: report it exactly as the
-            # one-shot parse of this short buffer would.
+            # Never saw a complete preamble: report the short preamble.
             SNAPPY_FRAME.decode_preamble(bytes(self._pending))
         if self._pending:
             raise CorruptStreamError("truncated element at end of stream")
@@ -306,25 +299,14 @@ class SnappyCodec(Codec):
     """Snappy codec, structured like the C++ library.
 
     ``use_skipping`` toggles the software incompressible-data heuristic; the
-    hardware pipeline instantiates the same matcher with skipping disabled.
-    ``lz77_params`` may override the matcher configuration entirely (used by
-    the CDPU model to sweep history window / hash-table parameters).
+    hardware pipeline and the graph ``lz77`` stage run the same matcher
+    with skipping disabled.
     """
 
     info = SNAPPY_INFO
 
-    def __init__(
-        self,
-        *,
-        use_skipping: bool = True,
-        lz77_params: Optional[Lz77Params] = None,
-    ) -> None:
-        self.lz77_params = lz77_params or _default_params(use_skipping)
-        self._encoder = Lz77Encoder(self.lz77_params)
-
-    def tokenize(self, data: bytes) -> TokenStream:
-        """Run only the dictionary-coding stage (used by the HW model)."""
-        return self._encoder.encode(data)
+    def __init__(self, *, use_skipping: bool = True) -> None:
+        self._encoder = Lz77Encoder(_default_params(use_skipping))
 
     def decompress_context(
         self, *, window_size: Optional[int] = None
@@ -343,9 +325,3 @@ class SnappyCodec(Codec):
         stream = self._encoder.encode(data)
         preamble = SNAPPY_FRAME.encode_preamble(content_length=len(data))
         return preamble + emit_elements(stream)
-
-    def _decompress_buffer(
-        self, data: bytes, *, window_size: Optional[int] = None
-    ) -> bytes:
-        expected, stream = parse_elements(data)
-        return decode_tokens(stream, expected_length=expected)

@@ -16,7 +16,7 @@ truly incremental: the contexts below hold at most one in-flight chunk.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
 from repro.algorithms.container import FrameSpec
@@ -55,79 +55,11 @@ def _chunk(chunk_type: int, payload: bytes) -> bytes:
     return bytes([chunk_type]) + len(payload).to_bytes(3, "little") + payload
 
 
-class SnappyFramedStream:
-    """Incremental compressor producing framed Snappy chunks."""
-
-    def __init__(self, *, codec: SnappyCodec = None) -> None:
-        self._codec = codec or SnappyCodec()
-        self._pending = bytearray()
-        self._header_emitted = False
-
-    @property
-    def pending_bytes(self) -> int:
-        """Input bytes awaiting a full 64 KiB chunk (always < 64 KiB)."""
-        return len(self._pending)
-
-    def write(self, data: bytes) -> bytes:
-        """Feed input; returns any frames completed by this write."""
-        self._pending.extend(data)
-        out = bytearray()
-        if not self._header_emitted:
-            out += SNAPPY_FRAMED_FRAME.encode_preamble()
-            self._header_emitted = True
-        while len(self._pending) >= MAX_CHUNK_DATA:
-            block = bytes(self._pending[:MAX_CHUNK_DATA])
-            del self._pending[:MAX_CHUNK_DATA]
-            out += self._encode_block(block)
-        return bytes(out)
-
-    def flush(self) -> bytes:
-        """Emit the final partial chunk (and the header for empty streams)."""
-        out = bytearray()
-        if not self._header_emitted:
-            out += SNAPPY_FRAMED_FRAME.encode_preamble()
-            self._header_emitted = True
-        if self._pending:
-            out += self._encode_block(bytes(self._pending))
-            self._pending.clear()
-        return bytes(out)
-
-    def _encode_block(self, block: bytes) -> bytes:
-        crc = masked_crc32c(block).to_bytes(4, "little")
-        compressed = self._codec.compress(block)
-        if len(compressed) < len(block):
-            return _chunk(CHUNK_COMPRESSED, crc + compressed)
-        return _chunk(CHUNK_UNCOMPRESSED, crc + block)
-
-
-def compress_framed(data: bytes) -> bytes:
-    """One-shot framed compression."""
-    stream = SnappyFramedStream()
-    return stream.write(data) + stream.flush()
-
-
-def iter_frames(stream: bytes) -> Iterator[tuple]:
-    """Yield (chunk_type, payload) pairs, validating structure."""
-    if not stream or stream[0] != CHUNK_STREAM_IDENTIFIER:
-        raise CorruptStreamError("framed stream must begin with a stream identifier")
-    pos = 0
-    while pos < len(stream):
-        if pos + 4 > len(stream):
-            raise CorruptStreamError("truncated chunk header")
-        chunk_type = stream[pos]
-        length = int.from_bytes(stream[pos + 1 : pos + 4], "little")
-        pos += 4
-        if pos + length > len(stream):
-            raise CorruptStreamError("truncated chunk payload")
-        yield chunk_type, stream[pos : pos + length]
-        pos += length
-
-
 def _decode_chunk(chunk_type: int, payload: bytes, codec: SnappyCodec) -> bytes:
     """Decode one non-identifier chunk into its source bytes (b"" if none).
 
-    Shared by the one-shot decoder and the streaming context so both apply
-    identical CRC, size and reserved-chunk policies.
+    The chunk grammar's CRC, size and reserved-chunk policies, applied by
+    the decompress context to each complete chunk.
     """
     if chunk_type == CHUNK_PADDING:
         return b""
@@ -151,25 +83,6 @@ def _decode_chunk(chunk_type: int, payload: bytes, codec: SnappyCodec) -> bytes:
     return b""
 
 
-def decompress_framed(stream: bytes) -> bytes:
-    """Decode a framed stream, verifying identifiers and CRCs."""
-    codec = SnappyCodec()
-    out = bytearray()
-    saw_identifier = False
-    for chunk_type, payload in iter_frames(stream):
-        if chunk_type == CHUNK_STREAM_IDENTIFIER:
-            if payload != b"sNaPpY":
-                raise CorruptStreamError("bad stream identifier payload")
-            saw_identifier = True
-            continue
-        if not saw_identifier:
-            raise CorruptStreamError("data chunk before stream identifier")
-        out += _decode_chunk(chunk_type, payload, codec)
-    if not saw_identifier:
-        raise CorruptStreamError("empty stream (no identifier)")
-    return bytes(out)
-
-
 SNAPPY_FRAMED_INFO = CodecInfo(
     name="snappy-framed",
     display_name="Snappy (framed)",
@@ -181,32 +94,59 @@ SNAPPY_FRAMED_INFO = CodecInfo(
 
 
 class _SnappyFramedCompressContext(CompressContext):
-    """Chunk-at-a-time framed compressor (wraps :class:`SnappyFramedStream`).
+    """Chunk-at-a-time framed compressor.
 
     Chunk boundaries are a pure function of the input offset (every 64 KiB),
-    so output is byte-identical to the one-shot path for any feed chunking.
+    so output is byte-identical for any feed chunking; input awaiting a full
+    chunk is always < 64 KiB.
     """
 
     bounded = True
 
     def __init__(self, codec: "SnappyFramedCodec") -> None:
         super().__init__(codec)
-        self._stream = SnappyFramedStream()
+        self._snappy = SnappyCodec()
+        self._pending = bytearray()
+        self._header_emitted = False
 
     @property
     def buffered_bytes(self) -> int:
-        return self._stream.pending_bytes
+        return len(self._pending)
 
     def _reset(self) -> None:
-        self._stream = SnappyFramedStream()
+        self._pending.clear()
+        self._header_emitted = False
+
+    def _header(self) -> bytes:
+        if self._header_emitted:
+            return b""
+        self._header_emitted = True
+        return SNAPPY_FRAMED_FRAME.encode_preamble()
 
     def _feed(self, chunk: bytes) -> bytes:
-        return self._stream.write(chunk)
+        self._pending += chunk
+        out = bytearray(self._header())
+        while len(self._pending) >= MAX_CHUNK_DATA:
+            block = bytes(self._pending[:MAX_CHUNK_DATA])
+            del self._pending[:MAX_CHUNK_DATA]
+            out += self._encode_block(block)
+        return bytes(out)
 
     def _flush(self, end: bool) -> bytes:
         if not end:
             return b""
-        return self._stream.flush()
+        out = bytearray(self._header())
+        if self._pending:
+            out += self._encode_block(bytes(self._pending))
+            self._pending.clear()
+        return bytes(out)
+
+    def _encode_block(self, block: bytes) -> bytes:
+        crc = masked_crc32c(block).to_bytes(4, "little")
+        compressed = self._snappy.compress(block)
+        if len(compressed) < len(block):
+            return _chunk(CHUNK_COMPRESSED, crc + compressed)
+        return _chunk(CHUNK_UNCOMPRESSED, crc + block)
 
 
 class _SnappyFramedDecompressContext(DecompressContext):
@@ -265,8 +205,7 @@ class _SnappyFramedDecompressContext(DecompressContext):
         if not end:
             return b""
         if not self._saw_identifier:
-            # Never saw the full identifier: a valid stream cannot start
-            # this way, so report it exactly as the one-shot parse would.
+            # Never saw the full identifier: report the short preamble.
             SNAPPY_FRAMED_FRAME.decode_preamble(bytes(self._pending))
         if self._pending:
             if len(self._pending) < 4:
@@ -298,17 +237,3 @@ class SnappyFramedCodec(Codec):
         self, *, window_size: Optional[int] = None
     ) -> DecompressContext:
         return _SnappyFramedDecompressContext(self)
-
-    def _compress_buffer(
-        self,
-        data: bytes,
-        *,
-        level: Optional[int] = None,
-        window_size: Optional[int] = None,
-    ) -> bytes:
-        return compress_framed(data)
-
-    def _decompress_buffer(
-        self, data: bytes, *, window_size: Optional[int] = None
-    ) -> bytes:
-        return decompress_framed(data)

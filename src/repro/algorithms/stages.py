@@ -41,8 +41,7 @@ from repro import obs
 from repro.algorithms import fse as fse_mod
 from repro.algorithms import huffman as huffman_mod
 from repro.algorithms.container import StageDescriptor, try_decode_varint
-from repro.algorithms.lz77 import Lz77Encoder, Lz77Params, decode_tokens
-from repro.algorithms.snappy import SNAPPY_FRAME, emit_elements, parse_elements
+from repro.algorithms.snappy import SnappyCodec
 from repro.common.errors import ConfigError, CorruptStreamError
 from repro.common.varint import encode_varint
 
@@ -463,11 +462,13 @@ class FseStage(Stage):
 
 
 class Lz77Stage(Stage):
-    """Dictionary coding: LZ77 matcher emitting the Snappy element grammar.
+    """Dictionary coding: the Snappy codec as a stage.
 
-    Reuses the Snappy stream layout (varint length + literal/copy elements)
-    as its block format, so the battle-tested element parser and its bounds
-    checks do the decode work. Backend by taxonomy, but useful mid-graph too
+    Its block format is the Snappy stream (varint length + literal/copy
+    elements), matched with Snappy's parameters minus the skipping
+    heuristic (graphs feed the matcher pre-transformed bytes whose
+    incompressibility the backend fallback already handles), and decoded by
+    the codec's element loop. Backend by taxonomy, but useful mid-graph too
     (e.g. ``lz77 -> huffman`` is the Flate recipe in graph form).
     """
 
@@ -475,27 +476,11 @@ class Lz77Stage(Stage):
     STAGE_ID = 19
     is_backend = True
 
-    #: Matcher configuration mirroring the Snappy library defaults, minus
-    #: the skipping heuristic (graphs feed the matcher pre-transformed bytes
-    #: whose incompressibility the backend fallback already handles).
-    _PARAMS = Lz77Params(
-        window_size=65535,
-        hash_table_entries=1 << 14,
-        associativity=1,
-        hash_table_contents="position",
-        hash_function="multiplicative",
-        max_match_length=None,
-        use_skipping=False,
-    )
-
     def _forward(self, data: bytes) -> bytes:
-        stream = Lz77Encoder(self._PARAMS).encode(data)
-        preamble = SNAPPY_FRAME.encode_preamble(content_length=len(data))
-        return preamble + emit_elements(stream)
+        return SnappyCodec(use_skipping=False).compress(data)
 
     def _inverse(self, data: bytes) -> bytes:
-        expected, stream = parse_elements(data)
-        return decode_tokens(stream, expected_length=expected)
+        return SnappyCodec().decompress(data)
 
 
 # ---------------------------------------------------------------------------

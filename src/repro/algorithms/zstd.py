@@ -19,7 +19,7 @@ decoder validates every length so corrupt inputs raise
 (:func:`_try_decode_block`) decodes the block grammar for the streaming
 context (``decompress`` is one feed of it) and for the whole-frame loop
 that the dictionary codec (:mod:`repro.algorithms.zstd_dict`) and
-:func:`analyze_frame`, the hardware model's view of a frame, share.
+:func:`decode_with_stats`, the hardware model's view of a frame, share.
 """
 
 from __future__ import annotations
@@ -711,9 +711,9 @@ class ZstdCodec(Codec):
         return bytes(header) + bytes(body)
 
 
-def analyze_frame(data: bytes) -> FrameStats:
-    """Decode a ZStd-like frame and collect what its blocks executed: the
-    hardware decompressor's workload (the DSE's Figure 14 input).
+def decode_with_stats(data: bytes) -> Tuple[bytes, FrameStats]:
+    """Decode a ZStd-like frame: ``(content, stats)``, where the stats are
+    what its blocks executed.
 
     This is the block decoder run with a sink, so it accepts and rejects
     exactly what :meth:`ZstdCodec.decompress` does. The token stream's
@@ -725,13 +725,20 @@ def analyze_frame(data: bytes) -> FrameStats:
     sink = _FrameSink()
     content = _decode_blocks(frame, pos, preamble, sink=sink)
     verify_content_checksum(content, stored_crc)
-    return FrameStats(
+    return content, FrameStats(
         window_log=preamble.window_log,
         content_bytes=len(content),
         compressed_bytes=len(data),
         blocks=sink.blocks,
         tokens=sink.tokens.build(),
     )
+
+
+def analyze_frame(data: bytes) -> FrameStats:
+    """What a ZStd-like frame's blocks executed: the hardware
+    decompressor's workload (the DSE's Figure 14 input), from
+    :func:`decode_with_stats`."""
+    return decode_with_stats(data)[1]
 
 
 class _ZstdCompressContext(CompressContext):

@@ -1,11 +1,12 @@
 """Snappy CDPU pipelines (paper Figures 9-10, evaluated in §6.2-§6.3).
 
-Both pipelines are functional: the decompressor parses the real element
-stream (and can verify the output against software); the compressor runs the
-real hash matcher with the hardware parameter set and emits the real Snappy
-wire format, so its compression ratio — including beating software by ~1%
-at 64 KiB history because hardware skips the skipping heuristic (§6.3) — is
-measured, not assumed.
+Both pipelines are functional: the decompressor runs the software decoder's
+element loop with a sink (and can verify the executed elements against the
+content it decoded); the compressor runs the real hash matcher with the
+hardware parameter set and emits the real Snappy wire format, so its
+compression ratio — including beating software by ~1% at 64 KiB history
+because hardware skips the skipping heuristic (§6.3) — is measured, not
+assumed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.lz77 import decode_tokens
-from repro.algorithms.snappy import SnappyCodec, emit_elements, parse_elements
+from repro.algorithms.snappy import (
+    SNAPPY_WINDOW,
+    SnappyCodec,
+    decode_with_tokens,
+    emit_elements,
+)
 from repro.common.varint import encode_varint
 from repro.core.blocks.interface import CommandRouter, shared_port_cycles
 from repro.core.blocks.lz77 import Lz77DecoderBlock, Lz77EncoderBlock
@@ -42,18 +48,19 @@ class SnappyDecompressorPipeline:
     def run(self, compressed: bytes, *, verify: bool = False) -> CallResult:
         """Decompress one stream, returning the cycle breakdown.
 
-        With ``verify=True`` the output is reconstructed from the parsed
-        elements and compared byte for byte with the software decompressor
-        — the functional path the FireSim simulations exercise implicitly.
+        With ``verify=True`` the output is reconstructed from the executed
+        elements and compared byte for byte with the content the software
+        decoder produced in the same run — the functional path the FireSim
+        simulations exercise implicitly.
         """
-        expected, tokens = parse_elements(compressed)
+        content, tokens = decode_with_tokens(compressed)
         if verify:
             verify_output(
-                decode_tokens(tokens, expected_length=expected),
-                SnappyCodec().decompress(compressed),
+                decode_tokens(tokens, expected_length=len(content)),
+                content,
                 "snappy decompressor pipeline",
             )
-        return self.account(len(compressed), expected, tokens)
+        return self.account(len(compressed), len(content), tokens)
 
     def account(self, compressed_bytes: int, expected: int, tokens) -> CallResult:
         """Cycle accounting from a pre-parsed element stream (DSE fast path:
@@ -86,8 +93,14 @@ class SnappyCompressorPipeline:
             raise ValueError("config does not enable the snappy algorithm")
 
     def encode(self, data: bytes) -> Encoded:
-        """One matcher run, and the element stream emitted from its tokens."""
-        tokens, stats = Lz77EncoderBlock(self.config).tokenize(data)
+        """One matcher run, and the element stream emitted from its tokens.
+
+        The matcher reaches back at most the format's 64 KiB window, the
+        furthest offset the decoder accepts, whatever the history SRAM
+        holds."""
+        history = min(self.config.encoder_history_bytes, SNAPPY_WINDOW)
+        matcher = Lz77EncoderBlock(self.config.with_(encoder_history_bytes=history))
+        tokens, stats = matcher.tokenize(data)
         return Encoded(encode_varint(len(data)) + emit_elements(tokens), tokens, stats)
 
     def run(self, data: bytes, *, verify: bool = False) -> CallResult:

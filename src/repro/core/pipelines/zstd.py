@@ -3,7 +3,7 @@
 The decompressor consumes a real ZStd-like frame: Huffman symbol counts,
 FSE sequence counts, table builds, and the LZ77 token stream (with true
 offsets for history-fallback accounting) all come from
-:func:`repro.algorithms.zstd.analyze_frame` — the software decoder run
+:func:`repro.algorithms.zstd.decode_with_stats` — the software decoder run
 with a sink, so the model accounts what the decoder executed.
 
 The compressor re-uses the LZ77 encoder block *as configured for Snappy*
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.algorithms.lz77 import MatcherStats, TokenStream, decode_tokens
-from repro.algorithms.zstd import FrameStats, ZstdCodec, analyze_frame
+from repro.algorithms.zstd import FrameStats, ZstdCodec, decode_with_stats
 from repro.core.blocks.entropy import (
     FseCompressorBlock,
     FseExpanderBlock,
@@ -50,11 +50,13 @@ class ZstdDecompressorPipeline:
             raise ValueError("config does not enable the zstd algorithm")
 
     def run(self, compressed: bytes, *, verify: bool = False) -> CallResult:
-        stats = analyze_frame(compressed)
+        """With ``verify=True`` the executed tokens must reproduce, byte for
+        byte, the content the decoder produced in the same run."""
+        content, stats = decode_with_stats(compressed)
         if verify:
             verify_output(
                 decode_tokens(stats.tokens, expected_length=stats.content_bytes),
-                ZstdCodec().decompress(compressed),
+                content,
                 "zstd decompressor pipeline",
             )
         return self.account(stats)

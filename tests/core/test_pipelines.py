@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.base import Operation
 from repro.algorithms.lz77 import Lz77Encoder, MatcherStats, TokenStream
-from repro.algorithms.snappy import SnappyCodec
+from repro.algorithms.snappy import SNAPPY_WINDOW, SnappyCodec
 from repro.algorithms.container import append_content_checksum
 from repro.algorithms.zstd import (
     BLOCK_SIZE,
@@ -113,6 +113,21 @@ class TestSnappyCompressor:
         big = make(SnappyCompressorPipeline, CdpuConfig(encoder_history_bytes=64 * 1024))
         small = make(SnappyCompressorPipeline, CdpuConfig(encoder_history_bytes=1024))
         assert len(small.encode(data).frame) >= len(big.encode(data).frame)
+
+    def test_history_beyond_the_format_window_stays_decodable(self):
+        """A history SRAM larger than Snappy's 64 KiB window must not emit
+        offsets the decoder rejects, however the frame is fed."""
+        rng = random.Random(5)
+        repeat = bytes(rng.getrandbits(8) for _ in range(1000))
+        data = repeat + bytes(rng.getrandbits(8) for _ in range(100_000)) + repeat
+        pipeline = make(SnappyCompressorPipeline, CdpuConfig(encoder_history_bytes=128 * 1024))
+        encoded = pipeline.encode(data)
+        assert max(encoded.tokens.offsets, default=0) <= SNAPPY_WINDOW
+        pipeline.run(data, verify=True)
+        ctx = SnappyCodec().decompress_context()
+        frame = encoded.frame
+        out = b"".join(ctx.feed(frame[i : i + 4096]) for i in range(0, len(frame), 4096))
+        assert out + ctx.flush() == data
 
     def test_small_hash_table_degrades_ratio(self, payloads):
         data = payloads["mixed"] * 4
