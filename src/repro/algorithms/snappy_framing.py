@@ -69,7 +69,7 @@ def _decode_chunk(chunk_type: int, payload: bytes, codec: SnappyCodec) -> bytes:
         expected_crc = int.from_bytes(payload[:4], "little")
         body = payload[4:]
         if chunk_type == CHUNK_COMPRESSED:
-            block = codec.decompress(body)
+            block = codec.decompress_block(body)
         else:
             block = body
         if len(block) > MAX_CHUNK_DATA:
@@ -143,7 +143,7 @@ class _SnappyFramedCompressContext(CompressContext):
 
     def _encode_block(self, block: bytes) -> bytes:
         crc = masked_crc32c(block).to_bytes(4, "little")
-        compressed = self._snappy.compress(block)
+        compressed = self._snappy.compress_block(block)
         if len(compressed) < len(block):
             return _chunk(CHUNK_COMPRESSED, crc + compressed)
         return _chunk(CHUNK_UNCOMPRESSED, crc + block)

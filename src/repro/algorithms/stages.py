@@ -477,10 +477,10 @@ class Lz77Stage(Stage):
     is_backend = True
 
     def _forward(self, data: bytes) -> bytes:
-        return SnappyCodec(use_skipping=False).compress(data)
+        return SnappyCodec(use_skipping=False).compress_block(data)
 
     def _inverse(self, data: bytes) -> bytes:
-        return SnappyCodec().decompress(data)
+        return SnappyCodec().decompress_block(data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine subcommands expose the library's main surfaces:
+Ten subcommands expose the library's main surfaces:
 
 * ``compress`` / ``decompress`` — run any of the from-scratch codecs on a
   file (buffer-in/buffer-out, §3.4's stable API).
@@ -13,6 +13,8 @@ Nine subcommands expose the library's main surfaces:
   ``--no-cache`` controls the persistent store under ``results/.dse-cache``).
 * ``summaries`` — regenerate FINAL_TEXT_SUMMARIES from a full exploration
   (same ``--jobs``/``--cache`` engine options).
+* ``graph`` — list, describe, round-trip and sweep the composable codec
+  graph presets (see :mod:`repro.algorithms.graphs`).
 * ``stats`` — run an instrumented workload (codec round-trips, or a fig11
   smoke sweep) and print the metric snapshot (see :mod:`repro.obs`).
 * ``serve`` — stand up the async compression service and replay an
@@ -20,9 +22,6 @@ Nine subcommands expose the library's main surfaces:
   ``--validate`` replays the served workload through the queueing
   simulator and compares predicted vs measured service levels.
 * ``lint`` — run the codec-aware static-analysis pass (rules R002-R016).
-* ``sanitize`` — re-execute a target run (DSE sweep, lint, stream, stats,
-  serve) under varied ``PYTHONHASHSEED``/worker-count environments and diff the
-  artifacts byte-for-byte (see :mod:`repro.sanitize`).
 
 The global ``--trace <file>`` flag (before the subcommand) enables the
 observability layer for any command and writes a Chrome trace-event JSON on
@@ -106,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="reduce the benchmark to N files per suite (default: full 48; "
-        "small values give tier-1-sized runs for CI and `repro sanitize`)",
+        "small values give tier-1-sized runs for tests and CI)",
     )
     _add_engine_options(dse)
 
@@ -234,21 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="serve_format",
     )
 
-    # ``lint`` and ``sanitize`` own their own argparse (repro.lint.cli /
-    # repro.sanitize.cli); capture everything after the subcommand and
-    # forward it verbatim.
+    # ``lint`` owns its own argparse (repro.lint.cli); capture everything
+    # after the subcommand and forward it verbatim.
     lint = sub.add_parser(
         "lint",
         help="run the static-analysis pass (R002-R016)",
         add_help=False,
     )
     lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="re-run a target under varied env and diff artifacts byte-for-byte",
-        add_help=False,
-    )
-    sanitize.add_argument("sanitize_args", nargs=argparse.REMAINDER)
     return parser
 
 
@@ -629,12 +621,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(args.lint_args)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.sanitize.cli import main as sanitize_main
-
-    return sanitize_main(args.sanitize_args)
-
-
 _COMMANDS = {
     "compress": _cmd_compress,
     "decompress": _cmd_decompress,
@@ -646,7 +632,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "serve": _cmd_serve,
     "lint": _cmd_lint,
-    "sanitize": _cmd_sanitize,
 }
 
 
@@ -659,10 +644,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv[:1] == ["sanitize"]:
-        from repro.sanitize.cli import main as sanitize_main
-
-        return sanitize_main(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.trace is None:
         return _COMMANDS[args.command](args)

@@ -40,7 +40,9 @@ wall-clock measurement):
 
 Test files are exempt wholesale: ad-hoc randomness in tests is a
 test-quality question, not a reproducibility bug in the library. The
-runtime counterpart is ``repro sanitize``, which catches whatever this
+runtime counterpart is the tier-1 test
+``tests/integration/test_hashseed_parity.py``, which runs the shipped
+commands under two hash seeds and worker counts and catches whatever this
 static pass cannot prove (see DESIGN.md §7.5).
 """
 
@@ -193,7 +195,7 @@ class DeterminismHygieneRule(Rule):
         "(`sorted(os.listdir(p))`), iterate sets through `sorted(...)` when "
         "the order reaches any output, and keep wall-clock values out of "
         "seeds, cache keys and serialized artifacts. Verify the fix "
-        "end-to-end with `repro sanitize`."
+        "end-to-end with tests/integration/test_hashseed_parity.py."
     )
 
     def check(self, project: ProjectContext) -> Iterable[Finding]:

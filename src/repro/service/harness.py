@@ -10,9 +10,9 @@ admission control and backpressure matter).
 
 The harness records a :class:`LoadReport` splitting **offered** facts
 (deterministic functions of the seed: call mix, payload digest, counts) from
-**measured** facts (timings, goodput, percentiles) — ``repro sanitize``
-verifies the offered half bit-identically across environments while the
-measured half is normalized away.
+**measured** facts (timings, goodput, percentiles). The tier-1 hash-seed
+parity test requires the offered half to be identical across environments
+and drops the measured half.
 """
 
 from __future__ import annotations
@@ -289,8 +289,8 @@ class LoadReport:
     # -- serialization ----------------------------------------------------
 
     def to_payload(self) -> dict:
-        """JSON-ready dict; measured values live under one ``measured`` key
-        (flat, so ``repro sanitize`` can normalize them with one rule)."""
+        """JSON-ready dict; measured values live under one ``measured`` key,
+        so a parity check can drop every timing by dropping that key."""
         return {
             "benchmark": "service",
             "offered": {

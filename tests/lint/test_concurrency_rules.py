@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lint import get_rule
-from repro.sanitize.selftest import PLANTED_WORKER_SOURCE
+from tests.planted_worker import PLANTED_WORKER_SOURCE
 
 
 class TestR010PoolSafety:
@@ -429,7 +429,7 @@ class TestR012DeterminismHygiene:
         assert any("npr.rand()" in f.message for f in found)
 
     def test_planted_worker_source_detected_statically(self, project):
-        """The sanitizer's planted bug must also be caught by R012."""
+        """The hash-seed parity test's planted bug must also be caught by R012."""
         project.write("src/repro/fleet/planted.py", PLANTED_WORKER_SOURCE)
         findings = project.findings("src", rule="R012")
         assert findings, "R012 missed the planted unsorted-glob worker"

@@ -39,6 +39,33 @@ class TestCodecInstrumentation:
         assert snap.counter("codec.snappy.decompress.bytes_in") == len(compressed)
         assert snap.counter("codec.snappy.decompress.bytes_out") == len(PAYLOAD)
 
+    @pytest.mark.parametrize("name", ["snappy-framed", "graph-lz-huff"])
+    def test_inner_snappy_blocks_count_as_outer_call_only(self, name):
+        payload = PAYLOAD * 111  # ~320 KB: five framed chunks
+        obs.enable()
+        codec = get_codec(name)
+        compressed = codec.compress(payload)
+        assert codec.decompress(compressed) == payload
+        counters = obs.snapshot().counters
+        assert [k for k in counters if k.startswith("codec.snappy.")] == []
+        outer = {k: v for k, v in counters.items() if k.startswith(f"codec.{name}.")}
+        assert outer == {
+            f"codec.{name}.compress.calls": 1,
+            f"codec.{name}.compress.bytes_in": len(payload),
+            f"codec.{name}.compress.bytes_out": len(compressed),
+            f"codec.{name}.decompress.calls": 1,
+            f"codec.{name}.decompress.bytes_in": len(compressed),
+            f"codec.{name}.decompress.bytes_out": len(payload),
+            f"codec.{name}.stream.compress.feed.calls": 1,
+            f"codec.{name}.stream.compress.flush.calls": 1,
+            f"codec.{name}.stream.compress.bytes_in": len(payload),
+            f"codec.{name}.stream.compress.bytes_out": len(compressed),
+            f"codec.{name}.stream.decompress.feed.calls": 1,
+            f"codec.{name}.stream.decompress.flush.calls": 1,
+            f"codec.{name}.stream.decompress.bytes_in": len(compressed),
+            f"codec.{name}.stream.decompress.bytes_out": len(payload),
+        }
+
     def test_compress_emits_codec_span(self):
         obs.enable()
         get_codec("snappy").compress(PAYLOAD)
