@@ -136,7 +136,22 @@ def test_same_output_across_hashseed_and_jobs(name):
     assert _difference(a, b) is None
 
 
-def test_planted_worker_differs(tmp_path):
-    a, b = _run_variants(plant(tmp_path))
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory) -> Tuple[Artifact, Artifact]:
+    """The planted worker's artifacts under both variants, run once."""
+    return _run_variants(plant(tmp_path_factory.mktemp("planted")))
+
+
+def test_planted_worker_differs(planted):
+    a, b = planted
     assert a[0] == 0, a[2].decode(errors="replace")
     assert _difference(a, b) is not None
+
+
+def test_planted_worker_difference_is_named(planted):
+    # The worker exits cleanly both times; only its emitted order moves, so
+    # the report must name stdout rather than stop at the exit status.
+    a, b = planted
+    assert _difference(a, b) == (
+        f"stdout differs between {VARIANTS[0]} and {VARIANTS[1]}"
+    )
