@@ -260,7 +260,7 @@ def decode_symbols(data: bytes, count: int, table: HuffmanTable) -> List[int]:
     payload before any symbol is materialized: every huffman code spans at
     least one bit (``build_code_lengths`` assigns 1..max_bits), so a valid
     ``data`` can encode at most ``8 * len(data)`` symbols. Without the cap
-    a 20-byte corrupt frame could demand billions of appends (R015).
+    a 20-byte corrupt frame could demand billions of appends.
     """
     if count > 8 * len(data):
         raise CorruptStreamError(

@@ -145,7 +145,10 @@ class _LzoDecompressContext(DecompressContext):
         data = self._pending
         pos = 0
         if self._expected is None:
-            parsed = LZO_FRAME.try_decode_preamble(bytes(data[:avail]))
+            # Probe through a view: the preamble must end before the
+            # withheld trailer, and the body is not copied to find it.
+            with memoryview(data) as view, view[:avail] as head:
+                parsed = LZO_FRAME.try_decode_preamble(head)
             if parsed is None:
                 return b""
             preamble, pos = parsed
@@ -172,7 +175,8 @@ class _LzoDecompressContext(DecompressContext):
                     f"decoded length exceeds expected {self._expected}"
                 )
         del data[:pos]
-        out = bytes(work[base:])
+        with memoryview(work) as view:
+            out = bytes(view[base:])
         if len(work) > _MAX_COPY_OFFSET:
             del work[: len(work) - _MAX_COPY_OFFSET]
         self._crc = crc32c(out, self._crc)

@@ -174,11 +174,13 @@ def decode_with_tokens(data: bytes) -> Tuple[bytes, TokenStream]:
 
     This is the codec's element loop run with a sink over one feed, so it
     accepts and rejects exactly what :meth:`SnappyCodec.decompress` does,
-    and the stream is the element sequence the loop executed.
+    and the stream is the element sequence the loop executed. Like
+    :meth:`SnappyCodec.decompress_block` it drives the uninstrumented
+    ``_feed``/``_flush``: the hardware model's parse is not a Snappy call.
     """
     sink = TokenStreamBuilder()
     ctx = _SnappyDecompressContext(SnappyCodec(), sink)
-    content = ctx.feed(data) + ctx.flush()
+    content = ctx._feed(data) + ctx._flush(True)
     return content, sink.build()
 
 
@@ -273,7 +275,10 @@ class _SnappyDecompressContext(DecompressContext):
                         f"promised {self._expected}"
                     )
         del data[:pos]
-        out = bytes(work[base:])
+        # One copy of this feed's output; the view is released before the
+        # window trim resizes ``work``.
+        with memoryview(work) as view:
+            out = bytes(view[base:])
         if len(work) > SNAPPY_WINDOW:
             del work[: len(work) - SNAPPY_WINDOW]
         return out

@@ -34,14 +34,13 @@ Rules
   slice, a ``range()``, or an allocation.
 * **R009 guarded read** — each decoder buffer read needs a *dominating*
   bounds check; a decoder the flow layer cannot model is itself a finding.
-* **R010–R011 pool and worker safety**, **R013 blocking in async** — the
-  concurrency family (see DESIGN.md §7.5).
 * **R012 determinism hygiene** — entropy only from
   :func:`repro.common.rng.make_rng` (no ``random``/``numpy.random`` imports
   or calls, under any alias; no time-derived seeds), no unsorted filesystem
   enumeration, no hash-order set iteration, no wall-clock in artifacts.
-* **R014–R016 wire grammar** — encode/decode symmetry, interprocedural
-  allocation caps and decode-loop progress.
+* **R013 blocking in async** — no blocking primitives inside ``async def``
+  (see DESIGN.md §7.5).
+* **R016 decoder progress** — every decode loop consumes input or exits.
 
 The decoder tree and the decode-side classifier the decoder rules share
 live in :mod:`repro.lint.common`. The flow rules run on a shared flow layer

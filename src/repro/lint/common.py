@@ -3,7 +3,7 @@ per-module syntax-tree index they all read (:class:`SyntaxIndex`), plus the
 decoder-tree contract: which modules read untrusted bytes, and which of
 their functions are decode-side.
 
-Every decoder-robustness check (R002's handler checks, R009, R015, R016)
+Every decoder-robustness check (R002's handler checks, R009, R016)
 and the flow layer's implicit-``IndexError`` escapes scope themselves
 through :func:`in_decoder_tree` and :func:`decode_side`, so "decode side"
 means one thing across the analyzer.

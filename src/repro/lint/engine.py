@@ -5,8 +5,8 @@ function, plus a taint solve where a rule reads taint facts
 (:func:`repro.lint.flow.collect_module_flow`),
 assembled into project-wide call-graph summaries
 (:func:`repro.lint.flow.assemble`). Pass two runs the rules, which see the
-summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009,
-R010-R011, R015) consume them directly.
+summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009)
+consume them directly.
 
 Pass one is the expensive part and is embarrassingly parallel per file, so
 ``jobs > 1`` fans it out over a :class:`~concurrent.futures.

@@ -16,16 +16,14 @@ that machinery in four layers, each usable on its own:
   that originate from untrusted stream reads, with *kills* on dominating
   bounds checks (``if length > len(buf) - pos: raise``), solved by the one
   worklist solver here. One replay of the solved facts reports unchecked
-  slice/``range()``/allocation sinks, tainted call arguments and buffer
-  read sites with their guards.
+  slice/``range()``/allocation sinks and buffer read sites with their
+  guards.
 * :mod:`repro.lint.flow.summaries` — a project-wide call graph with
-  per-function summaries: which exception classes can escape, and whether
-  buffer-ish parameters are bounds-checked before indexed use. Summaries are
-  propagated to a fixpoint so a leak three helpers deep is charged to the
+  per-function summaries: which exception classes can escape, plus each
+  function's taint sinks and buffer read sites. Escapes are propagated to a fixpoint so a leak three helpers deep is charged to the
   public surface that exposes it. Taint is solved on demand: only for
   functions that call a taint source or that R009 reads in the decoder
-  tree (:func:`~repro.lint.flow.summaries.demands_taint`), and the seeded
-  parameter pass only for the callees R015 asks about.
+  tree (:func:`~repro.lint.flow.summaries.demands_taint`).
 
 Soundness stance (see DESIGN.md §7.4): the analyses are *best-effort and
 deliberately unsound* in the direction that keeps findings actionable —

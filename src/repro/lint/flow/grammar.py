@@ -1,41 +1,29 @@
-"""Wire-grammar extraction: the static frame-format model behind R014-R016.
+"""Wire-grammar extraction: the static frame-format model of every codec.
 
 Every codec in the library frames its payload through the declarative
 :class:`~repro.algorithms.container.FrameSpec` layer (R006 enforces that),
 which means the *entire wire grammar* of a frame is statically recoverable
 from the AST: the ``FrameSpec(...)`` declaration fixes the ordered header
 fields (magic bytes, version gate, window-log guard, extra header, varint
-content length with its ``max_bits``), the ``GRAPH_PRESETS`` table plus the
-stage registry fix the ``GRPH`` stage-descriptor rows, and the call sites of
-``encode_preamble()`` / ``decode_preamble()`` / ``try_decode_preamble()``
-mark exactly where each codec writes and reads that header.
+content length with its ``max_bits``), and the ``GRAPH_PRESETS`` table plus
+the stage registry fix the ``GRPH`` stage-descriptor rows.
 
 This module symbolically evaluates those declarations — no codec code is
-imported or executed — and produces:
+imported or executed — and produces one :class:`FrameGrammar` per codec
+(ordered fields, widths, ``max_bits``, guard ranges, version gates, and a
+layout *fingerprint* that deliberately excludes the version byte's value,
+so a version bump alone never perturbs it while any width/order change
+does).
 
-* :class:`FrameGrammar` per codec (ordered fields, widths, ``max_bits``,
-  guard ranges, version gates, and a layout *fingerprint* that deliberately
-  excludes the version byte's value, so a version bump alone never perturbs
-  it while any width/order change does);
-* :class:`SurfaceRec` per encode/decode call site, each with a
-  *header-window trace*: the sequence of raw wire operations
-  (``encode_varint``/``decode_varint``, stage-descriptor tables,
-  const-width ``to_bytes``/``from_bytes``) that the surrounding code applies
-  immediately after the preamble call, before opaque body bytes begin;
-* per-module CRC-32C evidence (``append_content_checksum`` /
-  ``to_bytes(CHECKSUM_BYTES, ...)`` emits, ``verify_content_checksum`` /
-  ``verify_running_checksum`` verifies).
+The regen tool (:mod:`repro.tools.regen_grammars`) serializes the grammars
+to the committed ``results/frame_grammars.json`` artifact whose drift test
+makes a format change without a frame version bump fail tier-1; and the
+failure injection suite derives its truncation/corruption offsets from the
+same artifact so static and dynamic coverage stay linked (DESIGN.md §7.9).
 
-Rule R014 consumes all three to prove encoder/decoder symmetry; the regen
-tool (:mod:`repro.tools.regen_grammars`) serializes the grammars to the
-committed ``results/frame_grammars.json`` artifact whose drift test makes a
-format change without a frame version bump fail tier-1; and the failure
-injection suite derives its truncation/corruption offsets from the same
-artifact so static and dynamic coverage stay linked (DESIGN.md §7.9).
-
-Soundness stance matches the rest of the flow package: extraction is
-best-effort and deliberately unsound in the quiet direction — a receiver the
-resolver cannot tie to a known spec constant is skipped, never guessed.
+Extraction is best-effort and deliberately unsound in the quiet direction:
+a keyword the evaluator cannot resolve to a module constant keeps the
+spec's default, never a guess.
 """
 
 from __future__ import annotations
@@ -51,29 +39,6 @@ from repro.lint.common import SyntaxIndex, normalize_rel, terminal_name
 
 #: Version of the ``results/frame_grammars.json`` artifact schema.
 GRAMMAR_SCHEMA_VERSION = 1
-
-#: Methods on a FrameSpec constant that put header bytes on the wire.
-_WRITE_METHODS = frozenset({"encode_preamble"})
-#: Methods on a FrameSpec constant that consume header bytes off the wire.
-_READ_METHODS = frozenset({"decode_preamble", "try_decode_preamble"})
-
-#: Raw wire-write primitives -> the field kind they emit.
-_WRITE_OPS = {
-    "encode_varint": "varint",
-    "encode_stage_descriptors": "stage-table",
-}
-#: Raw wire-read primitives -> the field kind they consume.
-_READ_OPS = {
-    "decode_varint": "varint",
-    "try_decode_varint": "varint",
-    "try_decode_stage_descriptors": "stage-table",
-}
-
-#: CRC-32C trailer evidence: callables that emit / verify the trailer.
-_CHECKSUM_EMITS = frozenset({"append_content_checksum"})
-_CHECKSUM_VERIFIES = frozenset(
-    {"verify_content_checksum", "verify_running_checksum"}
-)
 
 #: FrameSpec field defaults, used only when ``algorithms/container.py`` is
 #: not among the analyzed modules (synthetic lint-test projects); when it
@@ -98,19 +63,6 @@ def _module_stem(rel: str) -> str:
     return Path(rel).stem
 
 
-def _receiver_name(func: ast.AST) -> Optional[str]:
-    """Terminal constant name of a method call's receiver (``X`` in
-    ``X.encode_preamble``, ``container.X.encode_preamble``)."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    value = func.value
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------
@@ -127,35 +79,9 @@ class SpecInfo:
     params: Dict[str, object]
 
     @property
-    def has_checksum(self) -> bool:
-        return bool(self.params.get("has_checksum"))
-
-    @property
     def version(self) -> Optional[int]:
         version = self.params.get("version")
         return version if isinstance(version, int) else None
-
-
-@dataclass
-class SurfaceRec:
-    """One encode/decode call site of a spec constant."""
-
-    rel: str
-    lineno: int
-    func: str  # enclosing function qualname, or "<module>"
-    spec: str  # SpecInfo.identity
-    kind: str  # "write" | "read"
-    #: Ordered raw wire ops applied right after the preamble call, before
-    #: opaque body bytes: ("varint",) | ("stage-table",) | ("fixed", width).
-    trace: Tuple[Tuple[object, ...], ...] = ()
-
-
-@dataclass
-class ChecksumEvidence:
-    """CRC-32C trailer handling observed in one module."""
-
-    emit_lines: List[int] = field(default_factory=list)
-    verify_lines: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -217,14 +143,7 @@ class GrammarIndex:
     """Everything the wire-grammar pass extracted from one project tree."""
 
     specs: Dict[str, SpecInfo] = field(default_factory=dict)
-    surfaces: List[SurfaceRec] = field(default_factory=list)
-    checksum_evidence: Dict[str, ChecksumEvidence] = field(default_factory=dict)
     grammars: Dict[str, FrameGrammar] = field(default_factory=dict)
-
-    def surfaces_for(self, identity: str, kind: str) -> List[SurfaceRec]:
-        return [
-            s for s in self.surfaces if s.spec == identity and s.kind == kind
-        ]
 
     def to_artifact(self) -> Dict[str, object]:
         """The committed ``results/frame_grammars.json`` payload."""
@@ -277,10 +196,6 @@ class _ModuleEnv:
                 and terminal_name(value.func) == "FrameSpec"
             ):
                 self.spec_calls.append((target.id, stmt.lineno, value))
-
-    def const_int(self, node: ast.expr) -> Optional[int]:
-        value = self.literal(node)
-        return value if isinstance(value, int) and not isinstance(value, bool) else None
 
     def literal(self, node: ast.expr) -> object:
         if isinstance(node, ast.Constant):
@@ -459,150 +374,6 @@ def _graph_presets(env: _ModuleEnv) -> Dict[str, List[Tuple[str, List[int]]]]:
 
 
 # ---------------------------------------------------------------------------
-# Surfaces and header-window traces
-# ---------------------------------------------------------------------------
-
-
-def _enclosing_statement(node: ast.AST, syntax: SyntaxIndex) -> Optional[ast.stmt]:
-    cur: Optional[ast.AST] = node
-    while cur is not None and not isinstance(cur, ast.stmt):
-        cur = syntax.parent(cur)
-    return cur
-
-
-def _statement_slot(
-    stmt: Optional[ast.stmt], syntax: SyntaxIndex
-) -> Optional[Tuple[List[ast.stmt], int]]:
-    parent = syntax.parent(stmt) if stmt is not None else None
-    if parent is None:
-        return None
-    for attr in ("body", "orelse", "finalbody"):
-        block = getattr(parent, attr, None)
-        if isinstance(block, list) and stmt in block:
-            return block, block.index(stmt)
-    return None
-
-
-def _wire_op(
-    expr: ast.expr, kind: str, env: _ModuleEnv
-) -> Optional[Tuple[object, ...]]:
-    """Classify one expression as a raw wire op, or ``None``."""
-    if not isinstance(expr, ast.Call):
-        return None
-    name = terminal_name(expr.func)
-    if name is None:
-        return None
-    table = _WRITE_OPS if kind == "write" else _READ_OPS
-    if name in table:
-        return (table[name],)
-    if kind == "write" and name == "to_bytes" and isinstance(expr.func, ast.Attribute):
-        width = env.const_int(expr.args[0]) if expr.args else None
-        return ("fixed", width)
-    if kind == "read" and name == "from_bytes" and isinstance(expr.func, ast.Attribute):
-        width = _slice_width(expr.args[0], env) if expr.args else None
-        return ("fixed", width)
-    return None
-
-
-def _slice_width(expr: ast.expr, env: _ModuleEnv) -> Optional[int]:
-    """Constant width of ``buf[a : a + K]`` / ``buf[:K]`` shapes."""
-    if not isinstance(expr, ast.Subscript):
-        return None
-    sl = expr.slice
-    if not isinstance(sl, ast.Slice) or sl.step is not None:
-        return None
-    lower, upper = sl.lower, sl.upper
-    if lower is None:
-        return env.const_int(upper) if upper is not None else None
-    low = env.const_int(lower)
-    high = env.const_int(upper) if upper is not None else None
-    if low is not None and high is not None:
-        return high - low
-    if (
-        isinstance(upper, ast.BinOp)
-        and isinstance(upper.op, ast.Add)
-        and ast.dump(upper.left) == ast.dump(lower)
-    ):
-        return env.const_int(upper.right)
-    return None
-
-
-def _scan_operand(
-    expr: ast.expr, kind: str, env: _ModuleEnv
-) -> Tuple[List[Tuple[object, ...]], bool]:
-    """Wire ops contributed by one concatenation operand.
-
-    Returns ``(ops, terminal)``; ``terminal`` means opaque body bytes were
-    reached and the header window is over.
-    """
-    op = _wire_op(expr, kind, env)
-    if op is not None:
-        return [op], False
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
-        left, stop = _scan_operand(expr.left, kind, env)
-        if stop:
-            return left, True
-        right, stop = _scan_operand(expr.right, kind, env)
-        return left + right, stop
-    return [], True
-
-
-def _expression_trace(
-    call: ast.Call, kind: str, env: _ModuleEnv
-) -> Tuple[List[Tuple[object, ...]], bool]:
-    """Wire ops concatenated after the preamble call in its own expression."""
-    ops: List[Tuple[object, ...]] = []
-    cur: ast.AST = call
-    parent = env.syntax.parent(cur)
-    while parent is not None and not isinstance(cur, ast.stmt):
-        if (
-            isinstance(parent, ast.BinOp)
-            and isinstance(parent.op, ast.Add)
-            and parent.left is cur
-        ):
-            got, stop = _scan_operand(parent.right, kind, env)
-            ops.extend(got)
-            if stop:
-                return ops, True
-        cur, parent = parent, env.syntax.parent(parent)
-    return ops, False
-
-
-def _statement_trace(
-    stmt: ast.stmt, kind: str, env: _ModuleEnv
-) -> Optional[List[Tuple[object, ...]]]:
-    """Wire ops a trailing statement appends to the header, or ``None``
-    when the statement is not pure wire output and the window closes."""
-    value: Optional[ast.expr] = None
-    if isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add):
-        value = stmt.value
-    elif isinstance(stmt, ast.Assign):
-        value = stmt.value
-    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("append", "extend")
-            and len(stmt.value.args) == 1
-        ):
-            value = stmt.value.args[0]
-    if value is None:
-        return None
-    ops, stop = _scan_operand(value, kind, env)
-    return ops if ops and not stop else None
-
-
-def _qualname_of(call: ast.Call, syntax: SyntaxIndex) -> str:
-    names: List[str] = []
-    cur: Optional[ast.AST] = call
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(cur.name)
-        cur = syntax.parent(cur)
-    return ".".join(reversed(names)) or "<module>"
-
-
-# ---------------------------------------------------------------------------
 # Project-level extraction
 # ---------------------------------------------------------------------------
 
@@ -654,55 +425,7 @@ def extract_grammar_index(
         name: info for name, info in specs_by_name.items() if info is not None
     }
 
-    # Pass 2: surfaces with header-window traces + checksum evidence.
-    for rel, env in sorted(envs.items()):
-        evidence = ChecksumEvidence()
-        for node in env.syntax.walk(env.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = terminal_name(node.func)
-            if name in _CHECKSUM_EMITS:
-                evidence.emit_lines.append(node.lineno)
-            elif name in _CHECKSUM_VERIFIES:
-                evidence.verify_lines.append(node.lineno)
-            elif name == "to_bytes" and isinstance(node.func, ast.Attribute):
-                width = node.args[0] if node.args else None
-                if isinstance(width, ast.Name) and width.id == "CHECKSUM_BYTES":
-                    evidence.emit_lines.append(node.lineno)
-            if name not in _WRITE_METHODS and name not in _READ_METHODS:
-                continue
-            receiver = _receiver_name(node.func)
-            if receiver is None:
-                continue
-            spec = specs_by_name.get(receiver)
-            if spec is None:
-                continue
-            kind = "write" if name in _WRITE_METHODS else "read"
-            ops, stop = _expression_trace(node, kind, env)
-            if not stop:
-                stmt = _enclosing_statement(node, env.syntax)
-                slot = _statement_slot(stmt, env.syntax)
-                if slot is not None:
-                    block, idx = slot
-                    for following in block[idx + 1 :]:
-                        got = _statement_trace(following, kind, env)
-                        if got is None:
-                            break
-                        ops.extend(got)
-            index.surfaces.append(
-                SurfaceRec(
-                    rel=rel,
-                    lineno=node.lineno,
-                    func=_qualname_of(node, env.syntax),
-                    spec=spec.identity,
-                    kind=kind,
-                    trace=tuple(ops),
-                )
-            )
-        if evidence.emit_lines or evidence.verify_lines:
-            index.checksum_evidence[rel] = evidence
-
-    # Pass 3: per-codec grammars (monolithic frames + GRPH presets).
+    # Pass 2: per-codec grammars (monolithic frames + GRPH presets).
     stage_ids = _stage_wire_ids(envs)
     for identity, spec in sorted(index.specs.items()):
         env = envs[spec.rel]

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.lint.common import SyntaxIndex, dotted_name
+from repro.lint.common import SyntaxIndex
 from repro.lint.flow.cfg import CFG, Cond, ExceptBind, Item, scan_expr
 from repro.lint.flow.dataflow import bound_names, canonical_name, used_names
 
@@ -354,25 +354,6 @@ class ReadSiteRec:
     reason: str  # why it is (or is not) considered guarded
 
 
-@dataclass(frozen=True)
-class TaintedArgRec:
-    """One call site passing a stream-tainted, unchecked value as argument.
-
-    ``arg_index`` is the positional index with ``self`` receivers excluded
-    (matching :attr:`~repro.lint.flow.summaries.FunctionSummary.params` on
-    the callee side); keyword arguments carry ``kw`` instead. ``names`` are
-    the tainted variables feeding the argument, for blame messages.
-    """
-
-    target: Optional[str]
-    terminal: str
-    lineno: int
-    col: int
-    arg_index: int  # -1 for keyword arguments
-    names: Tuple[str, ...]
-    kw: Optional[str] = None
-
-
 @dataclass
 class TaintScan:
     """Everything one replay of a solved CFG reports (:meth:`TaintAnalysis.scan`).
@@ -382,7 +363,6 @@ class TaintScan:
 
     sinks: List[SinkRec]
     read_sites: List[ReadSiteRec]
-    tainted_args: List[TaintedArgRec]
 
 
 class TaintAnalysis:
@@ -394,16 +374,15 @@ class TaintAnalysis:
         self.converged = converged
 
     def scan(self) -> TaintScan:
-        """Sinks, tainted call arguments and buffer read sites, from one
-        replay of the solved facts over every item.
+        """Sinks and buffer read sites, from one replay of the solved facts
+        over every item.
 
-        Sinks and read sites are judged under the environment refined
-        mid-expression (:func:`_refined_walk`); call arguments under the
-        item's own. Each is reported once per source position.
+        Both are judged under the environment refined mid-expression
+        (:func:`_refined_walk`), and each is reported once per source
+        position.
         """
         sinks: Dict[Tuple[int, int], SinkRec] = {}
         sites: Dict[Tuple[int, int], ReadSiteRec] = {}
-        args: Dict[Tuple[int, int, int, Optional[str]], TaintedArgRec] = {}
         cfg = self.cfg
         syntax = cfg.syntax
         for block in cfg.blocks:
@@ -422,9 +401,8 @@ class TaintAnalysis:
                                     site, guarded=True, reason="inside an IndexError-translating try"
                                 )
                             sites[site.lineno, site.col] = site
-                    _tainted_args(target, env, args, syntax)
                 env = _transfer_item(env, item, syntax)
-        return TaintScan(list(sinks.values()), list(sites.values()), list(args.values()))
+        return TaintScan(list(sinks.values()), list(sites.values()))
 
 
 def _read_site(sub: ast.AST, env: Env, syntax: SyntaxIndex) -> Optional[ReadSiteRec]:
@@ -462,54 +440,6 @@ def _read_site(sub: ast.AST, env: Env, syntax: SyntaxIndex) -> Optional[ReadSite
     else:
         guarded, reason = False, "no dominating bounds check"
     return ReadSiteRec(sub.lineno, sub.col_offset, base, guarded, reason)
-
-
-def _tainted_args(
-    target: ast.AST,
-    env: Env,
-    out: Dict[Tuple[int, int, int, Optional[str]], TaintedArgRec],
-    syntax: SyntaxIndex,
-) -> None:
-    """Record each call argument in ``target`` that carries an unchecked
-    untrusted value, once per ``(line, col, index, keyword)``. A value
-    capped before the call lost its taint in ``env``, so every record is a
-    value crossing a function boundary unchecked."""
-    for node in syntax.walk(target):
-        if not isinstance(node, ast.Call):
-            continue
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            continue  # positional indices would be unknowable
-        callee = dotted_name(node.func)
-        if callee is None:
-            continue
-        slots = [(i, None, a) for i, a in enumerate(node.args)] + [
-            (-1, k.arg, k.value) for k in node.keywords if k.arg
-        ]
-        for index, kw, arg in slots:
-            if not env.expr_tainted(arg):
-                continue
-            key = (node.lineno, node.col_offset, index, kw)
-            if key in out:
-                continue
-            names = tuple(
-                sorted(
-                    {
-                        name
-                        for sub in syntax.walk(arg)
-                        for name in [canonical_name(sub)]
-                        if name is not None and name in env.tainted
-                    }
-                )
-            ) or ("<expr>",)
-            out[key] = TaintedArgRec(
-                target=callee,
-                terminal=callee.split(".")[-1],
-                lineno=node.lineno,
-                col=node.col_offset,
-                arg_index=index,
-                names=names,
-                kw=kw,
-            )
 
 
 def _refined_walk(
@@ -874,19 +804,10 @@ def _raises_corrupt_immediately(cfg: CFG, block_id: int) -> bool:
 _MAX_PASSES = 64
 
 
-def analyze_taint(
-    cfg: CFG,
-    *,
-    tainted_params: Set[str] = frozenset(),
-) -> TaintAnalysis:
-    """Solve the taint lattice over ``cfg``.
-
-    ``tainted_params`` seeds parameters as untrusted (used when computing
-    whether a callee bounds-checks a parameter before using it as a bound).
-    """
+def analyze_taint(cfg: CFG) -> TaintAnalysis:
+    """Solve the taint lattice over ``cfg``."""
     obs.counter_add("lint.flow.taint_solves", 1)
-    entry_env = Env(tainted=set(tainted_params))
-    env_in: Dict[int, Env] = {cfg.entry: entry_env}
+    env_in: Dict[int, Env] = {cfg.entry: Env()}
     worklist = deque([cfg.entry])
     queued = {cfg.entry}
     passes = 0

@@ -1,7 +1,6 @@
 """Rule implementations; importing this package registers them all."""
 
 from repro.lint.rules import (  # noqa: F401
-    allocation_amplification,
     api_hygiene,
     blocking_in_async,
     calibration,
@@ -10,10 +9,7 @@ from repro.lint.rules import (  # noqa: F401
     decoder_safety,
     determinism_hygiene,
     exception_contract,
-    grammar_symmetry,
     guarded_read,
-    pool_safety,
     registry_completeness,
     tainted_length,
-    worker_purity,
 )

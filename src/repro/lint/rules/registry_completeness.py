@@ -222,36 +222,40 @@ class RegistryCompletenessRule(Rule):
         return findings
 
     @staticmethod
-    def _dict_string_keys(syntax: SyntaxIndex, var_name: str) -> Optional[set]:
+    def _assigned(syntax: SyntaxIndex, var_name: str) -> Optional[ast.AST]:
+        """The value bound to module name ``var_name``, annotated or not."""
         for node in syntax.walk(syntax.tree):
-            if not isinstance(node, ast.Assign):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
                 continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if var_name in targets and isinstance(node.value, ast.Dict):
-                return {
-                    k.value
-                    for k in node.value.keys
-                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                }
+            if any(isinstance(t, ast.Name) and t.id == var_name for t in targets):
+                return node.value
         return None
 
-    @staticmethod
-    def _string_tuple(syntax: SyntaxIndex, var_name: str) -> Optional[Tuple[str, ...]]:
-        for node in syntax.walk(syntax.tree):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = (
-                [node.target] if isinstance(node, ast.AnnAssign) else node.targets
-            )
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            value = node.value
-            if var_name in names and isinstance(value, ast.Tuple):
-                return tuple(
-                    e.value
-                    for e in value.elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                )
-        return None
+    @classmethod
+    def _dict_string_keys(cls, syntax: SyntaxIndex, var_name: str) -> Optional[set]:
+        value = cls._assigned(syntax, var_name)
+        if not isinstance(value, ast.Dict):
+            return None
+        return {
+            k.value
+            for k in value.keys
+            if isinstance(k, ast.Constant) and isinstance(k.value, str)
+        }
+
+    @classmethod
+    def _string_tuple(cls, syntax: SyntaxIndex, var_name: str) -> Optional[Tuple[str, ...]]:
+        value = cls._assigned(syntax, var_name)
+        if not isinstance(value, ast.Tuple):
+            return None
+        return tuple(
+            e.value
+            for e in value.elts
+            if isinstance(e, ast.Constant) and isinstance(e.value, str)
+        )
 
     @staticmethod
     def _graph_presets(

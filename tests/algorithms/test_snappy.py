@@ -45,6 +45,27 @@ class TestRoundTrip:
         assert codec.resolve_window(None) == SNAPPY_WINDOW
 
 
+    def test_one_shot_decompress_copies_its_output_once(self, codec):
+        """Peak traced memory of a one-shot decompress over ~1 MB of the
+        repo's own source stays under 2.5x the output: the pending input,
+        the history and one copy of the output, with no second output copy
+        per feed."""
+        import tracemalloc
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        data = b"".join(p.read_bytes() for p in sorted(root.rglob("*.py")))[: 1 << 20]
+        frame = codec.compress(data)
+        tracemalloc.start()
+        try:
+            out = codec.decompress(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == data
+        assert peak < 2.5 * len(out), f"peak {peak} B for {len(out)} B of output"
+
+
 class TestWireFormat:
     """Byte-level checks against format_description.txt."""
 

@@ -194,7 +194,10 @@ class TestSarifFormat:
         project.write("src/repro/fleet/sampler.py", "import random\n")
         log = self._emit(project, capsys)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
-        expected = [f"R{i:03d}" for i in range(2, 17)]
+        expected = [
+            "R002", "R003", "R004", "R005", "R006", "R007", "R008", "R009",
+            "R012", "R013", "R016",
+        ]
         assert [r["id"] for r in rules] == expected
         (result,) = log["runs"][0]["results"]
         assert result["ruleId"] == "R012"
@@ -205,7 +208,7 @@ class TestSarifFormat:
         project.write("src/repro/fleet/sampler.py", "import random\n")
         log = self._emit(project, capsys)
         rules = {r["id"]: r for r in log["runs"][0]["tool"]["driver"]["rules"]}
-        for code in ("R010", "R011", "R012", "R013", "R014", "R015", "R016"):
+        for code in ("R012", "R013", "R016"):
             help_block = rules[code]["help"]
             assert help_block["markdown"] == help_block["text"]
             assert help_block["markdown"]

@@ -1,286 +1,9 @@
-"""Tests for the concurrency/determinism rule family (R010-R013)."""
+"""Tests for the determinism and event-loop rules (R012, R013)."""
 
 import pytest
 
 from repro.lint import get_rule
 from tests.planted_worker import PLANTED_WORKER_SOURCE
-
-
-class TestR010PoolSafety:
-    def test_lambda_submit_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(lambda x: x + 1, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R010")
-        assert "lambda" in finding.message
-        assert finding.severity.name == "ERROR"
-
-    def test_nested_function_target_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                def work(x):
-                    return x + 1
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, items))
-            """,
-        )
-        (finding,) = project.findings("src", rule="R010")
-        assert "'work'" in finding.message
-
-    def test_toplevel_target_clean(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                return x + 1
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, items))
-            """,
-        )
-        assert project.findings("src", rule="R010") == []
-
-    def test_open_handle_argument_flagged_through_def_use(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(handle):
-                return handle.read()
-
-            def run(path):
-                handle = open(path, "rb")
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(work, handle)
-            """,
-        )
-        (finding,) = project.findings("src", rule="R010")
-        assert "open file handle" in finding.message
-
-    def test_lock_argument_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(lock, x):
-                return x
-
-            def run(items):
-                lock = threading.Lock()
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, lock, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R010")
-        assert "synchronization primitive" in finding.message
-
-    def test_generator_function_target_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                yield x + 1
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R010")
-        assert "generator function" in finding.message
-
-    def test_multiprocessing_pool_spelling_covered(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from multiprocessing import Pool
-
-            def run(items):
-                with Pool(4) as pool:
-                    return pool.map(lambda x: x, items)
-            """,
-        )
-        assert project.findings("src", rule="R010") != []
-
-    def test_plain_data_arguments_clean(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x, names):
-                return x, names
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i, ["a", "b"]) for i in items]
-            """,
-        )
-        assert project.findings("src", rule="R010") == []
-
-    def test_tests_exempt(self, project):
-        project.write(
-            "tests/test_sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def test_pool():
-                with ProcessPoolExecutor() as pool:
-                    pool.submit(lambda: 1)
-            """,
-        )
-        assert project.findings("tests", rule="R010") == []
-
-
-class TestR011WorkerPurity:
-    def test_direct_global_write_flagged_at_write_site(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _RESULTS = []
-
-            def work(x):
-                global _RESULTS
-                _RESULTS = [x]
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R011")
-        assert "_RESULTS" in finding.message
-        # blame lands on the write inside ``work``, not the dispatch line
-        assert finding.line == 8
-
-    def test_transitive_write_through_callee_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _CACHE = {}
-
-            def remember(x):
-                _CACHE[x] = True
-
-            def work(x):
-                remember(x)
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R011")
-        assert "_CACHE" in finding.message
-        assert "remember" in finding.message  # provenance chain names the callee
-
-    def test_mutation_method_on_module_list_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _SEEN = []
-
-            def work(x):
-                _SEEN.append(x)
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        (finding,) = project.findings("src", rule="R011")
-        assert "_SEEN" in finding.message
-
-    def test_initializer_writes_sanctioned(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _WORKER_STATE = None
-
-            def _init_worker(payload):
-                global _WORKER_STATE
-                _WORKER_STATE = payload
-
-            def work(x):
-                return x
-
-            def run(items, payload):
-                with ProcessPoolExecutor(
-                    initializer=_init_worker, initargs=(payload,)
-                ) as pool:
-                    return list(pool.map(work, items))
-            """,
-        )
-        assert project.findings("src", rule="R011") == []
-
-    def test_pure_worker_clean(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                local = []
-                local.append(x)
-                return local
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        assert project.findings("src", rule="R011") == []
-
-    def test_unreachable_impure_function_not_flagged(self, project):
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _STATE = []
-
-            def impure(x):
-                _STATE.append(x)
-
-            def work(x):
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
-        assert project.findings("src", rule="R011") == []
 
 
 class TestR012DeterminismHygiene:
@@ -544,6 +267,6 @@ class TestR013BlockingInAsync:
 
 
 class TestRemediationMetadata:
-    @pytest.mark.parametrize("code", ["R010", "R011", "R012", "R013"])
+    @pytest.mark.parametrize("code", ["R012", "R013"])
     def test_new_rules_carry_remediation(self, code):
         assert get_rule(code).remediation

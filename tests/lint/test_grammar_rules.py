@@ -1,244 +1,13 @@
-"""Planted-bug tests for the wire-grammar rule family (R014-R016).
+"""Planted-bug tests for the decoder-progress rule (R016).
 
-Each test writes a tiny codec-shaped module with a deliberate grammar bug
-(or its fixed twin) and asserts the rule fires exactly there. The planted
-shapes mirror the real tree's idioms: ``FrameSpec`` constants, preamble
-surfaces, varint lengths crossing helper calls, and cursor-driven decode
-loops.
+Each test writes a tiny codec-shaped module with a deliberate bug (or its
+fixed twin) and asserts the rule fires exactly there. The planted shapes
+mirror the real tree's cursor-driven decode loops. The worker-count parity
+test at the end runs the engine's flow pool over a planted R007 leak and
+an R016 loop.
 """
 
 from repro.lint import run_lint
-
-# ---------------------------------------------------------------------------
-# R014: grammar symmetry
-# ---------------------------------------------------------------------------
-
-_SYMMETRIC_CODEC = """
-    from repro.algorithms.container import (
-        FrameSpec,
-        append_content_checksum,
-        split_content_checksum,
-        verify_content_checksum,
-    )
-
-    FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1)
-
-    def encode_frame(data, flags):
-        header = FAKE_FRAME.encode_preamble(len(data)) + flags.to_bytes(2, "little")
-        return append_content_checksum(header + data)
-
-    def decode_frame(data):
-        frame = verify_content_checksum(data)
-        preamble, pos = FAKE_FRAME.decode_preamble(frame)
-        flags = int.from_bytes(frame[pos : pos + 2], "little")
-        return flags, frame[pos + 2 :]
-    """
-
-
-class TestR014GrammarSymmetry:
-    def test_encoder_without_decoder_flagged(self, project):
-        project.write(
-            "src/repro/algorithms/wonly.py",
-            """
-            from repro.algorithms.container import FrameSpec
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
-
-            def encode_frame(data):
-                return FAKE_FRAME.encode_preamble(len(data)) + data
-            """,
-        )
-        findings = project.findings("src", rule="R014")
-        assert len(findings) == 1
-        assert "no decode surface" in findings[0].message
-        assert "encode_frame" in findings[0].message
-
-    def test_decoder_without_encoder_flagged(self, project):
-        project.write(
-            "src/repro/algorithms/ronly.py",
-            """
-            from repro.algorithms.container import FrameSpec
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
-
-            def decode_frame(data):
-                preamble, pos = FAKE_FRAME.decode_preamble(data)
-                return data[pos:]
-            """,
-        )
-        findings = project.findings("src", rule="R014")
-        assert len(findings) == 1
-        assert "no encode surface" in findings[0].message
-
-    def test_one_sided_trailing_field_flagged_with_both_sites(self, project):
-        project.write(
-            "src/repro/algorithms/drift.py",
-            """
-            from repro.algorithms.container import FrameSpec
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
-
-            def encode_frame(data, flags):
-                header = FAKE_FRAME.encode_preamble(len(data))
-                header += flags.to_bytes(2, "little")
-                return header + data
-
-            def decode_frame(data):
-                preamble, pos = FAKE_FRAME.decode_preamble(data)
-                return data[pos:]
-            """,
-        )
-        findings = project.findings("src", rule="R014")
-        # Both surfaces are cited: the writer emits fixed[2] no reader
-        # consumes, and the reader's empty window has no writer.
-        assert len(findings) == 2
-        blamed = " ".join(f.message for f in findings)
-        assert "fixed[2]" in blamed
-        assert "encode_frame" in blamed and "decode_frame" in blamed
-
-    def test_missing_checksum_verify_flagged(self, project):
-        project.write(
-            "src/repro/algorithms/wfmt.py",
-            """
-            from repro.algorithms.container import FrameSpec, append_content_checksum
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=True)
-
-            def encode_frame(data):
-                return append_content_checksum(FAKE_FRAME.encode_preamble(len(data)) + data)
-            """,
-        )
-        project.write(
-            "src/repro/algorithms/rfmt.py",
-            """
-            from repro.algorithms.wfmt import FAKE_FRAME
-
-            def decode_frame(data):
-                preamble, pos = FAKE_FRAME.decode_preamble(data)
-                return data[: pos]
-            """,
-        )
-        findings = project.findings("src", rule="R014")
-        assert len(findings) == 1
-        assert "never verifies" in findings[0].message
-        assert findings[0].path.endswith("rfmt.py")
-
-    def test_symmetric_codec_clean(self, project):
-        project.write("src/repro/algorithms/okfmt.py", _SYMMETRIC_CODEC)
-        assert project.findings("src", rule="R014") == []
-
-    def test_noqa_suppresses_surface(self, project):
-        project.write(
-            "src/repro/algorithms/wonly.py",
-            """
-            from repro.algorithms.container import FrameSpec
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
-
-            def encode_frame(data):
-                return FAKE_FRAME.encode_preamble(len(data)) + data  # repro: noqa[R014]
-            """,
-        )
-        result = project.lint("src")
-        assert [f for f in result.findings if f.rule == "R014"] == []
-        assert result.suppressed >= 1
-
-
-# ---------------------------------------------------------------------------
-# R015: interprocedural allocation amplification
-# ---------------------------------------------------------------------------
-
-
-class TestR015AllocationAmplification:
-    def test_uncapped_length_across_call_flagged(self, project):
-        project.write(
-            "src/repro/algorithms/fakelz.py",
-            """
-            from repro.common.varint import decode_varint
-
-            def _inflate(data, size):
-                out = bytearray(size)
-                out[: len(data)] = data[: len(out)]
-                return bytes(out)
-
-            def decode_block(data):
-                size, pos = decode_varint(data, 0)
-                return _inflate(data[pos:], size)
-            """,
-        )
-        findings = project.findings("src", rule="R015")
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "_inflate()" in message
-        assert "'size'" in message
-        assert "allocation" in message
-        # Both blame sites: the call line and the callee's sink line.
-        assert "fakelz.py:" in message
-
-    def test_caller_side_cap_clears_taint(self, project):
-        project.write(
-            "src/repro/algorithms/fakelz.py",
-            """
-            from repro.common.errors import CorruptStreamError
-            from repro.common.varint import decode_varint
-
-            MAX_BLOCK = 1 << 20
-
-            def _inflate(data, size):
-                out = bytearray(size)
-                out[: len(data)] = data[: len(out)]
-                return bytes(out)
-
-            def decode_block(data):
-                size, pos = decode_varint(data, 0)
-                if size > MAX_BLOCK:
-                    raise CorruptStreamError("oversized block")
-                return _inflate(data[pos:], size)
-            """,
-        )
-        assert project.findings("src", rule="R015") == []
-
-    def test_callee_side_cap_clears_sink(self, project):
-        project.write(
-            "src/repro/algorithms/fakelz.py",
-            """
-            from repro.common.errors import CorruptStreamError
-            from repro.common.varint import decode_varint
-
-            MAX_BLOCK = 1 << 20
-
-            def _inflate(data, size):
-                if size > MAX_BLOCK:
-                    raise CorruptStreamError("oversized block")
-                out = bytearray(size)
-                out[: len(data)] = data[: len(out)]
-                return bytes(out)
-
-            def decode_block(data):
-                size, pos = decode_varint(data, 0)
-                return _inflate(data[pos:], size)
-            """,
-        )
-        assert project.findings("src", rule="R015") == []
-
-    def test_repeat_sink_flagged(self, project):
-        project.write(
-            "src/repro/algorithms/fakerle.py",
-            """
-            from repro.common.varint import decode_varint
-
-            def _runs(byte, count):
-                return bytes([byte]) * count
-
-            def decode_runs(data):
-                count, pos = decode_varint(data, 0)
-                return _runs(data[pos], count)
-            """,
-        )
-        findings = project.findings("src", rule="R015")
-        assert len(findings) == 1
-        assert "repeat" in findings[0].message
-
 
 # ---------------------------------------------------------------------------
 # R016: decoder progress
@@ -351,14 +120,15 @@ class TestR016DecoderProgress:
 class TestJobsParity:
     def test_findings_identical_across_worker_counts(self, project):
         project.write(
-            "src/repro/algorithms/wonly.py",
+            "src/repro/algorithms/toy.py",
             """
-            from repro.algorithms.container import FrameSpec
+            import struct
 
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
+            def _read_u32(data):
+                return struct.unpack("<I", data[:4])[0]
 
-            def encode_frame(data):
-                return FAKE_FRAME.encode_preamble(len(data)) + data
+            def decompress(data):
+                return _read_u32(data)
             """,
         )
         project.write(
@@ -378,4 +148,4 @@ class TestJobsParity:
         serial = run_lint([project.root / "src"], root=project.root, jobs=1)
         parallel = run_lint([project.root / "src"], root=project.root, jobs=4)
         assert rows(serial) == rows(parallel)
-        assert {f.rule for f in serial.findings} >= {"R014", "R016"}
+        assert {f.rule for f in serial.findings} >= {"R007", "R016"}

@@ -482,6 +482,33 @@ class TestR005RegistryCompleteness:
         assert len(found) == 1
         assert "ENTROPY_BACKENDS" in found[0].message
 
+    def test_annotated_stage_table_is_read(self, project):
+        """The library annotates ``_STAGE_TYPES``; the preset checks must
+        read it, not skip the whole graph layer."""
+        self._graph_layer(
+            project,
+            """
+            GRAPH_PRESETS = {
+                "graph-headless": (("delta", 1),),
+            }
+            """,
+        )
+        project.write(
+            "src/repro/algorithms/stages.py",
+            """
+            from typing import Dict
+
+            _STAGE_TYPES: Dict[str, type] = {
+                "delta": object,
+                "fse": object,
+            }
+            ENTROPY_BACKENDS = ("fse",)
+            """,
+        )
+        found = project.findings("src", rule="R005")
+        assert len(found) == 1
+        assert "ENTROPY_BACKENDS" in found[0].message
+
     def test_unprefixed_preset_name_fires(self, project):
         self._graph_layer(
             project,
@@ -913,8 +940,7 @@ class TestRuleRegistry:
 
         assert [r.code for r in all_rules()] == [
             "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R010", "R011", "R012", "R013",
-            "R014", "R015", "R016",
+            "R007", "R008", "R009", "R012", "R013", "R016",
         ]
 
     def test_get_rule_by_code(self):

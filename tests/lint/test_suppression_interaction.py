@@ -1,18 +1,16 @@
 """Suppression and baseline interaction for the flow-sensitive rules.
 
 Flow-sensitive findings have two candidate homes: the *surface* site (the
-public function / pool dispatch where the contract is declared) and the
-*blame* site (the statement that actually violates it, possibly frames
-away). ``# repro: noqa[...]`` applies to the reported line only, so the
-rules' choice of report site IS the suppression contract:
+public function where the contract is declared) and the *blame* site (the
+statement that actually violates it, possibly frames away).
+``# repro: noqa[...]`` applies to the reported line only, so the rules'
+choice of report site IS the suppression contract:
 
-* R007 reports at the blame line inside the surface function — suppress
-  there, not at the helper that raised.
+* R007 reports at the blame line inside the surface function — the call
+  that lets a helper's low-level error escape. Suppress there; a noqa on
+  the helper line that raises must NOT silence it, nor one on the ``def``.
 * R009 reports at the unguarded read — suppress at the read.
-* R010 reports at the dispatch (that is both surface and blame: the fix is
-  to change what is dispatched).
-* R011 reports at the offending write, frames below the dispatch —
-  suppress at the write; a noqa on the dispatch line must NOT silence it.
+* R016 reports at the ``continue`` that skips the cursor advance.
 
 The baseline must grandfather the same lines the engine reports, so these
 tests also pin the round-trip: update-baseline -> clean run -> stale entry
@@ -23,58 +21,71 @@ import json
 
 from repro.lint.cli import main as lint_main
 
-#: An R011 violation: the worker mutates module state two frames down.
-_R011_PROJECT = """
-from concurrent.futures import ProcessPoolExecutor
+#: An R007 violation: ``struct.error`` escapes ``decompress`` from a helper
+#: one frame down.
+_R007_PROJECT = """
+import struct
 
-_SEEN = []
+def _read_u32(data):
+    return struct.unpack("<I", data[:4])[0]{helper_noqa}
 
-def _remember(x):
-    _SEEN.append(x){write_noqa}
+def decompress(data):
+    return _read_u32(data){call_noqa}
+"""
 
-def work(x):
-    _remember(x)
-    return x
+#: The fixed twin: the surface translates the helper's error.
+_R007_FIXED = """
+import struct
 
-def run(items):
-    with ProcessPoolExecutor() as pool:{dispatch_noqa_pad}
-        return [pool.submit(work, i) for i in items]{dispatch_noqa}
+from repro.common.errors import CorruptStreamError
+
+def _read_u32(data):
+    return struct.unpack("<I", data[:4])[0]
+
+def decompress(data):
+    try:
+        return _read_u32(data)
+    except struct.error as exc:
+        raise CorruptStreamError("truncated header") from exc
 """
 
 
-def _r011_source(write_noqa: str = "", dispatch_noqa: str = "") -> str:
-    return _R011_PROJECT.format(
-        write_noqa=write_noqa, dispatch_noqa=dispatch_noqa, dispatch_noqa_pad=""
-    )
+def _r007_source(helper_noqa: str = "", call_noqa: str = "") -> str:
+    return _R007_PROJECT.format(helper_noqa=helper_noqa, call_noqa=call_noqa)
 
 
 class TestBlameVsSurfaceSuppression:
-    def test_r011_noqa_at_write_site_suppresses(self, project):
+    def test_r007_noqa_at_helper_call_suppresses(self, project):
         project.write(
-            "src/repro/fleet/sweep.py",
-            _r011_source(write_noqa="  # repro: noqa[R011]"),
+            "src/repro/algorithms/toy.py",
+            _r007_source(call_noqa="  # repro: noqa[R007]"),
         )
-        assert project.findings("src", rule="R011") == []
+        assert project.findings("src", rule="R007") == []
 
-    def test_r011_noqa_at_dispatch_site_does_not_suppress(self, project):
+    def test_r007_noqa_at_helper_raise_does_not_suppress(self, project):
         project.write(
-            "src/repro/fleet/sweep.py",
-            _r011_source(dispatch_noqa="  # repro: noqa[R011]"),
+            "src/repro/algorithms/toy.py",
+            _r007_source(helper_noqa="  # repro: noqa[R007]"),
         )
-        assert len(project.findings("src", rule="R011")) == 1
+        assert len(project.findings("src", rule="R007")) == 1
 
-    def test_r010_noqa_at_dispatch_site_suppresses(self, project):
+    def test_r016_noqa_at_continue_suppresses(self, project):
         project.write(
-            "src/repro/fleet/sweep.py",
+            "src/repro/algorithms/spinner.py",
             """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(lambda x: x, i) for i in items]  # repro: noqa[R010]
+            def decode_tags(data):
+                pos = 0
+                out = []
+                while pos < len(data):
+                    tag = data[pos]
+                    if tag == 0:
+                        continue  # repro: noqa[R016]
+                    pos += 1
+                    out.append(tag)
+                return out
             """,
         )
-        assert project.findings("src", rule="R010") == []
+        assert project.findings("src", rule="R016") == []
 
     def test_r007_noqa_at_blame_line_suppresses(self, project):
         project.write(
@@ -142,8 +153,8 @@ class TestBaselineInteraction:
     def _baseline(self, project):
         return project.root / ".repro-lint-baseline.json"
 
-    def test_r011_finding_baselines_and_then_passes(self, project, capsys):
-        project.write("src/repro/fleet/sweep.py", _r011_source())
+    def test_r007_finding_baselines_and_then_passes(self, project, capsys):
+        project.write("src/repro/algorithms/toy.py", _r007_source())
         src = str(project.root / "src")
         baseline = str(self._baseline(project))
         assert (
@@ -154,20 +165,21 @@ class TestBaselineInteraction:
                     baseline,
                     "--update-baseline",
                     "--justification",
-                    "legacy worker accumulates locally; rework tracked",
+                    "legacy header reader; translation tracked",
                 ]
             )
             == 0
         )
         capsys.readouterr()
         entries = json.loads(self._baseline(project).read_text())["findings"]
-        assert [e["rule"] for e in entries] == ["R011"]
-        assert entries[0]["snippet"] == "_SEEN.append(x)"  # blame site, not dispatch
+        assert [e["rule"] for e in entries] == ["R007"]
+        # The blame line in the surface, not the helper that raises.
+        assert entries[0]["snippet"] == "return _read_u32(data)"
         # Grandfathered: the strict run is clean now.
         assert lint_main([src, "--strict", "--baseline", baseline]) == 0
 
-    def test_fixing_the_write_makes_baseline_entry_stale(self, project, capsys):
-        project.write("src/repro/fleet/sweep.py", _r011_source())
+    def test_translating_the_leak_makes_baseline_entry_stale(self, project, capsys):
+        project.write("src/repro/algorithms/toy.py", _r007_source())
         src = str(project.root / "src")
         baseline = str(self._baseline(project))
         lint_main(
@@ -177,23 +189,11 @@ class TestBaselineInteraction:
                 baseline,
                 "--update-baseline",
                 "--justification",
-                "legacy worker accumulates locally; rework tracked",
+                "legacy header reader; translation tracked",
             ]
         )
-        # Fix the violation: the worker now returns instead of appending.
-        project.write(
-            "src/repro/fleet/sweep.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-        )
+        # Fix the violation: the surface translates the helper's error.
+        project.write("src/repro/algorithms/toy.py", _R007_FIXED)
         capsys.readouterr()
         # Strict mode flags the now-stale grandfathered entry.
         assert lint_main([src, "--strict", "--baseline", baseline]) == 1

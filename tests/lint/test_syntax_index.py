@@ -17,7 +17,6 @@ import pytest
 
 import repro
 from repro.lint.common import SyntaxIndex
-from repro.lint.flow.summaries import _scoped_walk
 from repro.lint.rules.blocking_in_async import _async_body_calls
 from repro.lint.rules.determinism_hygiene import _scope_nodes
 
@@ -39,16 +38,6 @@ def reference_parent_map(tree: ast.AST) -> Dict[int, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[id(child)] = node
     return parents
-
-
-def reference_scoped_walk(func: ast.AST) -> Iterator[ast.AST]:
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def reference_async_body_calls(func: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
@@ -118,11 +107,8 @@ def test_scope_walkers_match_their_reference_generators(parsed):
         syntax = SyntaxIndex(tree)
         assert _ids(_scope_nodes(tree, syntax)) == _ids(reference_scope_nodes(tree)), path
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scopes += 1
-                expected = reference_scoped_walk(node)
-                assert _ids(_scoped_walk(node, syntax)) == _ids(expected), (path, node.name)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes += 1
                 expected = reference_scope_nodes(node)
                 assert _ids(_scope_nodes(node, syntax)) == _ids(expected), (path, node.name)
             if isinstance(node, ast.AsyncFunctionDef):

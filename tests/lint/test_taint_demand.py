@@ -2,10 +2,9 @@
 
 :func:`~repro.lint.flow.summaries.demands_taint` picks the functions that
 get an unseeded taint solve: those that call a taint source, and in the
-decoder tree those that are decode-side or index a buffer-shaped name. The
-seeded parameter pass runs only for the callees R015 asks about. These
-tests hold the cut sound: every function outside the set, solved in full
-anyway, carries no fact a rule reads.
+decoder tree those that are decode-side or index a buffer-shaped name.
+These tests hold the cut sound: every function outside the set, solved in
+full anyway, carries no fact a rule reads.
 """
 
 import ast
@@ -56,7 +55,6 @@ def test_functions_outside_the_demand_set_carry_no_taint(modules):
         assert solved.converged, f"{rel}::{name} needs its solve to prove convergence"
         facts = solved.scan()
         assert facts.sinks == [], f"{rel}::{name}"
-        assert facts.tainted_args == [], f"{rel}::{name}"
         if in_decoder_tree(rel):
             assert facts.read_sites == [], f"{rel}::{name}"
     assert skipped > 0
@@ -90,27 +88,6 @@ def test_source_calling_helper_outside_the_decoder_tree_is_solved(project):
     assert [(f.rule, f.line) for f in project.findings("src")] == [("R008", 4)]
 
 
-def test_callee_reached_only_through_a_tainted_argument_gets_param_sinks(project):
-    source = """
-        from repro.common.varint import decode_varint
-
-        def _grow(size):
-            return bytearray(size)
-
-        def decode_block(data):
-            size, pos = decode_varint(data, 0)
-            return _grow(size)
-        """
-    rel = "src/repro/algorithms/fakelz.py"
-    assert _demand(rel, source) == {"_grow": False, "decode_block": True}
-    summaries = build_summaries([FakeModule(rel, source)])
-    grow = summaries.lookup(rel, "_grow")
-    assert grow.supported and grow.sinks == []
-    assert [(p.param, p.kind) for p in summaries.param_sinks(grow)] == [("size", "allocation")]
-    project.write(rel, source)
-    assert [(f.rule, f.line) for f in project.findings("src")] == [("R015", 9)]
-
-
 def test_pure_helper_is_skipped(counters):
     source = """
         def scale(value, factor):
@@ -127,9 +104,9 @@ def test_pure_helper_is_skipped(counters):
     assert seen["lint.flow.taint_solves"] == 1
 
 
-#: A decode-side method whose callee resolves only by terminal name (R015's
-#: fallback, filtered on ``fn.supported``), next to a helper outside the set
-#: and a decode-side method that is in the set only for being decode-side.
+#: A decode-side method passing a stream-decoded length to a helper outside
+#: the set, and a decode-side method that is in the set only for being
+#: decode-side.
 _DECODER = """
     from repro.common.varint import decode_varint
 
@@ -147,8 +124,14 @@ _DECODER = """
 
 
 def test_out_of_set_candidate_passes_the_supported_filter(project):
-    project.write("src/repro/algorithms/fakelz.py", _DECODER)
-    assert [(f.rule, f.line) for f in project.findings("src")] == [("R015", 10)]
+    """A helper outside the set is never solved, yet counts as modelled
+    because its CFG is."""
+    rel = "src/repro/algorithms/fakelz.py"
+    assert _demand(rel, _DECODER) == {"_grow": False, "decode": True, "decode_all": True}
+    summaries = build_summaries([FakeModule(rel, _DECODER)])
+    assert summaries.lookup(rel, "_grow").supported
+    project.write(rel, _DECODER)
+    assert project.findings("src") == []
 
 
 def test_diverging_decoder_solve_is_still_reported_unmodelled(project, monkeypatch):
@@ -157,10 +140,8 @@ def test_diverging_decoder_solve_is_still_reported_unmodelled(project, monkeypat
     summaries = build_summaries([FakeModule(rel, _DECODER)])
     decode = summaries.lookup(rel, "BlockDecoder.decode")
     assert decode.unsupported == "a taint solve that did not converge"
-    # Outside the set nothing is solved, so the helper stays supported; its
-    # seeded solve diverges too, leaving R015 nothing, as before the cut.
-    grow = summaries.lookup(rel, "_grow")
-    assert grow.supported and summaries.param_sinks(grow) == ()
+    # Outside the set nothing is solved, so the helper stays supported.
+    assert summaries.lookup(rel, "_grow").supported
     project.write(rel, _DECODER)
     result = run_lint([project.root / "src"], root=project.root, jobs=1)
     rows = [(f.rule, f.line, f.message) for f in result.findings]

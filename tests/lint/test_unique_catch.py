@@ -87,31 +87,6 @@ PLANTED = {
                 return data[0] | (data[1] << 8)
             """,
     },
-    "R010": {
-        "src/repro/fleet/sweep.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(lambda x: x + 1, i) for i in items]
-            """,
-    },
-    "R011": {
-        "src/repro/fleet/sweep.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _RESULTS = []
-
-            def work(x):
-                global _RESULTS
-                _RESULTS = [x]
-                return x
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(work, i) for i in items]
-            """,
-    },
     "R012": {"src/repro/fleet/sampler.py": "import random\n"},
     "R013": {
         "src/repro/service/worker.py": """
@@ -120,30 +95,6 @@ PLANTED = {
             async def serve(request):
                 time.sleep(0.1)
                 return request
-            """,
-    },
-    "R014": {
-        "src/repro/algorithms/wonly.py": """
-            from repro.algorithms.container import FrameSpec
-
-            FAKE_FRAME = FrameSpec(magic=b"FAKE", version=1, has_checksum=False)
-
-            def encode_frame(data):
-                return FAKE_FRAME.encode_preamble(len(data)) + data
-            """,
-    },
-    "R015": {
-        "src/repro/algorithms/fakelz.py": """
-            from repro.common.varint import decode_varint
-
-            def _inflate(data, size):
-                out = bytearray(size)
-                out[: len(data)] = data[: len(out)]
-                return bytes(out)
-
-            def decode_block(data):
-                size, pos = decode_varint(data, 0)
-                return _inflate(data[pos:], size)
             """,
     },
     "R016": {
@@ -202,23 +153,11 @@ PINNED_ROWS = {
         ('R009', 'src/repro/algorithms/toy.py', 3, 0, "read of 'data' in 'decode_header' has no dominating bounds check; corrupt input would surface as IndexError instead of CorruptStreamError — guard the index or translate the exception"),
         ('R009', 'src/repro/algorithms/toy.py', 3, 0, "read of 'data' in 'decode_header' has no dominating bounds check; corrupt input would surface as IndexError instead of CorruptStreamError — guard the index or translate the exception"),
     ],
-    'R010': [
-        ('R010', 'src/repro/fleet/sweep.py', 6, 0, "pool.submit in 'run' dispatches a lambda; process-pool targets must be importable top-level functions (workers unpickle them by qualified name)"),
-    ],
-    'R011': [
-        ('R011', 'src/repro/fleet/sweep.py', 8, 0, "'work' writes module-level state '_RESULTS' but is reachable from a process-pool dispatch (src/repro/fleet/sweep.py:13 pool.submit via work); worker-side writes silently diverge from the parent — return the data or use a pool initializer"),
-    ],
     'R012': [
         ('R012', 'src/repro/fleet/sampler.py', 1, 0, "import of stdlib 'random': use repro.common.rng.make_rng so runs are seed-deterministic"),
     ],
     'R013': [
         ('R013', 'src/repro/service/worker.py', 5, 4, "blocking call 'time.sleep(...)' inside 'async def serve' stalls the event loop for every in-flight task; use await asyncio.sleep(...)"),
-    ],
-    'R014': [
-        ('R014', 'src/repro/algorithms/wonly.py', 7, 0, 'encoder writes FAKE_FRAME frames at src/repro/algorithms/wonly.py:7 (encode_frame) but no decode surface in the project consumes them — every emitted field needs a read-side counterpart'),
-    ],
-    'R015': [
-        ('R015', 'src/repro/algorithms/fakelz.py', 11, 0, "tainted length (size) crosses into _inflate()'s parameter 'size', which reaches an uncapped allocation sink at src/repro/algorithms/fakelz.py:5 before the CRC-32C trailer is verified — cap the value against the declared content length on one side of the call"),
     ],
     'R016': [
         ('R016', 'src/repro/algorithms/spinner.py', 8, 12, 'this `continue` re-enters the loop without consuming input: no statement before it on this path advances the loop condition — a corrupt frame reaching it loops forever'),

@@ -66,6 +66,21 @@ class TestCodecInstrumentation:
             f"codec.{name}.stream.decompress.bytes_out": len(payload),
         }
 
+    def test_parse_elements_is_not_a_snappy_call(self):
+        """The DSE parses Snappy frames through the codec's element loop;
+        that parse must not count as a Snappy decompress."""
+        from repro.algorithms.snappy import decode_with_tokens
+
+        compressed = get_codec("snappy").compress(PAYLOAD)
+        _, quiet = decode_with_tokens(compressed)
+        obs.enable()
+        content, stream = decode_with_tokens(compressed)
+        counters = obs.snapshot().counters
+        assert [k for k in counters if k.startswith("codec.snappy.")] == []
+        assert content == PAYLOAD
+        for column in ("literal_lengths", "offsets", "match_lengths", "literals", "trailing", "breaks"):
+            assert getattr(stream, column) == getattr(quiet, column), column
+
     def test_compress_emits_codec_span(self):
         obs.enable()
         get_codec("snappy").compress(PAYLOAD)
