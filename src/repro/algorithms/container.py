@@ -8,7 +8,9 @@ for the custom containers, a CRC-32C trailer over the *decoded* content.
 Before this module owned the preamble, each of the eight codecs carried its
 own inline magic/version/varint handling; :class:`FrameSpec` now describes a
 codec's frame layout declaratively and owns encode/decode for it (lint rule
-R006 forbids inline preamble byte handling outside this module).
+R006 forbids inline preamble byte handling outside this module). It also
+states that layout as data (:meth:`FrameSpec.wire_fields`), which is what
+the committed ``results/frame_grammars.json`` records.
 
 Two consumption styles are provided:
 
@@ -36,7 +38,7 @@ after, so corruption is always reported as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.crc32c import crc32c
 from repro.common.errors import CorruptStreamError
@@ -145,6 +147,55 @@ class FrameSpec:
     length_bits: int = 32
     #: Whether frames of this family end with a CRC-32C content trailer.
     has_checksum: bool = True
+
+    def wire_fields(self, *, stage_table: bool = False) -> List[Dict[str, object]]:
+        """The ordered wire layout of a frame of this family, one field per
+        entry: the preamble fields this spec enables, the ``GRPH``
+        stage-descriptor table when ``stage_table`` (graph frames carry it
+        after the preamble), the body, and the checksum trailer.
+        ``results/frame_grammars.json`` is built from these."""
+        fields: List[Dict[str, object]] = []
+        if self.magic:
+            fields.append(
+                {
+                    "name": "magic",
+                    "kind": "bytes",
+                    "width": len(self.magic),
+                    "value": self.magic.hex(),
+                }
+            )
+        if self.version is not None:
+            fields.append(
+                {
+                    "name": "version",
+                    "kind": "u8",
+                    "width": 1,
+                    "gate": "version",
+                    "value": self.version,
+                }
+            )
+        if self.has_window_log:
+            guard = f"{self.min_window_log}..{self.max_window_log}"
+            fields.append({"name": "window_log", "kind": "u8", "width": 1, "guard": guard})
+        if self.extra_header_bytes:
+            fields.append({"name": "extra", "kind": "bytes", "width": self.extra_header_bytes})
+        if self.has_length:
+            fields.append(
+                {"name": "content_length", "kind": "varint", "max_bits": self.length_bits}
+            )
+        if stage_table:
+            fields.append(
+                {
+                    "name": "stage_table",
+                    "kind": "stage-table",
+                    "max_stages": MAX_GRAPH_STAGES,
+                    "max_params": _MAX_STAGE_PARAMS,
+                }
+            )
+        fields.append({"name": "body", "kind": "bytes"})
+        if self.has_checksum:
+            fields.append({"name": "checksum", "kind": "u32le", "width": CHECKSUM_BYTES})
+        return fields
 
     def encode_preamble(
         self,

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 
 from repro.algorithms.graphs import GraphCodec, GraphSpec, describe_graph
 from repro.algorithms.registry import available_codecs, get_codec
+from repro.core.pipelines.base import verify_output
 from repro.corpus.sources import DOMAIN_SOURCES, SOURCES
 
 #: Candidate transform chains (possibly empty: backend-only pipelines).
@@ -95,7 +96,7 @@ def sweep_graph_designs(
             begin = time.perf_counter()
             frame = codec.compress(data)
             elapsed = time.perf_counter() - begin
-            assert codec.decompress(frame) == data
+            verify_output(codec.decompress(frame), data, f"graph {label} on {workload}")
             graph_ratios[label] = round(len(frame) / len(data), 4)
             throughput[label] = round(len(data) / elapsed / 1e6, 3)
         codec_ratios: Dict[str, float] = {}

@@ -23,11 +23,6 @@ Rules
   ``algorithms/container.py``; codecs declare a
   :class:`~repro.algorithms.container.FrameSpec` instead of hand-rolling
   preamble bytes. Baseline-free: new hits are fixed, not grandfathered.
-* **R007 exception contract** — public surfaces (codec ``compress``/
-  ``decompress``, streaming ``feed``/``flush``, CLI handlers) may only let
-  :class:`~repro.common.errors.ReproError` subclasses escape; the
-  project-wide call graph (:mod:`repro.lint.flow`) is searched for
-  reachable ``IndexError``/``KeyError``/``struct.error`` paths.
 * **R008 tainted length** — integers decoded from the untrusted stream
   (varints, ``int.from_bytes``, ``struct.unpack``, wide bit reads) must be
   compared against a buffer length or documented limit before sizing a
@@ -45,9 +40,12 @@ Rules
 The decoder tree and the decode-side classifier the decoder rules share
 live in :mod:`repro.lint.common`. The flow rules run on a shared flow layer
 (:mod:`repro.lint.flow`): per-function CFGs over :mod:`ast`, a taint
-lattice solved where a rule reads it, and a project-wide call graph with
-per-function summaries, built once per lint run and handed to the rules
-(see DESIGN.md §7.4 for the architecture and its soundness caveats).
+lattice solved where a rule reads it, and an index of per-function
+summaries, built once per lint run and handed to the rules (see DESIGN.md
+§7.4 for the architecture and its soundness caveats). That public surfaces
+let only :class:`~repro.common.errors.ReproError` subclasses escape is
+checked by running them on damaged streams
+(``tests/integration/test_failure_injection.py``), not statically.
 
 Findings can be suppressed on a line with ``# repro: noqa[R012]`` (or a bare
 ``# repro: noqa`` for all rules), or grandfathered in a checked-in baseline

@@ -3,10 +3,10 @@ per-module syntax-tree index they all read (:class:`SyntaxIndex`), plus the
 decoder-tree contract: which modules read untrusted bytes, and which of
 their functions are decode-side.
 
-Every decoder-robustness check (R002's handler checks, R009, R016)
-and the flow layer's implicit-``IndexError`` escapes scope themselves
-through :func:`in_decoder_tree` and :func:`decode_side`, so "decode side"
-means one thing across the analyzer.
+Every decoder-robustness check (R002's handler checks, R009, R016) and
+the flow layer's taint demand set scope themselves through
+:func:`in_decoder_tree` and :func:`decode_side`, so "decode side" means
+one thing across the analyzer.
 """
 
 from __future__ import annotations

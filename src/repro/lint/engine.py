@@ -2,11 +2,10 @@
 
 Analysis runs in two passes. Pass one builds the flow layer — one CFG per
 function, plus a taint solve where a rule reads taint facts
-(:func:`repro.lint.flow.collect_module_flow`),
-assembled into project-wide call-graph summaries
-(:func:`repro.lint.flow.assemble`). Pass two runs the rules, which see the
-summaries on :attr:`ProjectContext.summaries`; the flow rules (R007-R009)
-consume them directly.
+(:func:`repro.lint.flow.collect_module_flow`), indexed into project-wide
+function summaries (:func:`repro.lint.flow.assemble`). Pass two runs the
+rules, which see the summaries on :attr:`ProjectContext.summaries`; the
+flow rules (R008, R009) consume them directly.
 
 Pass one is the expensive part and is embarrassingly parallel per file, so
 ``jobs > 1`` fans it out over a :class:`~concurrent.futures.
@@ -86,7 +85,7 @@ class ProjectContext:
 
     root: Path
     modules: Tuple[ModuleContext, ...] = ()
-    #: Project-wide call-graph summaries, built by the engine before rules
+    #: Project-wide function summaries, built by the engine before rules
     #: run. ``None`` only when a rule is invoked outside :func:`run_lint`.
     summaries: Optional[ProjectSummaries] = None
     _by_rel: Dict[str, ModuleContext] = field(init=False, repr=False)

@@ -1,10 +1,9 @@
-"""Flow-sensitive analysis core for the lint rules (R007-R009).
+"""Flow-sensitive analysis core for the lint rules (R008, R009).
 
 The syntactic rules (R002-R006) pattern-match single AST nodes; the rules
-that guard the decoder-safety contract need more: *where* a value came from,
-*whether* a check dominates its use, and *which* exceptions can escape a
-public surface through arbitrarily deep helper chains. This package supplies
-that machinery in four layers, each usable on its own:
+that guard the decoder-safety contract need more: *where* a value came from
+and *whether* a check dominates its use. This package supplies that
+machinery in four layers, each usable on its own:
 
 * :mod:`repro.lint.flow.cfg` — per-function control-flow graphs built from
   ``ast`` (``if``/``while``/``for``/``try``/``with``/``return``/``raise``/
@@ -18,12 +17,11 @@ that machinery in four layers, each usable on its own:
   worklist solver here. One replay of the solved facts reports unchecked
   slice/``range()``/allocation sinks and buffer read sites with their
   guards.
-* :mod:`repro.lint.flow.summaries` — a project-wide call graph with
-  per-function summaries: which exception classes can escape, plus each
-  function's taint sinks and buffer read sites. Escapes are propagated to a fixpoint so a leak three helpers deep is charged to the
-  public surface that exposes it. Taint is solved on demand: only for
-  functions that call a taint source or that R009 reads in the decoder
-  tree (:func:`~repro.lint.flow.summaries.demands_taint`).
+* :mod:`repro.lint.flow.summaries` — a project-wide index of per-function
+  summaries: each function's taint sinks and buffer read sites. Taint is
+  solved on demand: only for functions that call a taint source or that
+  R009 reads in the decoder tree
+  (:func:`~repro.lint.flow.summaries.demands_taint`).
 
 Soundness stance (see DESIGN.md §7.4): the analyses are *best-effort and
 deliberately unsound* in the direction that keeps findings actionable —

@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Monotonic version of the *rule logic*. Bump whenever any rule's behaviour
 #: changes (new rule, changed heuristic, changed message) so content-hash
 #: lint caches keyed on it evict results computed by older rules.
-RULESET_VERSION = 6
+RULESET_VERSION = 7
 
 
 class Rule:

@@ -8,7 +8,6 @@ from repro.lint.rules import (  # noqa: F401
     decoder_progress,
     decoder_safety,
     determinism_hygiene,
-    exception_contract,
     guarded_read,
     registry_completeness,
     tainted_length,

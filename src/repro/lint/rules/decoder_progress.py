@@ -22,9 +22,10 @@ decoder tree:
   ``del``, or a mutating method call on it), or an exit (``break`` /
   ``return`` / ``raise``). ``while True`` loops must contain an exit.
 * **progress before ``continue``** — every ``continue`` must be lexically
-  preceded, on its own path, by such a progress statement (for
-  ``while True`` loops any call counts, since the exit condition lives in
-  state the callee may advance).
+  preceded, on its own path, by such a progress statement. A ``while True``
+  loop has no condition to read, so its *loop-carried* names stand in: the
+  names the body reads before it assigns them (``pos`` in
+  ``byte = data[pos]; pos += 1``, but not ``byte``).
 
 Loops whose condition the rule cannot tie to any trackable name (pure call
 conditions) are skipped rather than guessed, matching the flow package's
@@ -105,38 +106,69 @@ def _target_roots(target: ast.expr) -> Iterator[str]:
         yield name
 
 
-def _stmt_progress(stmt: ast.stmt, tracked: Optional[Set[str]]) -> bool:
-    """Whether this single statement can advance the loop condition."""
-    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        roots = {root for t in targets for root in _target_roots(t)}
+def _stored_roots(stmt: ast.stmt) -> Set[str]:
+    """Canonical roots an assignment or ``del`` statement stores to."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        targets = [stmt.target]
     elif isinstance(stmt, ast.Delete):
-        roots = {root for t in stmt.targets for root in _target_roots(t)}
-    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        if tracked is None:
-            return True  # while True: any call may advance hidden state
+        targets = stmt.targets
+    else:
+        return set()
+    return {root for t in targets for root in _target_roots(t)}
+
+
+def _stmt_progress(stmt: ast.stmt, tracked: Set[str]) -> bool:
+    """Whether this single statement can advance the loop condition."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
         func = stmt.value.func
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
             root = canonical_name(func.value)
             return root is not None and root in tracked
         return False
-    else:
-        return False
-    if tracked is None:
-        return bool(roots)
-    return bool(roots & tracked)
+    return bool(_stored_roots(stmt) & tracked)
 
 
-def _subtree_progress(
-    stmt: ast.stmt, tracked: Optional[Set[str]], syntax: SyntaxIndex
-) -> bool:
+def _subtree_progress(stmt: ast.stmt, tracked: Set[str], syntax: SyntaxIndex) -> bool:
     """Whether any statement under ``stmt`` can advance the condition."""
-    for node in syntax.walk(stmt):
-        if isinstance(node, ast.stmt) and _stmt_progress(node, tracked):
-            return True
-        if tracked is None and isinstance(node, ast.Call):
-            return True
-    return False
+    return any(
+        isinstance(node, ast.stmt) and _stmt_progress(node, tracked)
+        for node in syntax.walk(stmt)
+    )
+
+
+def _own_exprs(stmt: ast.stmt) -> List[ast.AST]:
+    """The parts of ``stmt`` evaluated before its nested body runs."""
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return []
+    return [stmt]
+
+
+def _carried_names(body: Sequence[ast.stmt], syntax: SyntaxIndex) -> Set[str]:
+    """Names a loop body reads before it assigns them, in source order: the
+    state one iteration hands the next. A statement's reads come before its
+    own store, so ``pos += 1`` and ``pos = pos + 1`` read ``pos`` first."""
+    assigned: Set[str] = set()
+    carried: Set[str] = set()
+    for stmt in _iter_stmts(body, into_loops=True):
+        for expr in _own_exprs(stmt):
+            for node in syntax.walk(expr):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = canonical_name(node)
+                    if name is not None and name not in assigned:
+                        carried.add(name)
+        stored = _stored_roots(stmt)
+        if isinstance(stmt, ast.AugAssign):
+            carried |= stored - assigned
+        assigned |= stored
+    return carried
 
 
 def _iter_stmts(
@@ -196,10 +228,6 @@ class DecoderProgressRule(Rule):
             isinstance(s, ast.Break)
             for s in _iter_stmts(loop.body, into_loops=False)
         )
-        progress = any(
-            _stmt_progress(s, tracked)
-            for s in _iter_stmts(loop.body, into_loops=True)
-        )
         if tracked is None:
             if not exits:
                 yield ctx.finding(
@@ -209,7 +237,14 @@ class DecoderProgressRule(Rule):
                     "break/return/raise — a corrupt frame would spin here "
                     "forever",
                 )
+                return
+            tracked = _carried_names(loop.body, ctx.syntax)
+            yield from self._check_continues(ctx, loop.body, tracked, False)
             return
+        progress = any(
+            _stmt_progress(s, tracked)
+            for s in _iter_stmts(loop.body, into_loops=True)
+        )
         if not progress and not exits:
             names = ", ".join(sorted(tracked))
             yield ctx.finding(
@@ -226,7 +261,7 @@ class DecoderProgressRule(Rule):
         self,
         ctx: ModuleContext,
         body: Sequence[ast.stmt],
-        tracked: Optional[Set[str]],
+        tracked: Set[str],
         progressed: bool,
     ) -> Iterator[Finding]:
         """Flag ``continue`` statements no progress statement precedes."""

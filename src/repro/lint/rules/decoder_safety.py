@@ -2,9 +2,9 @@
 
 DESIGN.md §7 promises that corrupt input always surfaces as
 :class:`~repro.common.errors.CorruptStreamError`. R009 proves each decoder
-buffer read is guarded and R007 follows the exceptions that *escape* a
-public surface; neither sees an error a handler catches and drops. This
-rule does:
+buffer read is guarded, and the failure-injection suite checks that only
+``ReproError`` subclasses *escape* a public surface; neither sees an error
+a handler catches and drops. This rule does:
 
 * **Untranslated low-level errors** — an ``except IndexError/KeyError/
   struct.error`` inside a decode-side function of the decoder tree (see

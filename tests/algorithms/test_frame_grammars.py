@@ -1,9 +1,9 @@
 """Tier-1 drift gate for the committed wire-grammar artifact.
 
-``results/frame_grammars.json`` pins the statically extracted frame layout
-of every codec (see :mod:`repro.lint.flow.grammar` and DESIGN.md §7.9).
-These tests fail when the source tree's grammars no longer match the
-committed snapshot — and the layout *fingerprint* makes the failure mode
+``results/frame_grammars.json`` pins the frame layout of every codec, read
+from its live ``FrameSpec`` (see :mod:`repro.tools.regen_grammars` and
+DESIGN.md §7.9). These tests fail when the library's grammars no longer
+match the committed snapshot — and the layout *fingerprint* makes the failure mode
 explicit: it covers field order, widths, and varint ``max_bits`` but not
 the version byte's value, so a frame-layout change is only ever legitimate
 together with a version bump (plus an artifact regen), exactly like a wire
@@ -17,8 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.registry import available_codecs
-from repro.lint.flow.grammar import FrameGrammar, extract_project_grammars
-from repro.tools.regen_grammars import ARTIFACT, render
+from repro.tools.regen_grammars import (
+    ARTIFACT,
+    FrameGrammar,
+    extract_project_grammars,
+    render,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 

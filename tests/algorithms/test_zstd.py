@@ -14,11 +14,12 @@ from repro.algorithms.zstd import (
     SequenceCoder,
     ZstdCodec,
     code_to_value,
+    decode_with_stats,
     level_params,
     value_to_code,
 )
 from repro.common.errors import ConfigError, CorruptStreamError
-from repro.common.varint import encode_varint
+from repro.common.varint import decode_varint, encode_varint
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,32 @@ class TestCorruptFrames:
         frame[6] = value + 1
         with pytest.raises(CorruptStreamError):
             codec.decompress(bytes(frame))
+
+
+    def test_unknown_literals_mode(self, codec):
+        data = b"literals mode " * 200
+        frame = bytearray(codec.compress(data))
+        assert [b.block_type for b in decode_with_stats(bytes(frame))[1].blocks] == [
+            "compressed"
+        ]
+        # Preamble: magic(4) version(1) window log(1) varint content length;
+        # then the block tag, varint raw size and varint body size; the
+        # body opens with the literals-mode byte.
+        _, pos = decode_varint(bytes(frame), 6)
+        _, pos = decode_varint(bytes(frame), pos + 1)
+        _, pos = decode_varint(bytes(frame), pos)
+        assert frame[pos] in (0, 1)
+        frame[pos] = 7
+        corrupt = bytes(frame)
+        with pytest.raises(CorruptStreamError, match="unknown literals mode 7"):
+            codec.decompress(corrupt)
+        with pytest.raises(CorruptStreamError, match="unknown literals mode 7"):
+            decode_with_stats(corrupt)
+        ctx = codec.decompress_context()
+        with pytest.raises(CorruptStreamError, match="unknown literals mode 7"):
+            for i in range(len(corrupt)):
+                ctx.feed(corrupt[i : i + 1])
+            ctx.flush()
 
 
 class TestHardwareOverrides:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.algorithms.graphs import GraphCodec
+from repro.common.errors import VerificationError
 from repro.dse.graphs import (
     GRAPH_BACKENDS,
     GRAPH_TRANSFORM_CHAINS,
@@ -42,6 +44,15 @@ def test_small_sweep_is_deterministic_and_graphs_win_on_floats():
     assert cell["winner_graph"] == min(cell["graph_ratios"], key=cell["graph_ratios"].get)
     assert cell["winner_graph_ratio"] < min(cell["codec_ratios"].values())
     assert len(sweep_summary_lines(first)) == 1
+
+
+def test_lossy_round_trip_raises_verification_error(monkeypatch):
+    """The sweep checks each candidate's round trip with ``verify_output``,
+    not an ``assert`` that ``python -O`` strips."""
+    real = GraphCodec.decompress
+    monkeypatch.setattr(GraphCodec, "decompress", lambda self, frame: real(self, frame)[:-1])
+    with pytest.raises(VerificationError):
+        sweep_graph_designs(size=1024, workloads=("float_timeseries",))
 
 
 class TestCommittedArtifact:

@@ -183,12 +183,12 @@ class TestStreamingTruncation:
             ctx.flush()
 
 
-#: Committed wire grammars (statically extracted by
-#: ``repro.lint.flow.grammar``, drift-gated by
-#: ``tests/lint/test_frame_grammars.py``). The fuzz rows below are *seeded*
-#: from them, so the static analyzer's view of each frame layout and the
-#: dynamic corruption coverage stay linked: move a header field and both
-#: the drift gate and these offsets shift together.
+#: Committed wire grammars (read from the live ``FrameSpec`` declarations
+#: by ``repro.tools.regen_grammars``, drift-gated by
+#: ``tests/algorithms/test_frame_grammars.py``). The fuzz rows below are
+#: *seeded* from them, so the declared frame layouts and the dynamic
+#: corruption coverage stay linked: move a header field and both the drift
+#: gate and these offsets shift together.
 _GRAMMARS = json.loads(
     (Path(__file__).resolve().parents[2] / "results" / "frame_grammars.json")
     .read_text(encoding="utf-8")
@@ -430,15 +430,15 @@ def _havoc(data, base: bytes) -> bytes:
 
 @pytest.mark.parametrize("codec_name", available_codecs())
 class TestExceptionContractRuntime:
-    """Runtime counterpart of lint rule R007 (exception contract).
+    """The exception contract: public decode surfaces let only
+    :class:`ReproError` subclasses escape.
 
-    The static rule proves that public decode surfaces cannot leak
-    low-level exceptions along any modelled path; this property test
-    checks the same contract dynamically on adversarial inputs: for any
-    damaged stream, ``decompress`` / ``feed`` / ``flush`` either succeed
-    or raise a :class:`ReproError` subclass. An ``IndexError``,
-    ``KeyError``, ``struct.error``, ``MemoryError``, or hang escaping here
-    is a bug the lint rule should also have caught — file both.
+    This property test is the contract's only check (no lint rule models
+    it): for any damaged stream, ``decompress`` / ``feed`` / ``flush``
+    either succeed or raise a :class:`ReproError` subclass. An
+    ``IndexError``, ``KeyError``, ``struct.error``, ``MemoryError``, or
+    hang escaping here is a decoder bug; pin the stream that provoked it
+    in the codec's own corruption tests.
     """
 
     @settings(max_examples=25, deadline=None, derandomize=True)

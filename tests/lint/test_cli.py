@@ -195,7 +195,7 @@ class TestSarifFormat:
         log = self._emit(project, capsys)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
         expected = [
-            "R002", "R003", "R004", "R005", "R006", "R007", "R008", "R009",
+            "R002", "R003", "R004", "R005", "R006", "R008", "R009",
             "R012", "R013", "R016",
         ]
         assert [r["id"] for r in rules] == expected

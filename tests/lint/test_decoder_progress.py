@@ -3,8 +3,8 @@
 Each test writes a tiny codec-shaped module with a deliberate bug (or its
 fixed twin) and asserts the rule fires exactly there. The planted shapes
 mirror the real tree's cursor-driven decode loops. The worker-count parity
-test at the end runs the engine's flow pool over a planted R007 leak and
-an R016 loop.
+test at the end runs the engine's flow pool over planted R008 and R009
+bugs and an R016 loop.
 """
 
 from repro.lint import run_lint
@@ -98,6 +98,58 @@ class TestR016DecoderProgress:
         )
         assert project.findings("src", rule="R016") == []
 
+    def test_continue_before_cursor_advance_in_while_true_flagged(self, project):
+        # ``byte = data[pos]`` stores a name the body never reads first, and
+        # the ``len(data)`` call advances nothing: neither is progress.
+        project.write(
+            "src/repro/common/varint.py",
+            """
+            from repro.common.errors import CorruptStreamError
+
+            def decode_varint(data, pos=0):
+                result = 0
+                shift = 0
+                while True:
+                    if pos >= len(data):
+                        raise CorruptStreamError("truncated varint")
+                    byte = data[pos]
+                    if byte == 0x80 and not shift:
+                        continue
+                    pos += 1
+                    result |= (byte & 0x7F) << shift
+                    if not byte & 0x80:
+                        return result, pos
+                    shift += 7
+            """,
+        )
+        findings = project.findings("src", rule="R016")
+        assert [(f.line, f.col) for f in findings] == [(12, 12)]
+        assert "continue" in findings[0].message
+
+    def test_loop_carried_store_before_continue_in_while_true_clean(self, project):
+        project.write(
+            "src/repro/common/varint.py",
+            """
+            from repro.common.errors import CorruptStreamError
+
+            def decode_varint(data, pos=0):
+                result = 0
+                shift = 0
+                while True:
+                    if pos >= len(data):
+                        raise CorruptStreamError("truncated varint")
+                    byte = data[pos]
+                    pos += 1
+                    if byte == 0x80 and not shift:
+                        continue
+                    result |= (byte & 0x7F) << shift
+                    if not byte & 0x80:
+                        return result, pos
+                    shift += 7
+            """,
+        )
+        assert project.findings("src", rule="R016") == []
+
     def test_encoder_loops_exempt(self, project):
         project.write(
             "src/repro/algorithms/spinner.py",
@@ -122,13 +174,14 @@ class TestJobsParity:
         project.write(
             "src/repro/algorithms/toy.py",
             """
-            import struct
+            from repro.common.varint import decode_varint
 
-            def _read_u32(data):
-                return struct.unpack("<I", data[:4])[0]
+            def decode_block(buf, pos):
+                length, pos = decode_varint(buf, pos)
+                return buf[pos:pos + length]
 
-            def decompress(data):
-                return _read_u32(data)
+            def decode_header(data):
+                return data[0] | (data[1] << 8)
             """,
         )
         project.write(
@@ -148,4 +201,4 @@ class TestJobsParity:
         serial = run_lint([project.root / "src"], root=project.root, jobs=1)
         parallel = run_lint([project.root / "src"], root=project.root, jobs=4)
         assert rows(serial) == rows(parallel)
-        assert {f.rule for f in serial.findings} >= {"R007", "R016"}
+        assert {f.rule for f in serial.findings} == {"R008", "R009", "R016"}

@@ -1,5 +1,5 @@
-"""Flow-core tests on synthetic fixtures: CFG shape, taint,
-and call-graph summary propagation (the machinery behind R007-R009)."""
+"""Flow-core tests on synthetic fixtures: CFG shape, taint, and the
+per-function summaries (the machinery behind R008 and R009)."""
 
 import ast
 import textwrap
@@ -238,127 +238,7 @@ class TestTaintKills:
         assert all(s.guarded for s in sites)
 
 
-class TestSummaryPropagation:
-    ERRORS = """
-        class ReproError(Exception):
-            pass
-
-        class CorruptStreamError(ReproError):
-            pass
-    """
-
-    def test_escape_propagates_through_helper_chain(self):
-        summaries = build_summaries(
-            [
-                FakeModule(
-                    "src/repro/algorithms/toy.py",
-                    """
-                    def _read(data):
-                        raise ValueError("boom")
-
-                    def _parse(data):
-                        return _read(data)
-
-                    def decompress(data):
-                        return _parse(data)
-                    """,
-                )
-            ]
-        )
-        surface = summaries.lookup("src/repro/algorithms/toy.py", "decompress")
-        assert "ValueError" in surface.escapes
-        # The trace names the helper that actually raises.
-        _, trace = surface.escape_traces["ValueError"]
-        assert "_read" in trace
-
-    def test_catching_caller_stops_propagation(self):
-        summaries = build_summaries(
-            [
-                FakeModule(
-                    "src/repro/algorithms/toy.py",
-                    """
-                    def _read(data):
-                        raise ValueError("boom")
-
-                    def decompress(data):
-                        try:
-                            return _read(data)
-                        except ValueError:
-                            return b""
-                    """,
-                )
-            ]
-        )
-        surface = summaries.lookup("src/repro/algorithms/toy.py", "decompress")
-        assert "ValueError" not in surface.escapes
-
-    def test_handler_for_base_class_absorbs_subclass(self):
-        summaries = build_summaries(
-            [
-                FakeModule(
-                    "src/repro/algorithms/toy.py",
-                    """
-                    def _read(data):
-                        return data[0]
-
-                    def decompress(data):
-                        try:
-                            return _read(data)
-                        except LookupError:
-                            return b""
-                    """,
-                )
-            ]
-        )
-        surface = summaries.lookup("src/repro/algorithms/toy.py", "decompress")
-        assert "IndexError" not in surface.escapes
-
-    def test_cross_module_resolution(self):
-        summaries = build_summaries(
-            [
-                FakeModule(
-                    "src/repro/algorithms/helpers.py",
-                    """
-                    def read_word(data):
-                        raise KeyError("boom")
-                    """,
-                ),
-                FakeModule(
-                    "src/repro/algorithms/toy.py",
-                    """
-                    from repro.algorithms.helpers import read_word
-
-                    def decompress(data):
-                        return read_word(data)
-                    """,
-                ),
-            ]
-        )
-        surface = summaries.lookup("src/repro/algorithms/toy.py", "decompress")
-        assert "KeyError" in surface.escapes
-
-    def test_project_exception_hierarchy_is_learned(self):
-        summaries = build_summaries(
-            [FakeModule("src/repro/common/errors.py", self.ERRORS)]
-        )
-        assert summaries.is_repro_error("CorruptStreamError")
-        assert not summaries.is_repro_error("ValueError")
-
-    def test_unguarded_decoder_read_implies_index_error(self):
-        summaries = build_summaries(
-            [
-                FakeModule(
-                    "src/repro/algorithms/toy.py",
-                    """
-                    def decode_tag(data, pos):
-                        return data[pos]
-                    """,
-                )
-            ]
-        )
-        summary = summaries.lookup("src/repro/algorithms/toy.py", "decode_tag")
-        assert "IndexError" in summary.escapes
-
+class TestSummaries:
     def test_summaries_are_plain_data(self):
         import pickle
 

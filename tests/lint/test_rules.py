@@ -672,90 +672,6 @@ class TestR006ContainerFraming:
         assert project.findings("src", rule="R006") == []
 
 
-class TestR007ExceptionContract:
-    def test_struct_error_leak_fires(self, project):
-        project.write(
-            "src/repro/algorithms/toy.py",
-            """
-            import struct
-
-            def decompress(data):
-                return struct.unpack("<I", data[:4])[0]
-            """,
-        )
-        found = project.findings("src", rule="R007")
-        assert len(found) == 1
-        assert "error" in found[0].message
-        assert "decompress" in found[0].message
-
-    def test_translated_struct_error_is_quiet(self, project):
-        project.write(
-            "src/repro/algorithms/toy.py",
-            """
-            import struct
-
-            from repro.common.errors import CorruptStreamError
-
-            def decompress(data):
-                try:
-                    return struct.unpack("<I", data[:4])[0]
-                except struct.error:
-                    raise CorruptStreamError("truncated word")
-            """,
-        )
-        assert project.findings("src", rule="R007") == []
-
-    def test_leak_through_helper_carries_trace(self, project):
-        # The IndexError originates two frames below the surface; the
-        # call-graph fixpoint must carry it up and name the helper chain.
-        project.write(
-            "src/repro/algorithms/toy.py",
-            """
-            def _read_tag(data):
-                return data[0]
-
-            def _parse_header(data):
-                return _read_tag(data) << 8
-
-            def decompress(data):
-                return _parse_header(data)
-            """,
-        )
-        found = project.findings("src", rule="R007")
-        assert any("IndexError" in f.message for f in found)
-        assert any("_read_tag" in f.message for f in found)
-
-    def test_guarded_helper_chain_is_quiet(self, project):
-        project.write(
-            "src/repro/algorithms/toy.py",
-            """
-            from repro.common.errors import CorruptStreamError
-
-            def _read_tag(data):
-                if not data:
-                    raise CorruptStreamError("empty stream")
-                return data[0]
-
-            def decompress(data):
-                return _read_tag(data) << 8
-            """,
-        )
-        assert project.findings("src", rule="R007") == []
-
-    def test_non_surface_helpers_not_reported_directly(self, project):
-        # Leaks are reported at surfaces, not at every internal helper.
-        project.write(
-            "src/repro/algorithms/toy.py",
-            """
-            import struct
-
-            def _inner(data):
-                return struct.unpack("<I", data[:4])[0]
-            """,
-        )
-        assert project.findings("src", rule="R007") == []
-
-
 class TestR008TaintedLength:
     def test_planted_unchecked_varint_slice_fires(self, project):
         # The acceptance-criterion snippet: a varint length drives a slice
@@ -940,7 +856,7 @@ class TestRuleRegistry:
 
         assert [r.code for r in all_rules()] == [
             "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R012", "R013", "R016",
+            "R008", "R009", "R012", "R013", "R016",
         ]
 
     def test_get_rule_by_code(self):

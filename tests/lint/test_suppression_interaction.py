@@ -1,14 +1,13 @@
 """Suppression and baseline interaction for the flow-sensitive rules.
 
 Flow-sensitive findings have two candidate homes: the *surface* site (the
-public function where the contract is declared) and the *blame* site (the
-statement that actually violates it, possibly frames away).
-``# repro: noqa[...]`` applies to the reported line only, so the rules'
-choice of report site IS the suppression contract:
+``def`` of the function that holds the bug) and the *blame* site (the
+statement that actually violates the contract). ``# repro: noqa[...]``
+applies to the reported line only, so the rules' choice of report site IS
+the suppression contract:
 
-* R007 reports at the blame line inside the surface function — the call
-  that lets a helper's low-level error escape. Suppress there; a noqa on
-  the helper line that raises must NOT silence it, nor one on the ``def``.
+* R008 reports at the sink the unchecked length reaches — suppress there;
+  a noqa on the ``def`` line must NOT silence it.
 * R009 reports at the unguarded read — suppress at the read.
 * R016 reports at the ``continue`` that skips the cursor advance.
 
@@ -21,54 +20,38 @@ import json
 
 from repro.lint.cli import main as lint_main
 
-#: An R007 violation: ``struct.error`` escapes ``decompress`` from a helper
-#: one frame down.
-_R007_PROJECT = """
-import struct
+#: An R008 violation: a stream-decoded length bounds a slice unchecked.
+_R008_SOURCE = """
+from repro.common.varint import decode_varint
 
-def _read_u32(data):
-    return struct.unpack("<I", data[:4])[0]{helper_noqa}
-
-def decompress(data):
-    return _read_u32(data){call_noqa}
+def decode_block(buf, pos):{def_noqa}
+    length, pos = decode_varint(buf, pos)
+    return buf[pos:pos + length]{sink_noqa}
 """
 
-#: The fixed twin: the surface translates the helper's error.
-_R007_FIXED = """
-import struct
+#: An R009 violation: a decoder reads the buffer with no bounds check.
+_R009_PROJECT = """
+def decode_tag(data, pos):
+    return data[pos]
+"""
 
+#: The fixed twin: the decoder translates the read's IndexError.
+_R009_FIXED = """
 from repro.common.errors import CorruptStreamError
 
-def _read_u32(data):
-    return struct.unpack("<I", data[:4])[0]
-
-def decompress(data):
+def decode_tag(data, pos):
     try:
-        return _read_u32(data)
-    except struct.error as exc:
-        raise CorruptStreamError("truncated header") from exc
+        return data[pos]
+    except IndexError:
+        raise CorruptStreamError("truncated tag") from None
 """
 
 
-def _r007_source(helper_noqa: str = "", call_noqa: str = "") -> str:
-    return _R007_PROJECT.format(helper_noqa=helper_noqa, call_noqa=call_noqa)
+def _r008_source(def_noqa: str = "", sink_noqa: str = "") -> str:
+    return _R008_SOURCE.format(def_noqa=def_noqa, sink_noqa=sink_noqa)
 
 
 class TestBlameVsSurfaceSuppression:
-    def test_r007_noqa_at_helper_call_suppresses(self, project):
-        project.write(
-            "src/repro/algorithms/toy.py",
-            _r007_source(call_noqa="  # repro: noqa[R007]"),
-        )
-        assert project.findings("src", rule="R007") == []
-
-    def test_r007_noqa_at_helper_raise_does_not_suppress(self, project):
-        project.write(
-            "src/repro/algorithms/toy.py",
-            _r007_source(helper_noqa="  # repro: noqa[R007]"),
-        )
-        assert len(project.findings("src", rule="R007")) == 1
-
     def test_r016_noqa_at_continue_suppresses(self, project):
         project.write(
             "src/repro/algorithms/spinner.py",
@@ -87,29 +70,19 @@ class TestBlameVsSurfaceSuppression:
         )
         assert project.findings("src", rule="R016") == []
 
-    def test_r007_noqa_at_blame_line_suppresses(self, project):
+    def test_r008_noqa_at_sink_suppresses(self, project):
         project.write(
             "src/repro/algorithms/toy.py",
-            """
-            import struct
-
-            def decompress(data):
-                return struct.unpack("<I", data[:4])[0]  # repro: noqa[R007]
-            """,
+            _r008_source(sink_noqa="  # repro: noqa[R008]"),
         )
-        assert project.findings("src", rule="R007") == []
+        assert project.findings("src", rule="R008") == []
 
-    def test_r007_noqa_on_def_line_does_not_suppress(self, project):
+    def test_r008_noqa_on_def_line_does_not_suppress(self, project):
         project.write(
             "src/repro/algorithms/toy.py",
-            """
-            import struct
-
-            def decompress(data):  # repro: noqa[R007]
-                return struct.unpack("<I", data[:4])[0]
-            """,
+            _r008_source(def_noqa="  # repro: noqa[R008]"),
         )
-        assert len(project.findings("src", rule="R007")) == 1
+        assert len(project.findings("src", rule="R008")) == 1
 
     def test_r009_noqa_at_read_site_suppresses(self, project):
         project.write(
@@ -153,8 +126,8 @@ class TestBaselineInteraction:
     def _baseline(self, project):
         return project.root / ".repro-lint-baseline.json"
 
-    def test_r007_finding_baselines_and_then_passes(self, project, capsys):
-        project.write("src/repro/algorithms/toy.py", _r007_source())
+    def test_r009_finding_baselines_and_then_passes(self, project, capsys):
+        project.write("src/repro/algorithms/toy.py", _R009_PROJECT)
         src = str(project.root / "src")
         baseline = str(self._baseline(project))
         assert (
@@ -165,21 +138,21 @@ class TestBaselineInteraction:
                     baseline,
                     "--update-baseline",
                     "--justification",
-                    "legacy header reader; translation tracked",
+                    "legacy tag reader; translation tracked",
                 ]
             )
             == 0
         )
         capsys.readouterr()
         entries = json.loads(self._baseline(project).read_text())["findings"]
-        assert [e["rule"] for e in entries] == ["R007"]
-        # The blame line in the surface, not the helper that raises.
-        assert entries[0]["snippet"] == "return _read_u32(data)"
+        assert [e["rule"] for e in entries] == ["R009"]
+        # The blame line, not the def of the function that holds it.
+        assert entries[0]["snippet"] == "return data[pos]"
         # Grandfathered: the strict run is clean now.
         assert lint_main([src, "--strict", "--baseline", baseline]) == 0
 
     def test_translating_the_leak_makes_baseline_entry_stale(self, project, capsys):
-        project.write("src/repro/algorithms/toy.py", _r007_source())
+        project.write("src/repro/algorithms/toy.py", _R009_PROJECT)
         src = str(project.root / "src")
         baseline = str(self._baseline(project))
         lint_main(
@@ -189,11 +162,11 @@ class TestBaselineInteraction:
                 baseline,
                 "--update-baseline",
                 "--justification",
-                "legacy header reader; translation tracked",
+                "legacy tag reader; translation tracked",
             ]
         )
-        # Fix the violation: the surface translates the helper's error.
-        project.write("src/repro/algorithms/toy.py", _R007_FIXED)
+        # Fix the violation: the decoder translates the read's error.
+        project.write("src/repro/algorithms/toy.py", _R009_FIXED)
         capsys.readouterr()
         # Strict mode flags the now-stale grandfathered entry.
         assert lint_main([src, "--strict", "--baseline", baseline]) == 1

@@ -118,7 +118,7 @@ def test_scope_walkers_match_their_reference_generators(parsed):
                     path,
                     node.name,
                 )
-    assert scopes > 1000 and coroutines > 0
+    assert scopes > 900 and coroutines > 0
 
 
 # -- the one-index rule ---------------------------------------------------------

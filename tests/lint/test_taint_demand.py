@@ -2,9 +2,9 @@
 
 :func:`~repro.lint.flow.summaries.demands_taint` picks the functions that
 get an unseeded taint solve: those that call a taint source, and in the
-decoder tree those that are decode-side or index a buffer-shaped name.
-These tests hold the cut sound: every function outside the set, solved in
-full anyway, carries no fact a rule reads.
+decoder tree those that are decode-side. These tests hold the cut sound:
+every function outside the set, solved in full anyway, has no sink (R008),
+and none of them is a decode-side decoder function (the ones R009 reads).
 """
 
 import ast
@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.lint import run_lint
-from repro.lint.common import SyntaxIndex, in_decoder_tree, iter_functions
+from repro.lint.common import SyntaxIndex, decode_side, in_decoder_tree, iter_functions
 from repro.lint.engine import iter_python_files, load_module
 from repro.lint.flow import analyze_taint, build_cfg, build_summaries, demands_taint
 from repro.lint.flow import taint as taint_module
@@ -43,20 +43,19 @@ def _outside_demand_set(modules):
             if not demands_taint(rel, cls, func, syntax):
                 cfg = build_cfg(func, syntax)
                 if cfg.supported:
-                    yield rel, f"{cls}.{func.name}" if cls else func.name, cfg
+                    yield rel, cls, func.name, cfg
 
 
 @pytest.mark.parametrize("modules", [_src_modules, _planted_modules], ids=["src", "planted"])
 def test_functions_outside_the_demand_set_carry_no_taint(modules):
     skipped = 0
-    for rel, name, cfg in _outside_demand_set(modules()):
+    for rel, cls, func_name, cfg in _outside_demand_set(modules()):
         skipped += 1
+        name = f"{cls}.{func_name}" if cls else func_name
+        assert not (in_decoder_tree(rel) and decode_side(func_name, cls)), f"{rel}::{name}"
         solved = analyze_taint(cfg)
         assert solved.converged, f"{rel}::{name} needs its solve to prove convergence"
-        facts = solved.scan()
-        assert facts.sinks == [], f"{rel}::{name}"
-        if in_decoder_tree(rel):
-            assert facts.read_sites == [], f"{rel}::{name}"
+        assert solved.scan().sinks == [], f"{rel}::{name}"
     assert skipped > 0
 
 
@@ -129,7 +128,7 @@ def test_out_of_set_candidate_passes_the_supported_filter(project):
     rel = "src/repro/algorithms/fakelz.py"
     assert _demand(rel, _DECODER) == {"_grow": False, "decode": True, "decode_all": True}
     summaries = build_summaries([FakeModule(rel, _DECODER)])
-    assert summaries.lookup(rel, "_grow").supported
+    assert summaries.functions[f"{rel}::_grow"].supported
     project.write(rel, _DECODER)
     assert project.findings("src") == []
 
@@ -138,10 +137,10 @@ def test_diverging_decoder_solve_is_still_reported_unmodelled(project, monkeypat
     monkeypatch.setattr(taint_module, "_MAX_PASSES", 0)
     rel = "src/repro/algorithms/fakelz.py"
     summaries = build_summaries([FakeModule(rel, _DECODER)])
-    decode = summaries.lookup(rel, "BlockDecoder.decode")
+    decode = summaries.functions[f"{rel}::BlockDecoder.decode"]
     assert decode.unsupported == "a taint solve that did not converge"
     # Outside the set nothing is solved, so the helper stays supported.
-    assert summaries.lookup(rel, "_grow").supported
+    assert summaries.functions[f"{rel}::_grow"].supported
     project.write(rel, _DECODER)
     result = run_lint([project.root / "src"], root=project.root, jobs=1)
     rows = [(f.rule, f.line, f.message) for f in result.findings]

@@ -13,7 +13,7 @@ from repro.lint.registry import rule_codes
 
 #: Rule code -> ``{project-relative path: source}`` of its planted bug.
 PLANTED = {
-    # A swallowed KeyError: R007 sees only exceptions that escape.
+    # A swallowed KeyError: only R002 reads exception handlers.
     "R002": {
         "src/repro/algorithms/toy.py": """
             _KINDS = {0: "literal", 1: "copy"}
@@ -62,14 +62,6 @@ PLANTED = {
             def decode(data):
                 if data[:2] != MAGIC:
                     raise ValueError("bad magic")
-            """,
-    },
-    "R007": {
-        "src/repro/algorithms/toy.py": """
-            import struct
-
-            def decompress(data):
-                return struct.unpack("<I", data[:4])[0]
             """,
     },
     "R008": {
@@ -142,9 +134,6 @@ PINNED_ROWS = {
     ],
     'R006': [
         ('R006', 'src/repro/algorithms/mycodec.py', 5, 19, "inline use of frame magic 'MAGIC': preamble byte handling belongs to the container layer — declare a FrameSpec and use encode_preamble()/decode_preamble() instead"),
-    ],
-    'R007': [
-        ('R007', 'src/repro/algorithms/toy.py', 5, 0, "public surface 'decompress' can leak error (via decompress -> unpack); wrap the failing path in a ReproError subclass such as CorruptStreamError"),
     ],
     'R008': [
         ('R008', 'src/repro/algorithms/toy.py', 6, 0, "'length' comes from the untrusted stream and reaches a slice-bound in 'decode_block' without a bounds check (slice bounds silently clamp, hiding truncation); compare it against the buffer length or a documented limit first"),
