@@ -6,10 +6,14 @@ figure tables are. Two properties are asserted hard because they are
 architectural, not machine-dependent:
 
 * a warm content-hash cache must beat a cold run by a wide margin (the
-  whole point of :mod:`repro.lint.cache`);
+  whole point of :mod:`repro.lint.cache`): per worker count, the median of
+  ``RUNS`` cold runs, each on a fresh cache directory, against the median
+  of the ``RUNS`` warm runs that replay them, so one slow spell of a shared
+  machine cannot fail the gate alone;
 * every configuration must produce identical findings (jobs parity).
 
-The cold ``jobs=1`` run is also broken down by layer — parse, flow
+Every time recorded is such a median. The median cold ``jobs=1`` run is also
+broken down by layer — parse, flow
 (per-function CFG + taint on demand, then summary assembly) and each rule's check —
 and the layers must account for that run's total within
 ``LAYER_SUM_TOLERANCE``, so a regression names the layer that moved. The
@@ -26,6 +30,7 @@ warning for the reviewer rather than failing the build. Lives under
 """
 
 import json
+import statistics
 import time
 import warnings
 from pathlib import Path
@@ -38,6 +43,8 @@ from repro.lint.cache import LintCache
 from repro.lint.registry import all_rules
 
 REQUIRED_WARM_SPEEDUP = 3.0
+#: Cold runs (and warm replays) per worker count; the gate compares medians.
+RUNS = 3
 #: Soft gate: warn (don't fail) when cold lint is this much slower than the
 #: committed baseline.
 SOFT_REGRESSION_RATIO = 3.0
@@ -100,29 +107,38 @@ def test_lint_cold_warm_jobs_matrix_and_baseline(tmp_path, results_dir, monkeypa
     src = _REPO_ROOT / "src"
     timings = {}
     findings = {}
+    layered = []
     for jobs in (1, 2, 4):
-        cache = LintCache(tmp_path / f"lint-cache-j{jobs}")
-        if jobs == 1:
-            result_cold, cold, layers, counters = _layered_run(
-                src, cache=cache, monkeypatch=monkeypatch
-            )
-        else:
-            result_cold, cold = _timed_run(src, jobs=jobs, cache=cache)
-        result_warm, warm = _timed_run(src, jobs=jobs, cache=cache)
+        colds, warms = [], []
+        for run in range(RUNS):
+            cache = LintCache(tmp_path / f"lint-cache-j{jobs}-{run}")
+            if jobs == 1:
+                result_cold, cold, layers, counters = _layered_run(
+                    src, cache=cache, monkeypatch=monkeypatch
+                )
+                layered.append((cold, layers, counters))
+            else:
+                result_cold, cold = _timed_run(src, jobs=jobs, cache=cache)
+            result_warm, warm = _timed_run(src, jobs=jobs, cache=cache)
+            colds.append(cold)
+            warms.append(warm)
+            cold_findings = [f.to_json() for f in result_cold.findings]
+            assert findings.setdefault(jobs, cold_findings) == cold_findings
+            assert [f.to_json() for f in result_warm.findings] == cold_findings
+        cold, warm = statistics.median(colds), statistics.median(warms)
         timings[f"cold_jobs{jobs}_seconds"] = round(cold, 4)
         timings[f"warm_jobs{jobs}_seconds"] = round(warm, 4)
-        findings[jobs] = [f.to_json() for f in result_cold.findings]
-        assert [f.to_json() for f in result_warm.findings] == findings[jobs]
         assert cold >= REQUIRED_WARM_SPEEDUP * warm, (
-            f"warm lint cache not fast enough at jobs={jobs}: "
-            f"cold={cold:.3f}s warm={warm:.3f}s"
+            f"warm lint cache not fast enough at jobs={jobs}: median "
+            f"cold={cold:.3f}s warm={warm:.3f}s over {RUNS} runs"
         )
 
     # Jobs parity: the parallel flow pass must not perturb findings.
     assert findings[1] == findings[2] == findings[4]
 
+    # The layers of the median cold jobs=1 run, whose total is the median.
+    cold, layers, counters = sorted(layered, key=lambda run: run[0])[RUNS // 2]
     accounted = sum(layers.values())
-    cold = timings["cold_jobs1_seconds"]
     assert abs(accounted - cold) <= LAYER_SUM_TOLERANCE * cold, (
         f"layers account for {accounted:.3f}s of a {cold:.3f}s cold run"
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -64,6 +65,23 @@ def digest(material: Any) -> str:
     """SHA-256 of the canonical JSON form of ``material`` (a store key)."""
     payload = json.dumps(_jsonable(material), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest(package: Path) -> str:
+    """SHA-256 over every ``*.py`` file under the directory ``package``: each
+    file's path relative to it and its bytes, in sorted path order.
+
+    A memo whose entries are computed by the code in ``package`` keys on
+    this, so editing that code misses every entry it wrote. The digest is
+    taken once per process and path, after the package is imported, so it
+    describes the code the process runs even if the files change later.
+    """
+    hasher = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        hasher.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
+        hasher.update(hashlib.sha256(path.read_bytes()).digest())
+    return hasher.hexdigest()
 
 
 class Store:

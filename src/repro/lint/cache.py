@@ -1,19 +1,27 @@
 """Content-hash cache for whole-project lint runs.
 
-A lint run is a pure function of (rule set, file contents): every rule
-reads the parsed modules plus the few files it declares through
+A lint run is a pure function of (analyzer code, rule set, file contents):
+every rule reads the parsed modules plus the few files it declares through
 :meth:`~repro.lint.registry.Rule.reads` (R005's codec modules and
 round-trip tests), and the baseline/suppression handling happens downstream
 of the cached result. That makes the whole run memoizable with one key:
 
-    sha256({schema, ruleset version, rule codes, [(rel path, sha256(source))...]})
+    sha256({schema, ruleset: analyzer_digest(), rule codes,
+            [(rel path, sha256(file bytes))...]})
 
-where the file list covers the linted files and the declared reads (a
-missing read keys as ``<missing>``). A warm ``repro lint src`` — the common
-case in a commit loop — skips parsing, CFG construction, the taint solves,
-and every rule, and just replays the stored findings. Any edited file,
-added file, removed file, or rule-logic change (via
-:data:`~repro.lint.registry.RULESET_VERSION`) changes the key and misses.
+over the linted files, where :func:`analyzer_digest` hashes the source of
+the ``repro.lint`` package itself. The entry also records the digest of
+every file the rules declared they read; a lookup whose recorded reads no
+longer match the disk is a miss. The reads are a function of the linted
+files, so recording them keeps a warm ``repro lint src`` — the common case
+in a commit loop — down to reading and hashing files: it parses nothing,
+builds no CFG, solves no taint and runs no rule, and just replays the
+stored findings. Any edited, added or removed file, any edit to a declared
+read, and any edit to the analyzer's own source misses.
+
+The analyzer imports nothing else from ``repro`` that can change a finding
+(only ``common.errors``, ``common.parallel``, ``common.store`` and
+``obs``), so edits elsewhere in the library keep hitting.
 
 Entries are JSON files under ``results/.lint-cache/`` in a
 :class:`repro.common.store.Store`, which owns the on-disk contract.
@@ -26,17 +34,31 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.common.store import Store, digest
+from repro.common.store import Store, digest, source_digest
 
-#: Bump to evict every entry written with an older cache layout.
+#: Bump to evict every entry written with an older cache layout. (Entries
+#: written before results recorded their reads lack them: each is a miss.)
 CACHE_SCHEMA_VERSION = 2
 
 #: Default store location relative to the project root.
 DEFAULT_CACHE_DIR = Path("results") / ".lint-cache"
 
+#: The analyzer: every module whose code can change a finding.
+ANALYZER_DIR = Path(__file__).resolve().parent
 
-def digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def analyzer_digest() -> str:
+    """Digest of the analyzer source this process runs (see
+    :func:`~repro.common.store.source_digest`)."""
+    return source_digest(ANALYZER_DIR)
+
+
+def file_digest(path: Path) -> str:
+    """SHA-256 of the file's bytes; ``<missing>`` when it cannot be read."""
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return "<missing>"
 
 
 class LintCache:
@@ -46,13 +68,14 @@ class LintCache:
         self.store = Store(root, schema=CACHE_SCHEMA_VERSION, suffix=".json")
 
     def key(
-        self, ruleset_version: int, rule_codes: Sequence[str], files: Sequence[Tuple[str, str]]
+        self, analyzer: str, rule_codes: Sequence[str], files: Sequence[Tuple[str, str]]
     ) -> str:
-        """Cache key for one run: rule identity plus every file's digest."""
+        """Cache key for one run: the analyzer's digest, the rule selection
+        and every linted file's digest."""
         return digest(
             {
                 "schema": CACHE_SCHEMA_VERSION,
-                "ruleset": ruleset_version,
+                "ruleset": analyzer,
                 "rules": sorted(rule_codes),
                 "files": sorted(files),
             }

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import defaultdict
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple
 
 # -- the per-module syntax-tree index ----------------------------------------
 
@@ -23,10 +24,10 @@ class SyntaxIndex:
     """One traversal of a parsed tree, owned by the module that parsed it.
 
     The analyzer asks the same structural questions of a module many times
-    over: every rule walks the whole tree, and each taint-fixpoint pass
-    re-walks the statements it transfers. The index answers them from a
-    single breadth-first traversal, made when the first question comes (so
-    a run the lint cache answers never pays for it):
+    over: every rule looks for the node types it checks, and each
+    taint-fixpoint pass re-walks the statements it transfers. The index
+    answers them from a single breadth-first traversal, made when the first
+    question comes (so a run the lint cache answers never pays for it):
 
     * :meth:`children` -- ``ast.iter_child_nodes`` order;
     * :meth:`parent` -- the node's parent, as a whole-tree parent map
@@ -34,6 +35,9 @@ class SyntaxIndex:
       map to the last parent in walk order);
     * :meth:`walk` -- the exact ``ast.walk`` order, built from the children
       on a node's first request and then kept;
+    * :meth:`nodes` -- every node of the given exact types, bucketed by type
+      during the traversal, so a rule that checks a few node types reads
+      them instead of filtering the whole walk;
     * :attr:`imports` -- the tree's import aliases, built once.
 
     Nodes are keyed by ``id()``; the index holds its tree, so every key
@@ -47,16 +51,20 @@ class SyntaxIndex:
 
     def __init__(self, tree: ast.AST) -> None:
         self.tree = tree
-        #: Filled by :meth:`_traverse`, with ``_parents``, on first use.
+        #: Filled by :meth:`_traverse`, with ``_parents`` and ``_by_type``,
+        #: on first use.
         self._children: Optional[Dict[int, Tuple[ast.AST, ...]]] = None
         self._parents: Dict[int, ast.AST] = {}
         self._walks: Dict[int, Tuple[ast.AST, ...]] = {}
+        self._by_type: Dict[type, Tuple[ast.AST, ...]] = {}
 
     def _traverse(self) -> None:
         children: Dict[int, Tuple[ast.AST, ...]] = {}
         parents = self._parents
+        by_type: DefaultDict[type, List[ast.AST]] = defaultdict(list)
         order: List[ast.AST] = [self.tree]
         for node in order:  # ``order`` grows while it is read: a BFS queue
+            by_type[type(node)].append(node)
             kids: List[ast.AST] = []
             for name in node._fields:
                 value = getattr(node, name, None)
@@ -68,6 +76,7 @@ class SyntaxIndex:
             for kid in kids:
                 parents[id(kid)] = node
             order.extend(kids)
+        self._by_type = {kind: tuple(found) for kind, found in by_type.items()}
         self._children = children
 
     def children(self, node: ast.AST) -> Tuple[ast.AST, ...]:
@@ -95,24 +104,37 @@ class SyntaxIndex:
             found = self._walks[id(node)] = tuple(order)
         return found
 
+    def nodes(self, *types: type) -> Tuple[ast.AST, ...]:
+        """Every node in the tree whose type is exactly one of ``types``:
+        grouped by type in argument order, each group in ``ast.walk``
+        order. Abstract bases match nothing (``nodes(ast.stmt)`` is empty)."""
+        if self._children is None:
+            self._traverse()
+        if len(types) == 1:
+            return self._by_type.get(types[0], ())
+        return tuple(node for kind in types for node in self._by_type.get(kind, ()))
+
     @cached_property
     def imports(self) -> Dict[str, str]:
         """Local alias -> imported dotted target, for every absolute import
-        in the tree (see :func:`resolve_alias`)."""
+        in the tree (see :func:`resolve_alias`). An alias bound more than
+        once keeps its last ``from`` import, else its last ``import``, in
+        walk order."""
         table: Dict[str, str] = {}
-        for node in self.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        table[alias.asname] = alias.name
-                    else:
-                        head = alias.name.split(".")[0]
-                        table[head] = head
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in self.nodes(ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    table[head] = head
+        for node in self.nodes(ast.ImportFrom):
+            if not node.module or node.level != 0:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
         return table
 
 

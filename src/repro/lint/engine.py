@@ -1,7 +1,7 @@
 """Lint engine: file discovery, AST parsing, suppressions, rule dispatch.
 
-Analysis runs in two passes. Pass one builds the flow layer — one CFG per
-function, plus a taint solve where a rule reads taint facts
+Analysis runs in two passes. Pass one builds the flow layer — a CFG and a
+taint solve for each function whose taint facts a rule reads
 (:func:`repro.lint.flow.collect_module_flow`), indexed into project-wide
 function summaries (:func:`repro.lint.flow.assemble`). Pass two runs the
 rules, which see the summaries on :attr:`ProjectContext.summaries`; the
@@ -12,7 +12,8 @@ Pass one is the expensive part and is embarrassingly parallel per file, so
 ProcessPoolExecutor` (width from :func:`repro.common.parallel.resolve_jobs`:
 explicit argument wins, then ``REPRO_JOBS``, then serial; order-preserving
 ``map`` keeps results byte-identical for any worker count). Whole runs are also
-memoizable by content hash via :mod:`repro.lint.cache`.
+memoizable by content hash via :mod:`repro.lint.cache`; a run the cache
+answers reads and hashes the files and parses none.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.common.parallel import resolve_jobs
-from repro.lint.cache import LintCache, digest_text
+from repro.lint.cache import LintCache, analyzer_digest, file_digest
 from repro.lint.common import SyntaxIndex
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow import ProjectSummaries, assemble, collect_module_flow
-from repro.lint.registry import RULESET_VERSION, Rule, all_rules
+from repro.lint.registry import Rule, all_rules
 
 #: ``# repro: noqa`` or ``# repro: noqa[R002,R003]`` suppresses findings on
 #: the annotated line (the line the finding is reported at).
@@ -155,12 +156,17 @@ def parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
     return table
 
 
+def _relative(path: Path, root: Path) -> str:
+    """``path`` relative to ``root`` (both resolved), else as given."""
+    try:
+        return path.relative_to(root).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
 def load_module(path: Path, root: Path) -> Union[ModuleContext, Finding]:
     """Parse one file; an unparsable file is itself a finding, not a crash."""
-    try:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        rel = path.as_posix()
+    rel = _relative(path.resolve(), root.resolve())
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
@@ -211,33 +217,29 @@ def _read_digests(
     project: ProjectContext, rules: Sequence[Rule], files: Sequence[Path]
 ) -> List[Tuple[str, str]]:
     """``(path, digest)`` of every file outside the linted set that a rule
-    reads from disk (:meth:`Rule.reads`), so editing, adding or deleting one
-    misses the cache. Linted files are keyed by their own digests already."""
+    reads from disk (:meth:`Rule.reads`). The cache entry records them, so
+    editing, adding or deleting one misses it. Linted files are keyed by
+    their own digests already."""
     linted = set(files)
     extra = {path.resolve() for rule in rules for path in rule.reads(project)} - linted
-    digests: List[Tuple[str, str]] = []
-    for path in sorted(extra):
-        try:
-            shown = path.relative_to(project.root).as_posix()
-        except ValueError:
-            shown = path.as_posix()
-        try:
-            digests.append((shown, digest_text(path.read_bytes().hex())))
-        except OSError:
-            digests.append((shown, "<missing>"))
-    return digests
+    return [(_relative(path, project.root), file_digest(path)) for path in sorted(extra)]
 
 
-def _result_to_payload(result: LintResult) -> dict:
+def _result_to_payload(result: LintResult, reads: List[Tuple[str, str]]) -> dict:
     return {
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
         "findings": [f.to_json() for f in result.findings],
+        "reads": reads,
     }
 
 
-def _result_from_payload(payload: dict) -> Optional[LintResult]:
+def _result_from_payload(payload: dict, root: Path) -> Optional[LintResult]:
+    """The stored result, or ``None`` when a file it read has changed."""
     try:
+        for shown, recorded in payload["reads"]:
+            if file_digest(root / shown) != recorded:
+                return None
         findings = [
             Finding(
                 rule=raw["rule"],
@@ -283,35 +285,28 @@ def run_lint(
     )
     active_rules = list(rules) if rules is not None else all_rules()
 
+    cache_key: Optional[str] = None
+    if cache is not None:
+        # Unparsable files are keyed too, so fixing one misses.
+        digests = [(_relative(path, resolved_root), file_digest(path)) for path in files]
+        cache_key = cache.key(
+            analyzer_digest(), [rule.code for rule in active_rules], digests
+        )
+        payload = cache.get(cache_key)
+        if payload is not None:
+            cached = _result_from_payload(payload, resolved_root)
+            if cached is not None:
+                return cached
+
     modules: List[ModuleContext] = []
     findings: List[Finding] = []
-    digests: List[Tuple[str, str]] = []
     for path in files:
         loaded = load_module(path, resolved_root)
         if isinstance(loaded, Finding):
             findings.append(loaded)
-            # Unparsable content still participates in the key so editing
-            # (or fixing) a broken file invalidates the cached result.
-            try:
-                digests.append((loaded.path, digest_text(path.read_bytes().hex())))
-            except OSError:
-                digests.append((loaded.path, "<unreadable>"))
         else:
             modules.append(loaded)
-            digests.append((loaded.rel, digest_text(loaded.source)))
     project = ProjectContext(root=resolved_root, modules=modules)
-
-    cache_key: Optional[str] = None
-    if cache is not None:
-        digests.extend(_read_digests(project, active_rules, files))
-        cache_key = cache.key(
-            RULESET_VERSION, [rule.code for rule in active_rules], digests
-        )
-        payload = cache.get(cache_key)
-        if payload is not None:
-            cached = _result_from_payload(payload)
-            if cached is not None:
-                return cached
 
     flows = _collect_flows(project.modules, resolve_jobs(jobs))
     project.summaries = assemble(project.modules, flows)
@@ -335,5 +330,6 @@ def run_lint(
     kept.sort(key=lambda f: f.sort_key)
     result = LintResult(findings=kept, files_checked=len(files), suppressed=suppressed)
     if cache is not None and cache_key is not None:
-        cache.put(cache_key, _result_to_payload(result))
+        reads = _read_digests(project, active_rules, files)
+        cache.put(cache_key, _result_to_payload(result, reads))
     return result

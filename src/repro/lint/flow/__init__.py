@@ -18,9 +18,9 @@ machinery in four layers, each usable on its own:
   slice/``range()``/allocation sinks and buffer read sites with their
   guards.
 * :mod:`repro.lint.flow.summaries` — a project-wide index of per-function
-  summaries: each function's taint sinks and buffer read sites. Taint is
-  solved on demand: only for functions that call a taint source or that
-  R009 reads in the decoder tree
+  summaries: each function's taint sinks and buffer read sites. CFGs are
+  built and taint solved on demand: only for functions that call a taint
+  source or that R009 reads in the decoder tree
   (:func:`~repro.lint.flow.summaries.demands_taint`).
 
 Soundness stance (see DESIGN.md §7.4): the analyses are *best-effort and

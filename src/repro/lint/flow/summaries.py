@@ -1,14 +1,15 @@
 """Project-wide index of per-function flow summaries.
 
-For every function in the project the flow pass records whether the CFG
-layer could model it and, for the functions a rule reads taint facts of
-(:func:`demands_taint`), its taint sinks (R008) and buffer read sites
-(R009).
+For every function in the project the flow pass records a summary. For
+the functions a rule reads taint facts of (:func:`demands_taint`) it
+records whether the CFG layer could model them, their taint sinks (R008)
+and their buffer read sites (R009); no rule reads anything of the others,
+so they get no CFG.
 
 Summaries are *plain data* — strings, ints, tuples — never AST nodes or
 solved lattices. That keeps them picklable, which is what lets the engine
-fan the per-file local analysis (the expensive part: one CFG per function,
-and a taint solve for each function whose taint facts a rule reads) out to
+fan the per-file local analysis (the expensive part: a CFG and a taint
+solve for each function whose taint facts a rule reads) out to
 a process pool with ``--jobs`` and still assemble byte-identical results:
 workers each run :func:`collect_module_flow` on ``(rel, source)`` pairs in
 sorted order, and the single-threaded :func:`assemble` pass indexes the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import obs
 from repro.lint.common import SyntaxIndex, decode_side, in_decoder_tree, iter_functions
@@ -40,7 +41,8 @@ class FunctionSummary:
     cls: Optional[str]
     lineno: int
     #: Why the flow layer could not model the function ("" when it could:
-    #: the CFG covers every construct and the taint solve converged).
+    #: the CFG covers every construct and the taint solve converged; always
+    #: "" outside the :func:`demands_taint` set, which gets no CFG).
     unsupported: str = ""
     read_sites: List[ReadSiteRec] = field(default_factory=list)
     sinks: List[SinkRec] = field(default_factory=list)
@@ -70,16 +72,34 @@ def demands_taint(
     Taint starts only at a source call (:func:`~repro.lint.flow.taint.
     is_taint_source`), so a function that calls none has no sink (R008).
     R009 reads the read sites of decode-side functions in the decoder tree,
-    and reports one whose solve diverges. The whole subtree is searched,
-    lambdas and nested scopes included, so the set can only
-    over-approximate.
+    and reports one whose solve diverges or whose CFG cannot model it. The
+    whole subtree counts, lambdas and nested scopes included, so the set
+    can only over-approximate.
     """
-    if in_decoder_tree(rel) and decode_side(func.name, cls):
-        return True
-    return any(
-        isinstance(node, ast.Call) and is_taint_source(node)
-        for node in syntax.walk(func)
-    )
+    return _demanded(rel, cls, func, _source_callers(syntax))
+
+
+def _demanded(rel: str, cls: Optional[str], func: ast.AST, callers: FrozenSet[int]) -> bool:
+    """:func:`demands_taint`, given the module's :func:`_source_callers`."""
+    return (in_decoder_tree(rel) and decode_side(func.name, cls)) or id(func) in callers
+
+
+def _source_callers(syntax: SyntaxIndex) -> FrozenSet[int]:
+    """``id()`` of every top-level function (:func:`iter_functions`) whose
+    subtree calls a taint source: each source call is mapped to the function
+    holding it by climbing the parent map, one pass over the module's calls
+    instead of one walk per function."""
+    tops = {id(func) for _cls, func in iter_functions(syntax.tree)}
+    callers = set()
+    for call in syntax.nodes(ast.Call):
+        if not is_taint_source(call):
+            continue
+        node = syntax.parent(call)
+        while node is not None and id(node) not in tops:
+            node = syntax.parent(node)
+        if node is not None:
+            callers.add(id(node))
+    return frozenset(callers)
 
 
 def collect_module_flow(
@@ -87,8 +107,8 @@ def collect_module_flow(
 ) -> List[FunctionSummary]:
     """Per-file local analysis: one summary record per top-level function.
 
-    Every function gets a CFG; only the :func:`demands_taint` set also gets
-    a taint solve, replayed once for its sinks and read sites.
+    Only the :func:`demands_taint` set gets a CFG and, where the CFG models
+    the function, a taint solve, replayed once for its sinks and read sites.
     Self-contained and deterministic on ``(rel, source)``, which makes it
     the unit of work for ``--jobs`` process-pool workers. ``syntax``, when
     given, is the index of ``source``'s already-parsed tree, which spares
@@ -101,19 +121,24 @@ def collect_module_flow(
         except SyntaxError:
             return []
     records: List[FunctionSummary] = []
+    callers = _source_callers(syntax)
     for cls_name, func in iter_functions(syntax.tree):
         obs.counter_add("lint.flow.functions", 1)
         local = f"{cls_name}.{func.name}" if cls_name else func.name
-        cfg = build_cfg(func, syntax)
         summary = FunctionSummary(
             qualname=f"{rel}::{local}",
             rel=rel,
             name=func.name,
             cls=cls_name,
             lineno=func.lineno,
-            unsupported=cfg.unsupported,
         )
-        if cfg.supported and demands_taint(rel, cls_name, func, syntax):
+        records.append(summary)
+        if not _demanded(rel, cls_name, func, callers):
+            continue
+        cfg = build_cfg(func, syntax)
+        if not cfg.supported:
+            summary.unsupported = cfg.unsupported
+        else:
             taint = analyze_taint(cfg)
             if not taint.converged:
                 summary.unsupported = "a taint solve that did not converge"
@@ -121,7 +146,6 @@ def collect_module_flow(
                 facts = taint.scan()
                 summary.read_sites = facts.read_sites
                 summary.sinks = facts.sinks
-        records.append(summary)
     return records
 
 

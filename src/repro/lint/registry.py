@@ -10,12 +10,6 @@ from repro.lint.findings import Finding, Severity
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import ProjectContext
 
-#: Monotonic version of the *rule logic*. Bump whenever any rule's behaviour
-#: changes (new rule, changed heuristic, changed message) so content-hash
-#: lint caches keyed on it evict results computed by older rules.
-RULESET_VERSION = 7
-
-
 class Rule:
     """Base class for lint rules.
 
@@ -38,8 +32,11 @@ class Rule:
 
     def reads(self, project: "ProjectContext") -> Iterable[Path]:
         """Files :meth:`check` reads from disk besides the linted modules,
-        present or not. The lint cache keys their contents, so a rule that
-        reads a file it does not list here replays stale results."""
+        present or not. The lint cache records their contents with each
+        result, so a rule that reads a file it does not list here replays
+        stale results. The list must depend on the linted modules only: a
+        cached result is found by those alone, then checked against the
+        files its run listed."""
         return ()
 
 

@@ -42,13 +42,13 @@ class ApiHygieneRule(Rule):
         return findings
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ctx.syntax.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_defaults(ctx, node)
-            elif isinstance(node, ast.Assert):
-                yield from self._check_assert(ctx, node)
-            elif isinstance(node, ast.ClassDef):
-                yield from self._check_dataclass(ctx, node)
+        syntax = ctx.syntax
+        for node in syntax.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+            yield from self._check_defaults(ctx, node)
+        for node in syntax.nodes(ast.Assert):
+            yield from self._check_assert(ctx, node)
+        for node in syntax.nodes(ast.ClassDef):
+            yield from self._check_dataclass(ctx, node)
 
     def _check_defaults(
         self, ctx: ModuleContext, func: ast.FunctionDef

@@ -93,9 +93,8 @@ class BlockingInAsyncRule(Rule):
         for ctx in project.modules:
             if is_test_path(ctx.rel):
                 continue
-            for node in ctx.syntax.walk(ctx.tree):
-                if isinstance(node, ast.AsyncFunctionDef):
-                    findings.extend(self._check_coroutine(ctx, node, ctx.syntax.imports))
+            for node in ctx.syntax.nodes(ast.AsyncFunctionDef):
+                findings.extend(self._check_coroutine(ctx, node, ctx.syntax.imports))
         return findings
 
     def _check_coroutine(

@@ -66,9 +66,7 @@ class CalibrationHygieneRule(Rule):
 
     def _check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         named_constants = self._module_constant_nodes(ctx.syntax)
-        for node in ctx.syntax.walk(ctx.tree):
-            if not isinstance(node, ast.Constant):
-                continue
+        for node in ctx.syntax.nodes(ast.Constant):
             value = node.value
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

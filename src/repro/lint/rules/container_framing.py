@@ -64,71 +64,34 @@ class ContainerFramingRule(Rule):
         module = normalize_rel(ctx.rel)
         check_magic = module != _CONTAINER_MODULE
         check_stage_ids = module not in (_CONTAINER_MODULE, _STAGES_MODULE)
-        for node in ctx.syntax.walk(ctx.tree):
-            if check_magic:
-                name = self._magic_load(node)
-                if name is not None and id(node) not in allowed:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"inline use of frame magic '{name}': preamble byte "
-                        "handling belongs to the container layer — declare a "
-                        "FrameSpec and use encode_preamble()/decode_preamble() "
-                        "instead",
-                    )
-                    continue
-            if check_stage_ids:
-                name = self._stage_id_load(node)
-                if name is not None:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"inline read of stage wire id '{name}': graph "
-                        "descriptor handling belongs to the stage registry — "
-                        "use descriptor_for()/stage_from_descriptor() instead",
-                    )
-
-    @staticmethod
-    def _magic_load(node: ast.AST) -> str:
-        """The magic name this node reads, or ``None``."""
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and _MAGIC_NAME.match(node.id)
-        ):
-            return node.id
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and _MAGIC_NAME.match(node.attr)
-        ):
-            return dotted_name(node) or node.attr
-        return None
-
-    @staticmethod
-    def _stage_id_load(node: ast.AST) -> str:
-        """The stage wire id this node reads, or ``None``."""
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and _STAGE_ID_NAME.match(node.id)
-        ):
-            return node.id
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and _STAGE_ID_NAME.match(node.attr)
-        ):
-            return dotted_name(node) or node.attr
-        return None
+        for node in ctx.syntax.nodes(ast.Name, ast.Attribute):
+            if not isinstance(node.ctx, ast.Load):
+                continue
+            ident = node.id if isinstance(node, ast.Name) else node.attr
+            if check_magic and _MAGIC_NAME.match(ident) and id(node) not in allowed:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"inline use of frame magic '{dotted_name(node) or ident}': "
+                    "preamble byte handling belongs to the container layer — "
+                    "declare a FrameSpec and use encode_preamble()/"
+                    "decode_preamble() instead",
+                )
+            elif check_stage_ids and _STAGE_ID_NAME.match(ident):
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"inline read of stage wire id '{dotted_name(node) or ident}': "
+                    "graph descriptor handling belongs to the stage registry — "
+                    "use descriptor_for()/stage_from_descriptor() instead",
+                )
 
     @staticmethod
     def _keyword_argument_nodes(syntax: SyntaxIndex) -> Set[int]:
         """Nodes passed as ``keyword=`` arguments (the FrameSpec declaration
         idiom): the one sanctioned way to hand a magic to the container."""
         allowed: Set[int] = set()
-        for node in syntax.walk(syntax.tree):
-            if isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    allowed.add(id(keyword.value))
+        for node in syntax.nodes(ast.Call):
+            for keyword in node.keywords:
+                allowed.add(id(keyword.value))
         return allowed

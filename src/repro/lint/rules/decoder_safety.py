@@ -59,9 +59,7 @@ class DecoderSafetyRule(Rule):
             for cls, func in iter_functions(ctx.tree)
             if decoder_module and decode_side(func.name, cls)
         ]
-        for node in ctx.syntax.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in ctx.syntax.nodes(ast.ExceptHandler):
             caught = {name for name in caught_names(node) if name}
             if node.type is None or caught & _BROAD:
                 if not any(isinstance(n, ast.Raise) for n in ctx.syntax.walk(node)):

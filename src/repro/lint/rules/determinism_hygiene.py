@@ -38,6 +38,13 @@ wall-clock measurement):
   passed (directly or via a once-assigned local) into cache keys, digests,
   or JSON serialization makes artifacts differ between identical runs.
 
+The last two checks read names per scope: the module, or the nearest
+``def`` whose body holds the node. A class body belongs to the scope around
+it, and a ``def``'s decorators, defaults and annotations belong to none.
+Each node's scope is found by climbing the syntax index's parent map
+(:func:`_scope_of`); the nodes themselves come from the index's per-type
+buckets, so no scope is re-walked.
+
 Test files are exempt wholesale: ad-hoc randomness in tests is a
 test-quality question, not a reproducibility bug in the library. The
 runtime counterpart is the tier-1 test
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.common import (
     SyntaxIndex,
@@ -118,7 +125,7 @@ def _is_time_call(expr: ast.AST) -> bool:
     return name in _TIME_SOURCES or (name.endswith(".now") and "datetime" in name)
 
 
-def _seed_material(calls: List[ast.Call], syntax: SyntaxIndex) -> Set[int]:
+def _seed_material(calls: Sequence[ast.Call], syntax: SyntaxIndex) -> Set[int]:
     """``id()`` of every node inside an argument of a seeding call."""
     inside: Set[int] = set()
     for call in calls:
@@ -153,31 +160,37 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-def _scope_nodes(scope: ast.AST, syntax: SyntaxIndex) -> List[ast.AST]:
-    """Nodes lexically in this scope, not descending into nested functions.
+def _scope_of(node: ast.AST, syntax: SyntaxIndex) -> Optional[ast.AST]:
+    """The scope ``node`` lies lexically in: the nearest ``def`` whose body
+    holds it, else the module. Nested ``def``s are their own scopes, so no
+    hazard is reported once per enclosing scope; a ``def``'s decorators,
+    defaults and annotations lie in no scope (``None``)."""
+    child, parent = node, syntax.parent(node)
+    while parent is not None:
+        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return parent if child in parent.body else None
+        child, parent = parent, syntax.parent(parent)
+    return child
 
-    Nested ``def``s are their own scopes; walking into them here would
-    double-report every hazard once per enclosing scope.
-    """
-    nodes: List[ast.AST] = []
-    stack: List[ast.AST] = list(scope.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+
+def _scope_bindings(
+    syntax: SyntaxIndex,
+) -> Tuple[Dict[int, Dict[str, List[ast.AST]]], Dict[int, Set[str]]]:
+    """Per scope (keyed by ``id()``): every value each plain name is
+    assigned, and the names assigned a wall-clock reading."""
+    defs: Dict[int, Dict[str, List[ast.AST]]] = {}
+    clocks: Dict[int, Set[str]] = {}
+    for node in syntax.nodes(ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        scope = _scope_of(node, syntax) if names else None
+        if scope is None:
             continue
-        nodes.append(node)
-        stack.extend(syntax.children(node))
-    return nodes
-
-
-def _name_defs(nodes: List[ast.AST]) -> Dict[str, List[ast.AST]]:
-    defs: Dict[str, List[ast.AST]] = {}
-    for node in nodes:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    defs.setdefault(target.id, []).append(node.value)
-    return defs
+        table = defs.setdefault(id(scope), {})
+        for name in names:
+            table.setdefault(name, []).append(node.value)
+        if _is_time_call(node.value):
+            clocks.setdefault(id(scope), set()).update(names)
+    return defs, clocks
 
 
 @register
@@ -208,23 +221,15 @@ class DeterminismHygieneRule(Rule):
         return findings
 
     def _check_module(self, ctx: ModuleContext, ordering: bool) -> Iterator[Finding]:
-        """Every check over one walk of the module plus one per scope; the
-        ordering and wall-clock checks run only when ``ordering``."""
-        imports: List[ast.stmt] = []
-        calls: List[ast.Call] = []
-        scopes: List[ast.AST] = [ctx.tree]
-        for node in ctx.syntax.walk(ctx.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                imports.append(node)
-            elif isinstance(node, ast.Call):
-                calls.append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        for node in imports:
+        """Every check over the module's indexed nodes; the ordering and
+        wall-clock checks run only when ``ordering``."""
+        syntax = ctx.syntax
+        for node in syntax.nodes(ast.Import, ast.ImportFrom):
             yield from self._check_import(ctx, node)
         # An unimported ``np`` still means numpy.
-        aliases = {"np": "numpy", **ctx.syntax.imports}
-        seed_material = _seed_material(calls, ctx.syntax)
+        aliases = {"np": "numpy", **syntax.imports}
+        calls = syntax.nodes(ast.Call)
+        seed_material = _seed_material(calls, syntax)
         enumerations: List[ast.Call] = []
         for node in calls:
             yield from self._check_rng_call(ctx, node, aliases)
@@ -246,16 +251,9 @@ class DeterminismHygieneRule(Rule):
             return
         for node in enumerations:
             yield from self._check_enumeration(ctx, node)
-        module_consts: Dict[str, List[ast.AST]] = {}
-        for scope in scopes:
-            nodes = _scope_nodes(scope, ctx.syntax)
-            if isinstance(scope, ast.Module):
-                module_consts = _name_defs(nodes)
-                local_defs: Dict[str, List[ast.AST]] = {}
-            else:
-                local_defs = _name_defs(nodes)
-            yield from self._check_set_iteration(ctx, nodes, local_defs, module_consts)
-            yield from self._check_clock_sinks(ctx, nodes)
+        defs, clocks = _scope_bindings(syntax)
+        yield from self._check_set_iteration(ctx, calls, defs)
+        yield from self._check_clock_sinks(ctx, calls, clocks)
 
     # -- entropy outside repro.common.rng --------------------------------
 
@@ -341,34 +339,36 @@ class DeterminismHygieneRule(Rule):
     def _check_set_iteration(
         self,
         ctx: ModuleContext,
-        nodes: List[ast.AST],
-        local_defs: Dict[str, List[ast.AST]],
-        module_consts: Dict[str, List[ast.AST]],
+        calls: Sequence[ast.Call],
+        defs: Dict[int, Dict[str, List[ast.AST]]],
     ) -> Iterator[Finding]:
-        def provable_set(expr: ast.AST) -> bool:
+        syntax = ctx.syntax
+        module_consts = defs.get(id(ctx.tree), {})
+
+        def provable_set(expr: ast.AST, scope: ast.AST) -> bool:
             if _is_set_expr(expr):
                 return True
-            if isinstance(expr, ast.Name):
-                bindings = local_defs.get(expr.id) or module_consts.get(expr.id)
-                return bool(bindings) and all(_is_set_expr(b) for b in bindings)
-            return False
+            local_defs = defs.get(id(scope), {}) if scope is not ctx.tree else {}
+            bindings = local_defs.get(expr.id) or module_consts.get(expr.id)
+            return bool(bindings) and all(_is_set_expr(b) for b in bindings)
 
-        candidates: List[Tuple[ast.AST, str]] = []
-        for node in nodes:
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                candidates.append((node.iter, "for loop"))
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-                for gen in node.generators:
-                    candidates.append((gen.iter, "comprehension"))
-            elif isinstance(node, ast.Call):
-                terminal = terminal_name(node.func)
-                if terminal in _ORDERED_CONSUMERS and node.args:
-                    candidates.append((node.args[0], f"{terminal}(...)"))
-        seen: Set[int] = set()
-        for expr, context in candidates:
-            if id(expr) in seen or not provable_set(expr):
+        # (node whose scope counts, iterated expression, context)
+        candidates: List[Tuple[ast.AST, ast.AST, str]] = []
+        for node in syntax.nodes(ast.For, ast.AsyncFor):
+            candidates.append((node, node.iter, "for loop"))
+        for node in syntax.nodes(ast.ListComp, ast.GeneratorExp):
+            for gen in node.generators:
+                candidates.append((node, gen.iter, "comprehension"))
+        for node in calls:
+            terminal = terminal_name(node.func)
+            if terminal in _ORDERED_CONSUMERS and node.args:
+                candidates.append((node, node.args[0], f"{terminal}(...)"))
+        for node, expr, context in candidates:
+            if not (_is_set_expr(expr) or isinstance(expr, ast.Name)):
                 continue
-            seen.add(id(expr))
+            scope = _scope_of(node, syntax)
+            if scope is None or not provable_set(expr, scope):
+                continue
             yield ctx.finding(
                 self,
                 expr,
@@ -379,19 +379,17 @@ class DeterminismHygieneRule(Rule):
 
     # -- wall-clock flowing into keys / serialized artifacts -------------
 
-    def _check_clock_sinks(self, ctx: ModuleContext, nodes: List[ast.AST]) -> Iterator[Finding]:
-        time_names: Set[str] = set()
-        for node in nodes:
-            if isinstance(node, ast.Assign) and _is_time_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        time_names.add(target.id)
-        for node in nodes:
-            if not isinstance(node, ast.Call):
-                continue
+    def _check_clock_sinks(
+        self, ctx: ModuleContext, calls: Sequence[ast.Call], clocks: Dict[int, Set[str]]
+    ) -> Iterator[Finding]:
+        for node in calls:
             name = dotted_name(node.func) or ""
             if not _SINK_RE.search(name):
                 continue
+            scope = _scope_of(node, ctx.syntax)
+            if scope is None:
+                continue
+            time_names = clocks.get(id(scope), set())
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 tainted = any(
                     _is_time_call(sub)

@@ -223,15 +223,14 @@ class RegistryCompletenessRule(Rule):
 
     @staticmethod
     def _assigned(syntax: SyntaxIndex, var_name: str) -> Optional[ast.AST]:
-        """The value bound to module name ``var_name``, annotated or not."""
-        for node in syntax.walk(syntax.tree):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            else:
-                continue
-            if any(isinstance(t, ast.Name) and t.id == var_name for t in targets):
+        """The value bound to module name ``var_name``: its first plain
+        binding, else its first annotated one."""
+        for node in syntax.nodes(ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == var_name for t in node.targets):
+                return node.value
+        for node in syntax.nodes(ast.AnnAssign):
+            named = isinstance(node.target, ast.Name) and node.target.id == var_name
+            if named and node.value is not None:
                 return node.value
         return None
 
@@ -262,9 +261,7 @@ class RegistryCompletenessRule(Rule):
         syntax: SyntaxIndex,
     ) -> Optional[List[Tuple[ast.AST, str, List[str]]]]:
         """(key node, preset name, stage-name list) per GRAPH_PRESETS entry."""
-        for node in syntax.walk(syntax.tree):
-            if not isinstance(node, ast.Assign):
-                continue
+        for node in syntax.nodes(ast.Assign):
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
             if "GRAPH_PRESETS" not in targets or not isinstance(node.value, ast.Dict):
                 continue
@@ -305,14 +302,12 @@ class RegistryCompletenessRule(Rule):
         class is imported from or None) per ``_CODEC_FACTORIES`` entry."""
         syntax = registry_ctx.syntax
         imports: Dict[str, str] = {}  # imported class name -> module stem
-        for node in syntax.walk(syntax.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
+        for node in syntax.nodes(ast.ImportFrom):
+            if node.module:
                 stem = node.module.split(".")[-1]
                 for alias in node.names:
                     imports[alias.asname or alias.name] = stem
-        for node in syntax.walk(syntax.tree):
-            if not isinstance(node, ast.Assign):
-                continue
+        for node in syntax.nodes(ast.Assign):
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
             if "_CODEC_FACTORIES" not in targets or not isinstance(node.value, ast.Dict):
                 continue
@@ -334,8 +329,8 @@ class RegistryCompletenessRule(Rule):
     @classmethod
     def _missing_methods(cls, syntax: SyntaxIndex, class_name: str) -> Optional[set]:
         """Directions missing from {compress, decompress}; None if class absent."""
-        for node in syntax.walk(syntax.tree):
-            if isinstance(node, ast.ClassDef) and node.name == class_name:
+        for node in syntax.nodes(ast.ClassDef):
+            if node.name == class_name:
                 methods = {
                     b.name
                     for b in node.body

@@ -4,10 +4,13 @@ The on-disk contract itself (atomic writes, corrupt-entry eviction, schema
 bumps) is tested once for every cache in ``tests/common/test_store.py``.
 """
 
+import ast
 import json
+import shutil
 
-from repro.lint import run_lint
-from repro.lint.cache import CACHE_SCHEMA_VERSION, LintCache
+from repro.lint import cache as cache_module
+from repro.lint import engine, run_lint
+from repro.lint.cache import ANALYZER_DIR, CACHE_SCHEMA_VERSION, LintCache, analyzer_digest
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule
 
@@ -51,6 +54,27 @@ class TestWarmHits:
         target.write_text("import random  # edited\n")
         run_lint([project.root / "src"], root=project.root, rules=[rule], cache=cache)
         assert rule.calls == 2
+
+    def test_warm_run_parses_nothing(self, project, tmp_path, monkeypatch):
+        project.write("src/repro/fleet/sampler.py", "import random\n")
+        cache = LintCache(tmp_path / "lint-cache")
+        rule = CountingRule()
+        first = run_lint([project.root / "src"], root=project.root, rules=[rule], cache=cache)
+
+        def no_parse(path, root):
+            raise AssertionError(f"warm run parsed {path}")
+
+        monkeypatch.setattr(engine, "load_module", no_parse)
+        second = run_lint([project.root / "src"], root=project.root, rules=[rule], cache=cache)
+        assert [f.to_json() for f in second.findings] == [f.to_json() for f in first.findings]
+
+    def test_fixed_unparsable_file_misses(self, project, tmp_path):
+        target = project.write("src/repro/fleet/sampler.py", "def broken(:\n")
+        cache = LintCache(tmp_path / "lint-cache")
+        first = run_lint([project.root / "src"], root=project.root, cache=cache)
+        assert [f.rule for f in first.findings] == ["R000"]
+        target.write_text("def fixed():\n    return 1\n")
+        assert run_lint([project.root / "src"], root=project.root, cache=cache).findings == []
 
     def test_added_file_misses(self, project, tmp_path):
         project.write("src/repro/fleet/sampler.py", "import random\n")
@@ -121,9 +145,11 @@ class TestKeying:
             1, ["R001"], list(reversed(self.FILES))
         )
 
-    def test_key_changes_with_ruleset_version(self, tmp_path):
+    def test_key_changes_with_analyzer_digest(self, tmp_path):
         cache = LintCache(tmp_path)
-        assert cache.key(1, ["R001"], self.FILES) != cache.key(2, ["R001"], self.FILES)
+        assert cache.key("digest-1", ["R001"], self.FILES) != cache.key(
+            "digest-2", ["R001"], self.FILES
+        )
 
     def test_key_changes_with_rule_selection(self, tmp_path):
         cache = LintCache(tmp_path)
@@ -142,6 +168,70 @@ class TestKeying:
         assert LintCache(tmp_path).key(1, ["R001"], self.FILES) == (
             "e8008b09363316e6365c76d13fc4110592f359786f957fff6e7cc820ecfef319"
         )
+
+
+class TestAnalyzerKey:
+    """The key holds the digest of the analyzer's own source, so editing a
+    rule misses a warm cache, and editing the rest of the library does not."""
+
+    def _package(self, root, *, rule_note="", library_note=""):
+        """A copy of the ``repro`` package holding the analyzer and one
+        module outside it, with optional edits to each."""
+        lint = root / "repro" / "lint"
+        shutil.copytree(ANALYZER_DIR, lint, ignore=shutil.ignore_patterns("__pycache__"))
+        rule = lint / "rules" / "calibration.py"
+        rule.write_text(rule.read_text(encoding="utf-8") + rule_note, encoding="utf-8")
+        (root / "repro" / "fleet.py").write_text(f"X = 1\n{library_note}", encoding="utf-8")
+        return lint
+
+    def _calls(self, project, cache, rule, monkeypatch, analyzer_dir):
+        monkeypatch.setattr(cache_module, "ANALYZER_DIR", analyzer_dir)
+        run_lint([project.root / "src"], root=project.root, rules=[rule], cache=cache)
+        return rule.calls
+
+    def test_digest_follows_content_not_location(self, tmp_path, monkeypatch):
+        real = analyzer_digest()
+        monkeypatch.setattr(cache_module, "ANALYZER_DIR", self._package(tmp_path))
+        assert analyzer_digest() == real
+
+    def test_edited_analyzer_misses_and_edited_library_hits(
+        self, project, tmp_path, monkeypatch
+    ):
+        project.write("src/repro/fleet/sampler.py", "import random\n")
+        cache = LintCache(tmp_path / "lint-cache")
+        rule = CountingRule()
+        base = self._package(tmp_path / "base")
+        library = self._package(tmp_path / "library", library_note="# edited\n")
+        analyzer = self._package(tmp_path / "analyzer", rule_note="# edited\n")
+        assert self._calls(project, cache, rule, monkeypatch, base) == 1
+        assert self._calls(project, cache, rule, monkeypatch, library) == 1
+        assert self._calls(project, cache, rule, monkeypatch, analyzer) == 2
+
+    def test_analyzer_imports_nothing_else_that_can_change_a_finding(self):
+        """The digest covers ``repro/lint`` only. That is sound while the
+        analyzer imports no other ``repro`` module whose code decides a
+        finding; widen the digest before adding one to this list."""
+        imported = set()
+        for path in sorted(ANALYZER_DIR.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module == "repro":
+                    imported.update(f"repro.{alias.name}" for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module)
+        imported = {
+            name
+            for name in imported
+            if name.startswith("repro.") and not name.startswith("repro.lint")
+        }
+        assert imported == {
+            "repro.common.errors",
+            "repro.common.parallel",
+            "repro.common.store",
+            "repro.obs",
+        }
 
 
 class TestEviction:

@@ -3,9 +3,9 @@ replaces, over every module of the library.
 
 The analyzer reads trees only through :class:`repro.lint.common.SyntaxIndex`,
 so any difference between its answers and ``ast.walk`` /
-``ast.iter_child_nodes`` / a whole-tree parent map would silently change
-findings. Each index-backed scope walker is checked against the generator it
-replaced, kept here as the reference.
+``ast.iter_child_nodes`` / a whole-tree parent map / a type-filtered walk
+would silently change findings. Each index-backed scope lookup is checked
+against the generator it replaced, kept here as the reference.
 """
 
 import ast
@@ -18,10 +18,13 @@ import pytest
 import repro
 from repro.lint.common import SyntaxIndex
 from repro.lint.rules.blocking_in_async import _async_body_calls
-from repro.lint.rules.determinism_hygiene import _scope_nodes
+from repro.lint.rules.determinism_hygiene import _scope_of
 
 PACKAGE = Path(repro.__file__).resolve().parent
 SOURCES = sorted(p for p in PACKAGE.rglob("*.py") if "__pycache__" not in p.parts)
+TEST_SOURCES = sorted(
+    p for p in Path(__file__).resolve().parents[1].rglob("*.py") if "__pycache__" not in p.parts
+)
 LINT_DIR = PACKAGE / "lint"
 
 
@@ -101,24 +104,91 @@ def test_a_node_of_another_tree_is_rejected():
         syntax.walk(ast.parse("y = 2").body[0])
 
 
-def test_scope_walkers_match_their_reference_generators(parsed):
-    scopes = coroutines = 0
+def test_nodes_match_a_type_filtered_walk(parsed):
     for path, tree in parsed:
         syntax = SyntaxIndex(tree)
-        assert _ids(_scope_nodes(tree, syntax)) == _ids(reference_scope_nodes(tree)), path
+        walked = list(ast.walk(tree))
+        for kind in {type(node) for node in walked}:
+            expected = [node for node in walked if type(node) is kind]
+            assert _ids(syntax.nodes(kind)) == _ids(expected), (path, kind.__name__)
+        grouped = [node for kind in (ast.Name, ast.Attribute) for node in syntax.nodes(kind)]
+        assert _ids(syntax.nodes(ast.Name, ast.Attribute)) == _ids(grouped), path
+        assert syntax.nodes(ast.stmt) == ()
+
+
+def test_scope_walkers_match_their_reference_generators(parsed):
+    coroutines = 0
+    for path, tree in parsed:
+        syntax = SyntaxIndex(tree)
+        for node in syntax.nodes(ast.AsyncFunctionDef):
+            coroutines += 1
+            expected = reference_async_body_calls(node)
+            assert _ids(_async_body_calls(node, syntax)) == _ids(expected), (path, node.name)
+    assert coroutines > 0
+
+
+#: The nodes whose scope R012 looks up.
+_SCOPED_TYPES = (ast.For, ast.AsyncFor, ast.ListComp, ast.GeneratorExp, ast.Call, ast.Assign)
+
+
+def test_scope_of_matches_the_reference_scope_walk():
+    """Over ``src/`` and ``tests/``, every node R012 scopes lies in the
+    scope whose reference walk reaches it, or in none when no walk does."""
+    scoped = unscoped = 0
+    for path in SOURCES + TEST_SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        syntax = SyntaxIndex(tree)
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        expected = {}
+        for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, defs))]:
+            for node in reference_scope_nodes(scope):
+                expected[id(node)] = scope
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes += 1
-                expected = reference_scope_nodes(node)
-                assert _ids(_scope_nodes(node, syntax)) == _ids(expected), (path, node.name)
-            if isinstance(node, ast.AsyncFunctionDef):
-                coroutines += 1
-                expected = reference_async_body_calls(node)
-                assert _ids(_async_body_calls(node, syntax)) == _ids(expected), (
-                    path,
-                    node.name,
-                )
-    assert scopes > 900 and coroutines > 0
+            if isinstance(node, _SCOPED_TYPES):
+                want = expected.get(id(node))
+                assert _scope_of(node, syntax) is want, (path, node.lineno, type(node))
+                scoped += want is not None
+                unscoped += want is None
+    assert scoped > 15_000 and unscoped > 0
+
+
+def test_r012_scope_edges(project):
+    """A module set read in a method is flagged, and so is a class-body set
+    read in the class body (module scope); a clock value crosses no def
+    boundary, and a nested def's defaults lie in no scope."""
+    project.write(
+        "src/repro/fleet/scopes.py",
+        """
+        import hashlib
+        import time
+
+        NAMES = {"a", "b"}
+
+
+        class Table:
+            COLUMNS = {"x", "y"}
+            ORDER = tuple(COLUMNS)
+
+            def render(self):
+                return ",".join(NAMES)
+
+
+        def outer():
+            started = time.time()
+            stamp = hashlib.sha256(repr(started).encode())
+
+            def inner(keys=tuple({"p", "q"})):
+                return hashlib.sha256(repr(started).encode()), keys
+
+            return stamp, inner
+        """,
+    )
+    found = [(f.line, f.message.split(";")[0]) for f in project.findings("src", rule="R012")]
+    assert found == [
+        (10, "iteration over a set in a tuple(...) is PYTHONHASHSEED-dependent for str elements"),
+        (13, "iteration over a set in a join(...) is PYTHONHASHSEED-dependent for str elements"),
+        (18, "wall-clock value flows into 'hashlib.sha256(...)'"),
+    ]
 
 
 # -- the one-index rule ---------------------------------------------------------

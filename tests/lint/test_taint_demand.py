@@ -123,8 +123,8 @@ _DECODER = """
 
 
 def test_out_of_set_candidate_passes_the_supported_filter(project):
-    """A helper outside the set is never solved, yet counts as modelled
-    because its CFG is."""
+    """A helper outside the set gets no CFG and no solve, and its summary
+    reads as modelled: ``unsupported`` stays empty."""
     rel = "src/repro/algorithms/fakelz.py"
     assert _demand(rel, _DECODER) == {"_grow": False, "decode": True, "decode_all": True}
     summaries = build_summaries([FakeModule(rel, _DECODER)])
