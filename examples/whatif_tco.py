@@ -10,7 +10,8 @@ and relates it to the silicon budget a fleet-wide deployment needs.
 Run:  python examples/whatif_tco.py
 """
 
-from repro.core import CdpuComplex, CdpuConfig
+from repro.core.complex import CdpuComplex
+from repro.core.params import CdpuConfig
 from repro.fleet import generate_fleet_profile, migration_what_if
 
 

@@ -25,33 +25,49 @@ Quick start::
     cdpu = CdpuGenerator().generate(CdpuConfig())
     result = cdpu.pipeline("snappy", Operation.DECOMPRESS).run(payload, verify=True)
     print(result.throughput_gbps, "GB/s model throughput")
+
+Each top-level name loads its defining module on first use, so ``import
+repro`` imports no subpackage and ``repro lint`` needs only the standard
+library.
 """
 
-from repro.algorithms import Operation, available_codecs, get_codec, get_info
-from repro.common.errors import CorruptStreamError, ReproError
-from repro.core import CdpuConfig, CdpuGenerator, CdpuInstance
-from repro.dse import DseRunner
-from repro.fleet import generate_fleet_profile
-from repro.hcbench import default_benchmark, generate_hypercompressbench
-from repro.soc import Placement, XeonBaseline
+import importlib
+from typing import List
+
+#: Public name -> the module that defines it, imported when the name is
+#: first read (PEP 562).
+_EXPORTS = {
+    "CdpuConfig": "repro.core.params",
+    "CdpuGenerator": "repro.core.generator",
+    "CdpuInstance": "repro.core.generator",
+    "CorruptStreamError": "repro.common.errors",
+    "DseRunner": "repro.dse.runner",
+    "ReproError": "repro.common.errors",
+    "Operation": "repro.algorithms.base",
+    "Placement": "repro.soc.placement",
+    "XeonBaseline": "repro.soc.xeon",
+    "available_codecs": "repro.algorithms.registry",
+    "default_benchmark": "repro.hcbench.suite",
+    "generate_fleet_profile": "repro.fleet.profile",
+    "generate_hypercompressbench": "repro.hcbench.suite",
+    "get_codec": "repro.algorithms.registry",
+    "get_info": "repro.algorithms.registry",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CdpuConfig",
-    "CdpuGenerator",
-    "CdpuInstance",
-    "CorruptStreamError",
-    "DseRunner",
-    "ReproError",
-    "Operation",
-    "Placement",
-    "XeonBaseline",
-    "available_codecs",
-    "default_benchmark",
-    "generate_fleet_profile",
-    "generate_hypercompressbench",
-    "get_codec",
-    "get_info",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -34,10 +34,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.algorithms.registry import available_codecs, get_codec
-
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.algorithms.registry import available_codecs
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CDPU (ISCA'23) reproduction: codecs, fleet study, benchmark "
@@ -293,6 +293,7 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    from repro.algorithms.registry import get_codec
     from repro.common.errors import ReproError
 
     codec = get_codec(args.algorithm)
@@ -313,6 +314,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    from repro.algorithms.registry import get_codec
     from repro.common.errors import CorruptStreamError
 
     codec = get_codec(args.algorithm)
@@ -327,6 +329,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.algorithms.registry import get_codec
     from repro.common.errors import ReproError
 
     if args.chunk_size <= 0:
@@ -411,6 +414,7 @@ def _cmd_summaries(args: argparse.Namespace) -> int:
 
 def _stats_workload_roundtrip() -> None:
     """Round-trip every registered codec on a small mixed payload."""
+    from repro.algorithms.registry import available_codecs, get_codec
     from repro.common.errors import ReproError
 
     payload = (b"the quick brown fox jumps over the lazy dog. " * 40) + bytes(
@@ -480,6 +484,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         describe_graph,
         graph_presets,
     )
+    from repro.algorithms.registry import get_codec
     from repro.common.errors import ReproError
 
     try:

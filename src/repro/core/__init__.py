@@ -6,10 +6,8 @@ Public surface:
 * :class:`~repro.core.generator.CdpuGenerator` — elaborates pipelines.
 * :mod:`~repro.core.area` — the calibrated silicon-area model.
 * :mod:`~repro.core.calibration` — every paper anchor and derived constant.
+
+Nothing is re-exported here: ``calibration`` is imported by ``repro.soc``,
+which the generator and pipelines import in turn, so an eager re-export would
+close an import cycle. Import each name from its defining module.
 """
-
-from repro.core.complex import CdpuComplex
-from repro.core.generator import CdpuGenerator, CdpuInstance
-from repro.core.params import CdpuConfig, ParamKind
-
-__all__ = ["CdpuComplex", "CdpuConfig", "CdpuGenerator", "CdpuInstance", "ParamKind"]

@@ -36,9 +36,9 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.common.store import Store, digest, source_digest
 
-#: Bump to evict every entry written with an older cache layout. (Entries
-#: written before results recorded their reads lack them: each is a miss.)
-CACHE_SCHEMA_VERSION = 2
+#: Bump to evict every entry written with an older cache layout. Version 3:
+#: every entry records the digests of the files its rules read.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default store location relative to the project root.
 DEFAULT_CACHE_DIR = Path("results") / ".lint-cache"

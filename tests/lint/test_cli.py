@@ -1,10 +1,16 @@
 """CLI behaviour: exit codes, formats, baseline flags, repro-CLI wiring."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
 from repro.lint.cli import main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Structural subset of the SARIF 2.1.0 schema covering everything this
 #: tool emits. The full upstream schema is not vendored; this pins the
@@ -231,6 +237,28 @@ class TestSarifFormat:
         jsonschema.validate(log, SARIF_21_SCHEMA)
         (result,) = log["runs"][0]["results"]
         assert result["suppressions"][0]["kind"] == "external"
+
+    def test_runs_without_numpy(self, project, tmp_path_factory):
+        """CI's SARIF job installs nothing: ``repro lint`` needs only the
+        standard library, in the parent and in its pool workers."""
+        project.write("src/repro/fleet/sampler.py", "import random\n")
+        blocked = tmp_path_factory.mktemp("blocked") / "numpy"
+        blocked.mkdir()
+        (blocked / "__init__.py").write_text('raise ModuleNotFoundError("numpy is blocked")\n')
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(blocked.parent), str(SRC)]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--format", "sarif", "--jobs", "2", "src"],
+            cwd=project.root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 1, proc.stderr  # the one finding
+        log = json.loads(proc.stdout)  # a crash also exits 1, with no log
+        jsonschema.validate(log, SARIF_21_SCHEMA)
+        assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["R012"]
 
     def test_fingerprints_present_for_dedup(self, project, capsys):
         project.write("src/repro/fleet/sampler.py", "import random\n")

@@ -162,12 +162,14 @@ class TestKeying:
         changed = [("src/a.py", "digest-a2"), ("src/b.py", "digest-b")]
         assert cache.key(1, ["R001"], self.FILES) != cache.key(1, ["R001"], changed)
 
-    def test_key_is_stable_across_releases(self, tmp_path):
-        # Stores written by earlier releases (CI restores results/.lint-cache)
-        # must keep hitting: the key is part of the on-disk format.
-        assert LintCache(tmp_path).key(1, ["R001"], self.FILES) == (
-            "e8008b09363316e6365c76d13fc4110592f359786f957fff6e7cc820ecfef319"
-        )
+    def test_key_changes_with_schema_version(self, tmp_path, monkeypatch):
+        # No literal key is pinned: the key holds the analyzer digest, so an
+        # analyzer edit already misses every older entry. A layout bump must
+        # miss them as well.
+        cache = LintCache(tmp_path)
+        before = cache.key(1, ["R001"], self.FILES)
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
+        assert cache.key(1, ["R001"], self.FILES) != before
 
 
 class TestAnalyzerKey:
