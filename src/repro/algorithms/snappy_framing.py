@@ -12,6 +12,11 @@ skippable chunks are tolerated. Each data chunk is independently framed, so
 a consumer can restart mid-stream — which is also what lets hardware process
 chunks without unbounded state, and what makes both directions of the codec
 truly incremental: the contexts below hold at most one in-flight chunk.
+
+The format lets two damaged streams decode without an error, and so does
+this decoder: with no end marker, a cut at a chunk boundary decodes to the
+bytes before it (``b""`` right after the identifier), and a data chunk whose
+type byte turns skippable (0x80-0xfd) is skipped with its data.
 """
 
 from __future__ import annotations
@@ -218,8 +223,8 @@ class SnappyFramedCodec(Codec):
     """Buffer-in/buffer-out adapter over the framing format.
 
     Unlike raw Snappy, every chunk carries a masked CRC-32C, so this is the
-    integrity-checked variant of the codec pair — corruption anywhere in a
-    data chunk surfaces as :class:`CorruptStreamError`. Both streaming
+    integrity-checked variant of the codec pair — corruption inside a data
+    chunk surfaces as :class:`CorruptStreamError`. Both streaming
     directions are bounded: the format was designed chunk-restartable.
     """
 

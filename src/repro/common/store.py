@@ -3,7 +3,10 @@
 The DSE, lint and HyperCompressBench caches each memoize a pure function of
 some key material: the caller hashes it with :func:`digest` and keeps one
 file of opaque bytes per key, ``<key><suffix>``, in one directory, encoded
-and decoded with its own codec. The store owns the on-disk contract:
+and decoded with its own codec. Every key holds the schema, the
+:func:`source_digest` of the packages whose code fills the store, and the
+store's data inputs, so no hand-bumped version stands in for code. The
+store owns the on-disk contract:
 
 * a ``SCHEMA`` marker holds the caller's layout version; the first open
   under another version evicts every entry;
@@ -67,20 +70,25 @@ def digest(material: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@functools.lru_cache(maxsize=None)
-def source_digest(package: Path) -> str:
-    """SHA-256 over every ``*.py`` file under the directory ``package``: each
-    file's path relative to it and its bytes, in sorted path order.
+#: The ``repro`` package; every store's code roots are directories under it.
+PACKAGE_DIR = Path(__file__).resolve().parents[1]
 
-    A memo whose entries are computed by the code in ``package`` keys on
-    this, so editing that code misses every entry it wrote. The digest is
-    taken once per process and path, after the package is imported, so it
-    describes the code the process runs even if the files change later.
+
+@functools.lru_cache(maxsize=None)
+def source_digest(*roots: Path) -> str:
+    """SHA-256 over every ``*.py`` file under the directories ``roots``: each
+    file's path relative to its root's parent and its bytes, in sorted order.
+
+    A memo whose entries are computed by the code in ``roots`` keys on this,
+    so editing that code misses every entry it wrote. The digest is taken
+    once per process, after the packages are imported, so it describes the
+    code the process runs even if the files change later.
     """
     hasher = hashlib.sha256()
-    for path in sorted(package.rglob("*.py")):
-        hasher.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
-        hasher.update(hashlib.sha256(path.read_bytes()).digest())
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            hasher.update(path.relative_to(root.parent).as_posix().encode("utf-8") + b"\0")
+            hasher.update(hashlib.sha256(path.read_bytes()).digest())
     return hasher.hexdigest()
 
 

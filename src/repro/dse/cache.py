@@ -6,12 +6,12 @@ sequence of disk reads instead. Entries are :class:`DesignPointResult`
 pickles keyed by a SHA-256 content hash over everything that can change an
 evaluation's bytes:
 
-* the benchmark identity — :data:`repro.hcbench.suite.GENERATOR_VERSION`,
-  the :class:`~repro.hcbench.generator.GeneratorConfig`, and a digest of
-  every suite file's actual payload and usage parameters (so a custom bench
-  with the same config cannot alias the default one);
-* every calibration constant in :mod:`repro.core.calibration` (the cycle
-  model's entire parameterization);
+* the code that computes it — the :func:`~repro.common.store.source_digest`
+  of :data:`CODE_ROOTS`: the DSE, the cycle model and its calibration
+  constants, the SoC model, the codecs and matcher, and the packages that
+  build the default benchmark;
+* a digest of every suite file's payload and usage parameters, so a custom
+  bench cannot alias the default one;
 * the Xeon baseline's parameters;
 * the design point itself — algorithm, operation, and the full
   :class:`~repro.core.params.CdpuConfig` (which subsumes the
@@ -31,31 +31,25 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro import obs
-from repro.common.store import Store, digest
+from repro.common.store import PACKAGE_DIR, Store, digest, source_digest
 from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
 
 #: Bump whenever the key material or entry layout changes; the first open
-#: under a new schema evicts every entry written under an old one.
-CACHE_SCHEMA_VERSION = 2
+#: under a new schema evicts every entry written under an old one. Version
+#: 3: ``DesignPointResult.suite_bytes`` is a constructor field.
+CACHE_SCHEMA_VERSION = 3
+
+#: The packages whose code computes an entry. The DSE imports nothing else
+#: from ``repro`` that can change a result (checked by a tier-1 test).
+CODE_ROOTS = tuple(
+    PACKAGE_DIR / name
+    for name in ("algorithms", "common", "core", "corpus", "dse", "fleet", "hcbench", "soc")
+)
 
 #: Default cache location, as documented in README/DESIGN (relative to the
 #: working directory, i.e. the repo root in normal use). Override with the
 #: ``REPRO_DSE_CACHE_DIR`` environment variable or an explicit ``root``.
 DEFAULT_CACHE_DIRNAME = os.path.join("results", ".dse-cache")
-
-
-def _calibration_snapshot() -> dict:
-    """Every public constant of the calibration module, by name."""
-    from repro.core import calibration
-
-    snapshot = {}
-    for name in dir(calibration):
-        if not name.isupper():
-            continue
-        value = getattr(calibration, name)
-        if isinstance(value, (bool, int, float, str, dict, tuple, list)):
-            snapshot[name] = value
-    return snapshot
 
 
 def _bench_digest(bench) -> str:
@@ -82,15 +76,11 @@ def runner_fingerprint(runner: DseRunner) -> str:
     cached = getattr(runner, "_cache_fingerprint", None)
     if cached is not None:
         return cached
-    from repro.hcbench.suite import GENERATOR_VERSION
-
     fingerprint = digest(
         {
             "schema": CACHE_SCHEMA_VERSION,
-            "generator_version": GENERATOR_VERSION,
-            "generator_config": runner.bench.config,
+            "code": source_digest(*CODE_ROOTS),
             "bench_content": _bench_digest(runner.bench),
-            "calibration": _calibration_snapshot(),
             "xeon": runner.xeon,
         }
     )

@@ -72,6 +72,8 @@ class DesignPointResult:
     hw_ratio: Optional[float] = None
     #: Aggregate SW compression ratio on the same suite.
     sw_ratio: Optional[float] = None
+    #: Uncompressed bytes in the suite, the numerator of the GB/s figures.
+    suite_bytes: int = 0
 
     @property
     def speedup(self) -> float:
@@ -86,14 +88,11 @@ class DesignPointResult:
 
     @property
     def accel_gbps(self) -> float:
-        return self._suite_bytes / self.accel_seconds / cal.GB_PER_SECOND
+        return self.suite_bytes / self.accel_seconds / cal.GB_PER_SECOND
 
     @property
     def xeon_gbps(self) -> float:
-        return self._suite_bytes / self.xeon_seconds / cal.GB_PER_SECOND
-
-    # Set post-construction by the runner (suite uncompressed byte total).
-    _suite_bytes: int = 0
+        return self.suite_bytes / self.xeon_seconds / cal.GB_PER_SECOND
 
 
 @dataclass
@@ -220,7 +219,7 @@ class DseRunner:
             hw_ratio = unc_total / max(1, hw_total)
             sw_ratio = suite.software_compression_ratio()
 
-        result = DesignPointResult(
+        return DesignPointResult(
             algorithm=algorithm,
             operation=operation,
             config=config,
@@ -229,9 +228,8 @@ class DseRunner:
             area_mm2=pipeline_area_mm2(algorithm, operation, config),
             hw_ratio=hw_ratio,
             sw_ratio=sw_ratio,
+            suite_bytes=suite.total_uncompressed_bytes,
         )
-        object.__setattr__(result, "_suite_bytes", suite.total_uncompressed_bytes)
-        return result
 
     def evaluate_point(self, point: DesignPoint) -> DesignPointResult:
         """Evaluate one sweep work unit (the worker-side entry point)."""

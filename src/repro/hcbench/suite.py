@@ -4,7 +4,8 @@
 to (de)compress each benchmark file in the suite" (§6.1) — the DSE harness
 iterates suites through both the Xeon model and the CDPU pipelines, so the
 suite caches expensive per-file artifacts (compressed forms) and is memoized
-per configuration.
+per configuration. Like the paper's, a stored benchmark is a fixed artifact
+of its generator's code: the disk key holds that code's digest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import Operation
 from repro.algorithms.registry import get_codec
-from repro.common.store import Store, digest
+from repro.common.store import PACKAGE_DIR, Store, digest, source_digest
 from repro.common.units import ceil_log2
 from repro.hcbench.generator import (
     SUITE_PAIRS,
@@ -119,26 +120,24 @@ def generate_hypercompressbench(config: GeneratorConfig = GeneratorConfig()) -> 
     return HyperCompressBench(suites=suites, config=config)
 
 
-#: Bump when generator behaviour changes so stale disk caches are ignored.
-GENERATOR_VERSION = 8  # v8: CRC-32C content trailers change codec output bytes
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR")
-    return Path(root) if root else Path.home() / ".cache" / "repro_cdpu"
+#: The packages whose code generates a stored benchmark. The suite imports
+#: nothing else from ``repro`` that can change one (checked by a tier-1 test).
+CODE_ROOTS = tuple(
+    PACKAGE_DIR / name for name in ("algorithms", "common", "corpus", "fleet", "hcbench")
+)
 
 
 def _store() -> Store:
-    """The disk store of generated benchmarks. The generator version is part
-    of each key, so two versions share the directory without evicting each
-    other."""
-    return Store(_cache_dir() / "hcbench", schema=1, suffix=".pkl")
+    """The disk store of generated benchmarks; entries of two versions of the
+    code share it without evicting each other."""
+    parent = os.environ.get("REPRO_CACHE_DIR") or Path.home() / ".cache" / "repro_cdpu"
+    return Store(Path(parent) / "hcbench", schema=1, suffix=".pkl")
 
 
 def _store_key(seed: int, files_per_suite: int) -> str:
     return digest(
         {
-            "generator_version": GENERATOR_VERSION,
+            "code": source_digest(*CODE_ROOTS),
             "seed": seed,
             "files_per_suite": files_per_suite,
         }
@@ -151,8 +150,8 @@ def default_benchmark(seed: int = 0, files_per_suite: int = 48) -> HyperCompress
 
     Generation takes tens of seconds (every chunk is really compressed under
     every LUT configuration), so results are also persisted to a disk cache
-    keyed by the generator version and parameters. Set ``REPRO_CACHE_DIR`` to
-    relocate the cache; delete it to force regeneration.
+    keyed by the digest of the code in :data:`CODE_ROOTS` and the parameters.
+    Set ``REPRO_CACHE_DIR`` to relocate the cache; delete it to drop old ones.
     """
     store = _store()
     key = _store_key(seed, files_per_suite)

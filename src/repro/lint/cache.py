@@ -20,8 +20,7 @@ stored findings. Any edited, added or removed file, any edit to a declared
 read, and any edit to the analyzer's own source misses.
 
 The analyzer imports nothing else from ``repro`` that can change a finding
-(only ``common.errors``, ``common.parallel``, ``common.store`` and
-``obs``), so edits elsewhere in the library keep hitting.
+(a tier-1 test checks this), so edits elsewhere in the library keep hitting.
 
 Entries are JSON files under ``results/.lint-cache/`` in a
 :class:`repro.common.store.Store`, which owns the on-disk contract.

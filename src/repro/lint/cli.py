@@ -3,15 +3,17 @@
 Exit codes: 0 — clean (every finding baselined or below the gate);
 1 — findings at/above the gate (ERROR by default, WARNING with
 ``--strict``), or stale baseline entries under ``--strict``; 2 — usage
-error. ``--update-baseline`` rewrites the baseline from the current
-findings, preserving existing justifications; findings not already in the
-baseline need a real ``--justification`` (placeholders are rejected).
+error or crash (traceback on stderr). ``--update-baseline`` rewrites the
+baseline from the current findings, preserving existing justifications;
+findings not already in the baseline need a real ``--justification``
+(placeholders are rejected).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import List, Optional
 
@@ -88,7 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    except Exception:  # repro: noqa[R002] - process boundary: a crash prints its traceback and exits 2, never the findings status 1
+        traceback.print_exc()
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     paths = args.paths or ["src"]
     for path in paths:
         if not Path(path).exists():

@@ -7,17 +7,14 @@ Usage::
 Every registered codec (plus the unregistered raw-DEFLATE interop module)
 is run over a fixed set of deterministic inputs at representative levels;
 each compressed frame is written to disk, and ``manifest.json`` records the
-SHA-256 of every input and frame together with the suite
-``GENERATOR_VERSION``. ``tests/algorithms/test_golden_vectors.py`` then
-asserts that today's encoders reproduce the frames byte-for-byte and that
-every stored frame still decodes.
+SHA-256 of every input and frame. ``tests/algorithms/test_golden_vectors.py``
+then asserts that today's encoders reproduce the frames byte-for-byte and
+that every stored frame still decodes.
 
-Codec output bytes are part of the repo's compatibility surface: changing
-them (a new header field, different match heuristics, a checksum change)
-invalidates both the benchmark disk cache and these vectors. The workflow
-is the same for both: bump ``GENERATOR_VERSION`` in
-``repro.hcbench.suite``, rerun this tool, and commit the refreshed frames
-— the golden test fails loudly until all three move together.
+Codec output bytes are part of the repo's compatibility surface: a change
+to them (a new header field, different match heuristics, a checksum change)
+fails the golden test until this tool is rerun and the refreshed frames are
+committed.
 """
 
 from __future__ import annotations
@@ -34,17 +31,16 @@ from repro.algorithms.deflate import DeflateCodec
 from repro.algorithms.registry import available_codecs, get_codec
 from repro.common.rng import make_rng
 from repro.common.units import KiB
-from repro.hcbench.suite import GENERATOR_VERSION
 
-#: Manifest layout version (independent of the codec-output version).
+#: Manifest layout version.
 MANIFEST_SCHEMA = 1
 
 #: Codecs exercised beyond the registry: raw DEFLATE is interop-only (no
 #: integrity trailer, hence unregistered) but its wire bytes are golden too.
 EXTRA_CODECS = {"deflate": DeflateCodec}
 
-#: Seed for the synthesized inputs; never change without bumping
-#: GENERATOR_VERSION (the vectors would silently churn otherwise).
+#: Seed for the synthesized inputs; the manifest records every input's
+#: digest, so changing it fails the golden test until the vectors are rerun.
 GOLDEN_SEED = 20230617
 
 #: Size of the synthesized random/skewed inputs.
@@ -122,7 +118,6 @@ def regenerate(out_dir: Path) -> dict:
                 )
     manifest = {
         "manifest_schema": MANIFEST_SCHEMA,
-        "generator_version": GENERATOR_VERSION,
         "golden_seed": GOLDEN_SEED,
         "registered_codecs": available_codecs(),
         "extra_codecs": sorted(EXTRA_CODECS),
@@ -149,10 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     frames = len(manifest["vectors"])
     total = sum(v["frame_bytes"] for v in manifest["vectors"])
     codecs = len(manifest["registered_codecs"]) + len(manifest["extra_codecs"])
-    print(
-        f"wrote {frames} frames ({total} bytes) for {codecs} codecs "
-        f"at generator v{manifest['generator_version']} -> {args.out}"
-    )
+    print(f"wrote {frames} frames ({total} bytes) for {codecs} codecs -> {args.out}")
     return 0
 
 

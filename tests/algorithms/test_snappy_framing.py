@@ -119,6 +119,25 @@ class TestFraming:
             decompress_framed(stream[:-3])
 
 
+class TestFormatAllowsSilentDamage:
+    """The framing format has no end marker and skips chunk types 0x80-0xfd,
+    so these two damaged streams decode without an error (module docstring)."""
+
+    def test_cut_at_a_chunk_boundary_decodes_the_bytes_before_it(self):
+        data = b"ABCD" * (MAX_CHUNK_DATA // 2)  # two chunks of source
+        stream = compress_framed(data)
+        first = len(STREAM_IDENTIFIER)
+        second = first + 4 + int.from_bytes(stream[first + 1 : first + 4], "little")
+        assert decompress_framed(stream[:first]) == b""
+        assert decompress_framed(stream[:second]) == data[:MAX_CHUNK_DATA]
+
+    def test_data_chunk_retyped_skippable_is_skipped(self):
+        stream = bytearray(compress_framed(b"skipped " * 100))
+        assert chunk_types(bytes(stream)) == [CHUNK_STREAM_IDENTIFIER, CHUNK_COMPRESSED]
+        stream[len(STREAM_IDENTIFIER)] = 0x80
+        assert decompress_framed(bytes(stream)) == b""
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.binary(max_size=5000))
 def test_roundtrip_arbitrary(data):

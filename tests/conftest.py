@@ -2,11 +2,13 @@
 
 The HyperCompressBench instance and the DSE runner are the costly pieces
 (tens of seconds on a cold cache); both are session-scoped, and the benchmark
-additionally persists to a disk cache across runs.
+additionally persists to a disk cache across runs. A watchdog ends the run
+with every thread's traceback if one test hangs.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import random
 
@@ -30,6 +32,28 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+#: Seconds one test may run before the watchdog prints every thread's
+#: traceback and ends the run. Far above the slowest test (8.3 s), so only a
+#: hang trips it.
+WATCHDOG_S = 300
+
+#: A copy of the terminal's stderr. pytest captures fd 2 while a test runs,
+#: and that capture is lost when the watchdog ends the process.
+_watchdog_fd = 2
+
+
+def pytest_configure(config):
+    global _watchdog_fd
+    _watchdog_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Turn a hung test into a traceback and a failed run, not a stall."""
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=_watchdog_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def _sample_inputs() -> dict:

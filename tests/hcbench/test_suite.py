@@ -88,12 +88,14 @@ class TestDiskCache:
         assert store.get(key, pickle.loads, HyperCompressBench) == bench
         assert [p.name for p in store.root.iterdir() if ".tmp." in p.name] == []
 
-    def test_generator_versions_share_the_store(self, cheap_generation, monkeypatch):
+    def test_code_digests_share_the_store(self, cheap_generation, monkeypatch):
+        """Two code digests share one directory without evicting each other."""
         store = suite_module._store()
-        default_benchmark.__wrapped__(0, 1)
-        monkeypatch.setattr(suite_module, "GENERATOR_VERSION", suite_module.GENERATOR_VERSION + 1)
-        default_benchmark.__wrapped__(0, 1)
-        assert len(cheap_generation) == 2
+        digests = iter(["code-a", "code-b", "code-a"])
+        monkeypatch.setattr(suite_module, "source_digest", lambda *roots: next(digests))
+        for _ in range(3):
+            default_benchmark.__wrapped__(0, 1)
+        assert len(cheap_generation) == 2  # the third call hits code-a's entry
         assert len(list(store.root.glob("*.pkl"))) == 2
 
     def test_uncreatable_cache_dir_still_generates(self, cheap_generation, tmp_path, monkeypatch):

@@ -2,11 +2,12 @@
 
 Every decoder in the library raises
 :class:`~repro.common.errors.CorruptStreamError` on damaged input, never
-hangs, and never returns wrong bytes silently. The fuzz matrix drives every
-registered codec through truncation at each 1/8 boundary and single-byte
-corruption; the content CRC-32C trailer (see ``repro.algorithms.container``)
-makes detection exhaustive for the custom containers and the framed Snappy
-format.
+hangs, and never returns wrong bytes silently, with the exceptions below.
+The fuzz matrix drives every registered codec through truncation at each 1/8
+boundary and single-byte corruption; the content CRC-32C trailer (see
+``repro.algorithms.container``) makes detection exhaustive for the custom
+containers, and framed Snappy's per-chunk CRC-32C covers every byte inside a
+data chunk.
 
 Raw Snappy is the documented exception for the corruption leg: its wire
 format is the open-source ``format_description.txt`` one, which carries no
@@ -14,6 +15,14 @@ checksum, so a flipped literal byte decodes "successfully" to wrong bytes.
 Its corruption leg therefore targets the structural preamble, where the
 declared-length invariant guarantees detection; arbitrary-position mutations
 keep the weaker length-invariant check.
+
+Framed Snappy has two damaged streams its open-source
+``framing_format.txt`` decodes without an error, because the format has no
+end marker and skips chunk types 0x80-0xfd: a stream cut at a chunk
+boundary decodes to the bytes before the cut, and a data chunk whose type
+byte becomes skippable is skipped. ``tests/algorithms/test_snappy_framing.py``
+pins both; the matrix here never cuts at a chunk boundary or writes a
+skippable chunk type.
 """
 
 import json

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -176,6 +177,53 @@ class TestExitCodes:
         assert main([src, "--strict"]) == 1
 
 
+class TestCrashStatus:
+    """A crash exits 2 with its traceback on stderr, so a caller never reads
+    it as findings (1)."""
+
+    PROGRAM = textwrap.dedent(
+        """
+        import sys
+        from repro.lint import registry
+        from repro.lint.cli import main
+
+        class RaisingRule(registry.Rule):
+            code = "R099"
+            name = "raising"
+
+            def check(self, project):
+                raise RuntimeError("rule crashed")
+
+        if sys.argv[1] == "raise":
+            registry.register(RaisingRule)
+        sys.exit(main(["--no-cache", "src"]))
+        """
+    )
+
+    def _run(self, project, mode):
+        project.write("src/repro/fleet/sampler.py", "import random\n")
+        return subprocess.run(
+            [sys.executable, "-c", self.PROGRAM, mode],
+            cwd=project.root,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+
+    def test_raising_rule_exits_two_with_traceback(self, project):
+        proc = self._run(project, "raise")
+        assert proc.returncode == 2, proc.stdout
+        assert "Traceback" in proc.stderr
+        assert "RuntimeError: rule crashed" in proc.stderr
+
+    def test_one_finding_still_exits_one(self, project):
+        proc = self._run(project, "plain")
+        assert proc.returncode == 1, proc.stderr
+        assert "R012" in proc.stdout
+
+
 class TestJsonFormat:
     def test_json_output_parses_and_carries_findings(self, project, capsys):
         project.write("src/repro/fleet/sampler.py", "import random\n")
@@ -255,8 +303,8 @@ class TestSarifFormat:
             timeout=120,
             check=False,
         )
-        assert proc.returncode == 1, proc.stderr  # the one finding
-        log = json.loads(proc.stdout)  # a crash also exits 1, with no log
+        assert proc.returncode == 1, proc.stderr  # the one finding; a crash exits 2
+        log = json.loads(proc.stdout)
         jsonschema.validate(log, SARIF_21_SCHEMA)
         assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["R012"]
 

@@ -4,7 +4,6 @@ The on-disk contract itself (atomic writes, corrupt-entry eviction, schema
 bumps) is tested once for every cache in ``tests/common/test_store.py``.
 """
 
-import ast
 import json
 import shutil
 
@@ -208,32 +207,6 @@ class TestAnalyzerKey:
         assert self._calls(project, cache, rule, monkeypatch, base) == 1
         assert self._calls(project, cache, rule, monkeypatch, library) == 1
         assert self._calls(project, cache, rule, monkeypatch, analyzer) == 2
-
-    def test_analyzer_imports_nothing_else_that_can_change_a_finding(self):
-        """The digest covers ``repro/lint`` only. That is sound while the
-        analyzer imports no other ``repro`` module whose code decides a
-        finding; widen the digest before adding one to this list."""
-        imported = set()
-        for path in sorted(ANALYZER_DIR.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.module == "repro":
-                    imported.update(f"repro.{alias.name}" for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module)
-        imported = {
-            name
-            for name in imported
-            if name.startswith("repro.") and not name.startswith("repro.lint")
-        }
-        assert imported == {
-            "repro.common.errors",
-            "repro.common.parallel",
-            "repro.common.store",
-            "repro.obs",
-        }
 
 
 class TestEviction:
