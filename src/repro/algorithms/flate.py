@@ -10,6 +10,7 @@ differ only in their sequence entropy coder.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Tuple
 
 from repro.algorithms.base import Codec, CodecInfo, WeightClass
@@ -84,7 +85,7 @@ def _encode_codes_huffman(codes: List[int]) -> bytes:
     out += encode_varint(len(codes))
     if not codes:
         return bytes(out)
-    table = HuffmanTable.from_frequencies({c: codes.count(c) for c in set(codes)})
+    table = HuffmanTable.from_frequencies(Counter(codes))
     out += serialize_lengths(table, CODE_ALPHABET)
     payload = encode_symbols(codes, table)
     out += encode_varint(len(payload))

@@ -9,6 +9,11 @@ Bitstream convention is DEFLATE-style: codes are emitted LSB-first with their
 bits reversed, so a decoder can *peek* a fixed ``max_bits`` window and index a
 flat lookup table — exactly the operation the speculative hardware expander
 performs per speculation lane (§5.3).
+
+The encode-side table build (package-merge, canonical codes, the writer's
+bit-reversed codes) runs on arrays, with no Python loop per symbol; the
+list-based builders it replaced are the oracles in
+``tests/algorithms/huffman_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.common.bitio import (
     BitReader,
     BitWriter,
     pack_fields,
+    read_fields,
     u64_windows,
 )
 from repro.common.errors import CorruptStreamError
@@ -43,42 +49,128 @@ def _reverse_bits(value: int, width: int) -> int:
     return result
 
 
+def _package_merge(
+    frequencies: Dict[int, int], max_bits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(symbols, by_count, lengths)``: the symbols with a positive
+    frequency in the order of ``frequencies``, the order that sorts them by
+    ``(frequency, symbol)``, and their code lengths in that sorted order
+    (see :func:`build_code_lengths`)."""
+    count = len(frequencies)
+    symbols = np.fromiter(frequencies.keys(), dtype=np.int64, count=count)
+    freqs = np.fromiter(frequencies.values(), dtype=np.int64, count=count)
+    present = freqs > 0
+    if not present.all():
+        symbols = symbols[present]
+        freqs = freqs[present]
+    n = len(symbols)
+    if n <= 1:
+        return symbols, np.arange(n), np.ones(n, dtype=np.int64)
+    if n > (1 << max_bits):
+        raise ValueError(f"{n} symbols cannot be coded within {max_bits} bits")
+
+    # An item's key is its count shifted past a flag field, plus its flag:
+    # 1 for a leaf, and for a package the sum of its two items' flags (the
+    # number of leaves under it, so at least 2 and below 2**shift). One sort
+    # then orders a level by count with leaves first on a tie, and a pair's
+    # key sum is its package's key. Packages of equal count may sort in
+    # either order by their flags; that moves no leaf, and the walk below
+    # reads only how many leaves each prefix holds. Row ``l`` holds level
+    # ``l``: the leaves, then the packages of level ``l - 1``'s pairs,
+    # sorted in place.
+    shift = (n * max_bits).bit_length()
+    by_count = np.lexsort((symbols, freqs))
+    leaf_counts = freqs[by_count]
+    if (int(freqs.sum()) * max_bits) >> (62 - shift):
+        leaf_counts = leaf_counts.astype(object)  # keys past int64
+    levels = np.zeros((max_bits, 2 * n), dtype=leaf_counts.dtype)
+    levels[:, :n] = (leaf_counts << shift) + 1
+    size = n
+    for level, merged in enumerate(levels):
+        merged[:size].sort()
+        if level + 1 == max_bits:
+            break
+        pairs = size // 2
+        np.add(merged[0 : 2 * pairs : 2], merged[1 : 2 * pairs : 2], out=levels[level + 1, n : n + pairs])
+        size = n + pairs
+    # Walk back down: each level's selected prefix holds some leaves, and
+    # its packages select twice their number of items one level down.
+    leaves_before = np.cumsum((levels & ((1 << shift) - 1)) == 1, axis=1)
+    selected = []
+    take = 2 * (n - 1)
+    for leaves_in_prefix in leaves_before[::-1]:
+        if not take:
+            break
+        leaves = int(leaves_in_prefix[take - 1])
+        selected.append(leaves)
+        take = 2 * (take - leaves)
+    # A leaf's length is the number of levels that select it: every level
+    # selecting more than i leaves. The levels' leaf counts, in ascending
+    # order, end the runs of leaves with one length fewer.
+    run_ends = sorted(selected)
+    runs = [end - start for start, end in zip([0, *run_ends], run_ends)]
+    return symbols, by_count, np.repeat(np.arange(len(runs), 0, -1), runs)
+
+
 def build_code_lengths(frequencies: Dict[int, int], max_bits: int = DEFAULT_MAX_BITS) -> Dict[int, int]:
     """Compute length-limited Huffman code lengths via package-merge.
 
-    Returns a mapping from symbol to code length (1..max_bits). Symbols with
-    zero frequency are omitted. A single-symbol alphabet gets length 1.
-    """
-    symbols = [s for s, f in frequencies.items() if f > 0]
-    if not symbols:
-        return {}
-    if len(symbols) == 1:
-        return {symbols[0]: 1}
-    if len(symbols) > (1 << max_bits):
-        raise ValueError(
-            f"{len(symbols)} symbols cannot be coded within {max_bits} bits"
-        )
+    Returns a mapping from symbol to code length (1..max_bits), in the
+    order of ``frequencies``. Symbols with zero frequency are omitted. A
+    single-symbol alphabet gets length 1.
 
-    # Package-merge: optimal length-limited codes.
-    items = sorted((frequencies[s], s) for s in symbols)
-    packages: List[List[Tuple[int, List[int]]]] = []
-    base = [(freq, [sym]) for freq, sym in items]
-    prev: List[Tuple[int, List[int]]] = []
-    for _ in range(max_bits):
-        merged = sorted(base + prev, key=lambda t: t[0])
-        packages.append(merged)
-        prev = [
-            (merged[i][0] + merged[i + 1][0], merged[i][1] + merged[i + 1][1])
-            for i in range(0, len(merged) - 1, 2)
-        ]
-    lengths: Dict[int, int] = {s: 0 for s in symbols}
-    # Take the first 2*(n-1) items of the final level; each appearance of a
-    # symbol adds one to its code length.
-    take = 2 * (len(symbols) - 1)
-    for freq, syms in packages[-1][:take]:
-        for s in syms:
-            lengths[s] += 1
-    return lengths
+    Package-merge runs on the counts alone, one sorted array per level. The
+    leaves are the symbols sorted by ``(frequency, symbol)``. Each of the
+    ``max_bits`` levels is one sort of the leaf counts merged with the
+    previous level's package counts, leaves first on a tie (the order of a
+    stable merge); adjacent pairs of a level's items form the next level's
+    packages. The top level selects its first ``2(n-1)`` items. Every level
+    is sorted, and the merge keeps the leaves' and the packages' own orders,
+    so the items a level selects are a prefix of it: its leaves are a
+    prefix of the sorted symbols, and its ``p`` packages select the first
+    ``2p`` items one level down. Walking the levels back down therefore
+    needs only each level's count of leaves in a prefix, and a symbol's
+    length is the number of levels whose selected leaf prefix contains it.
+    """
+    symbols, by_count, sorted_lengths = _package_merge(frequencies, max_bits)
+    lengths = np.empty(len(symbols), dtype=np.int64)
+    lengths[by_count] = sorted_lengths
+    return dict(zip(symbols.tolist(), lengths.tolist()))
+
+
+def _canonical_columns(
+    symbols: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(symbols, codes, lengths)`` in canonical ``(length, symbol)`` order.
+
+    Left-aligned to the longest length ``M``, each code is the sum of the
+    earlier codes' ``2**(M - length)`` weights; the Kraft inequality holds
+    iff all of them sum to at most ``2**M``.
+    """
+    order = np.lexsort((symbols, lengths))
+    symbols = symbols[order]
+    lengths = lengths[order]
+    if not len(order):
+        return symbols, lengths, lengths
+    if lengths[0] <= 0:
+        raise ValueError(f"symbol {int(symbols[0])} has non-positive length {int(lengths[0])}")
+    longest = int(lengths[-1])
+    # Python ints past a 62-bit weight, so the sum cannot wrap.
+    dtype = np.uint64 if longest <= 62 else object
+    shifts = (longest - lengths).astype(dtype)
+    weights = np.left_shift(1, shifts)
+    ends = np.cumsum(weights)
+    if ends[-1] > (1 << longest):
+        raise ValueError("code lengths violate the Kraft inequality")
+    return symbols, (ends - weights) >> shifts, lengths
+
+
+def _length_columns(lengths: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    count = len(lengths)
+    return (
+        np.fromiter(lengths.keys(), dtype=np.int64, count=count),
+        np.fromiter(lengths.values(), dtype=np.int64, count=count),
+    )
 
 
 def canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
@@ -87,47 +179,62 @@ def canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
     Shorter codes come first; ties broken by symbol value — the canonical
     ordering any decoder can reconstruct from lengths alone.
     """
-    ordered = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    codes: Dict[int, Tuple[int, int]] = {}
-    code = 0
-    prev_len = 0
-    for symbol, length in ordered:
-        if length <= 0:
-            raise ValueError(f"symbol {symbol} has non-positive length {length}")
-        code <<= length - prev_len
-        codes[symbol] = (code, length)
-        code += 1
-        prev_len = length
-    # Kraft check: the canonical construction overflows iff lengths invalid.
-    if prev_len and code > (1 << prev_len):
-        raise ValueError("code lengths violate the Kraft inequality")
-    return codes
+    return _code_map(*_canonical_columns(*_length_columns(lengths)))
 
 
-@dataclass(frozen=True)
+def _code_map(
+    symbols: np.ndarray, codes: np.ndarray, lengths: np.ndarray
+) -> Dict[int, Tuple[int, int]]:
+    return dict(zip(symbols.tolist(), zip(codes.tolist(), lengths.tolist())))
+
+
+def _reverse_codes(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each code's bits reversed within its own length (at most 64 bits).
+
+    The codes' little-endian 64-bit words are unpacked LSB-first and packed
+    back MSB-first, which reverses every word at once; a right shift then
+    drops the bits below each code's length."""
+    words = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(words, axis=1, bitorder="little")
+    reversed_words = np.packbits(bits, axis=1, bitorder="big").view(">u8")[:, 0]
+    return (reversed_words >> (64 - lengths).astype(np.uint64)).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class HuffmanTable:
-    """A built Huffman code: canonical codes plus the flat decode table."""
+    """A built Huffman code: canonical codes plus the flat decode table.
 
-    codes: Dict[int, Tuple[int, int]]
+    Held as three columns in canonical ``(length, symbol)`` order, which the
+    encoder reads directly; the ``codes`` mapping is built on first use.
+    """
+
+    symbols: np.ndarray
+    code_words: np.ndarray
+    code_lengths: np.ndarray
     max_bits: int
 
     @classmethod
     def from_frequencies(
         cls, frequencies: Dict[int, int], max_bits: int = DEFAULT_MAX_BITS
     ) -> "HuffmanTable":
-        lengths = build_code_lengths(frequencies, max_bits)
-        return cls.from_lengths(lengths, max_bits)
+        symbols, by_count, lengths = _package_merge(frequencies, max_bits)
+        return cls(*_canonical_columns(symbols[by_count], lengths), max_bits=max_bits)
 
     @classmethod
     def from_lengths(cls, lengths: Dict[int, int], max_bits: int = DEFAULT_MAX_BITS) -> "HuffmanTable":
         actual_max = max(lengths.values(), default=0)
         if actual_max > max_bits:
             raise ValueError(f"code length {actual_max} exceeds max_bits {max_bits}")
-        return cls(codes=canonical_codes(lengths), max_bits=max_bits)
+        return cls(*_canonical_columns(*_length_columns(lengths)), max_bits=max_bits)
+
+    @cached_property
+    def codes(self) -> Dict[int, Tuple[int, int]]:
+        """Symbol -> (canonical code, length), in canonical order."""
+        return _code_map(self.symbols, self.code_words, self.code_lengths)
 
     @property
     def lengths(self) -> Dict[int, int]:
-        return {s: l for s, (_, l) in self.codes.items()}
+        return dict(zip(self.symbols.tolist(), self.code_lengths.tolist()))
 
     def decode_table(self) -> List[Tuple[int, int]]:
         """Flat table of size 2^max_bits mapping peeked bits -> (sym, len).
@@ -162,21 +269,19 @@ class HuffmanTable:
     @cached_property
     def _encode_pairs(self) -> Dict[int, Tuple[int, int]]:
         """Symbol -> (bit-reversed code, length), precomputed for the writer."""
-        return {
-            symbol: (_reverse_bits(code, length), length)
-            for symbol, (code, length) in self.codes.items()
-        }
+        reversed_codes = _reverse_codes(self.code_words, self.code_lengths).tolist()
+        return dict(zip(self.symbols.tolist(), zip(reversed_codes, self.code_lengths.tolist())))
 
     @cached_property
     def _encode_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(reversed_codes, lengths)`` indexed by symbol; an absent
         symbol has length 0 (every present code is at least one bit)."""
-        size = max(self.codes, default=-1) + 1
+        symbols = self.symbols
+        size = int(symbols.max()) + 1 if len(symbols) else 0
         reversed_codes = np.zeros(size, dtype=np.int64)
         lengths = np.zeros(size, dtype=np.int64)
-        for symbol, (reversed_code, length) in self._encode_pairs.items():
-            reversed_codes[symbol] = reversed_code
-            lengths[symbol] = length
+        reversed_codes[symbols] = _reverse_codes(self.code_words, self.code_lengths)
+        lengths[symbols] = self.code_lengths
         return reversed_codes, lengths
 
 
@@ -187,13 +292,13 @@ def serialize_lengths(table: HuffmanTable, alphabet_size: int) -> bytes:
     header alone. ``alphabet_size`` fixes the number of entries so the reader
     needs no terminator.
     """
-    lengths = table.lengths
-    if any(l > 15 for l in lengths.values()):
+    symbols = table.symbols
+    if len(symbols) and table.code_lengths.max() > 15:
         raise ValueError("serialized code lengths are limited to 15 bits")
-    if lengths and max(lengths) >= alphabet_size:
+    if len(symbols) and symbols.max() >= alphabet_size:
         raise ValueError("symbol outside declared alphabet")
     fields = np.zeros(alphabet_size, dtype=np.int64)
-    fields[list(lengths)] = list(lengths.values())
+    fields[symbols] = table.code_lengths
     return pack_fields(fields, np.full(alphabet_size, 4))[0]
 
 
@@ -201,21 +306,23 @@ def deserialize_lengths(
     data: bytes, alphabet_size: int, max_bits: int = DEFAULT_MAX_BITS, pos: int = 0
 ) -> Tuple[HuffmanTable, int]:
     """Inverse of :func:`serialize_lengths` for the header at ``data[pos:]``;
-    returns (table, bytes consumed)."""
-    reader = BitReader(data, 8 * pos)
-    lengths: Dict[int, int] = {}
-    for symbol in range(alphabet_size):
-        length = reader.read(4)
-        if length:
-            lengths[symbol] = length
-    reader.align_to_byte()
-    if not lengths:
+    returns (table, bytes consumed). The whole header is one
+    :func:`read_fields` gather, the mirror of ``serialize_lengths``'
+    :func:`pack_fields`; a short header raises the underflow the per-field
+    reader would."""
+    header_bytes = (4 * alphabet_size + 7) // 8
+    fields, error = read_fields(data[pos : pos + header_bytes], np.full(alphabet_size, 4))
+    if error is not None:
+        raise error
+    symbols = np.flatnonzero(fields)
+    if not len(symbols):
         raise CorruptStreamError("huffman header declares no symbols")
+    lengths = fields[symbols].astype(np.int64)
     try:
-        table = HuffmanTable.from_lengths(lengths, max_bits=max(max_bits, max(lengths.values())))
+        table = HuffmanTable(*_canonical_columns(symbols, lengths), max_bits=max(max_bits, int(lengths.max())))
     except ValueError as exc:
         raise CorruptStreamError(f"invalid huffman header: {exc}") from None
-    return table, reader.byte_position() - pos
+    return table, header_bytes
 
 
 def encode_symbols(symbols: Sequence[int], table: HuffmanTable) -> bytes:

@@ -27,7 +27,6 @@ from repro.algorithms.lz77 import (
     TokenStream,
     TokenStreamBuilder,
     copy_match,
-    split_long_copies,
 )
 from repro.algorithms.streaming import DecompressContext
 from repro.common.errors import CorruptStreamError, UnsupportedInputError
@@ -39,6 +38,8 @@ SNAPPY_WINDOW = 64 * KiB
 _MAX_COPY2_OFFSET = 65535
 #: Copy elements encode at most 64 bytes; longer matches are split.
 _MAX_COPY_LEN = 64
+#: Literal runs are chunked here, so a length needs at most three extra bytes.
+_MAX_LITERAL_RUN = 1 << 24
 
 _TAG_LITERAL = 0b00
 _TAG_COPY1 = 0b01
@@ -79,41 +80,66 @@ def _default_params(use_skipping: bool) -> Lz77Params:
     )
 
 
-def _emit_literal(out: bytearray, data: bytes) -> None:
-    pos = 0
-    while pos < len(data):
-        # A single literal element's length field is 32-bit, but we
-        # chunk at 2^24 to keep extra-length bytes to <= 3.
-        run = data[pos : pos + (1 << 24)]
-        n = len(run) - 1
-        if n < 60:
-            out.append(n << 2 | _TAG_LITERAL)
-        else:
-            extra = (n.bit_length() + 7) // 8
-            out.append((59 + extra) << 2 | _TAG_LITERAL)
-            out.extend(n.to_bytes(extra, "little"))
-        out.extend(run)
-        pos += len(run)
-
-
 def emit_elements(stream: TokenStream) -> bytes:
-    """Serialize an LZ77 token stream as Snappy literal/copy elements
-    (each literal run as one element, up to 2^24 bytes)."""
+    """Serialize an LZ77 token stream as Snappy literal/copy elements.
+
+    One scalar pass over the token columns, with the trailing literals as
+    a last run without a copy. Each literal run becomes one element, its
+    header written inline; a run past 2^24 bytes is chunked so that its
+    length needs at most three extra bytes. A copy of 4-11 bytes at an
+    offset below 2048 takes the two-byte copy1 form. Any other copy takes
+    copy2, or copy4 past offset 65535; one longer than 64 bytes is split as
+    the pass goes into 64-byte copies and a remainder, all from the same
+    offset.
+    """
     out = bytearray()
-    stream = split_long_copies(stream, _MAX_COPY_LEN)
-    for literal, offset, length in stream.sequences():
-        if literal:
-            _emit_literal(out, literal)
-        if 4 <= length <= 11 and offset < 2048:
-            out.append(((offset >> 8) & 0x7) << 5 | (length - 4) << 2 | _TAG_COPY1)
-            out.append(offset & 0xFF)
-        elif offset <= _MAX_COPY2_OFFSET:
-            out.append((length - 1) << 2 | _TAG_COPY2)
-            out.extend(offset.to_bytes(2, "little"))
+    append = out.append
+    literals = stream.literals
+    pos = 0
+    for literal_length, offset, length in zip(
+        [*stream.literal_lengths, stream.trailing],
+        [*stream.offsets, 0],
+        [*stream.match_lengths, 0],
+    ):
+        if literal_length:
+            end = pos + literal_length
+            if literal_length <= 60:
+                append((literal_length - 1) << 2 | _TAG_LITERAL)
+                out += literals[pos:end]
+            else:
+                while pos < end:
+                    stop = min(end, pos + _MAX_LITERAL_RUN)
+                    n = stop - pos - 1
+                    if n < 60:
+                        append(n << 2 | _TAG_LITERAL)
+                    else:
+                        extra = (n.bit_length() + 7) // 8
+                        append((59 + extra) << 2 | _TAG_LITERAL)
+                        out += n.to_bytes(extra, "little")
+                    out += literals[pos:stop]
+                    pos = stop
+            pos = end
+        if not length:  # the trailing run
+            continue
+        if offset <= _MAX_COPY2_OFFSET:
+            while length > _MAX_COPY_LEN:
+                out += bytes(((_MAX_COPY_LEN - 1) << 2 | _TAG_COPY2, offset & 0xFF, offset >> 8))
+                length -= _MAX_COPY_LEN
+            if 4 <= length <= 11 and offset < 2048:
+                append((offset >> 8) << 5 | (length - 4) << 2 | _TAG_COPY1)
+                append(offset & 0xFF)
+            else:
+                append((length - 1) << 2 | _TAG_COPY2)
+                append(offset & 0xFF)
+                append(offset >> 8)
         else:
-            out.append((length - 1) << 2 | _TAG_COPY4)
-            out.extend(offset.to_bytes(4, "little"))
-    _emit_literal(out, stream.tail)
+            far = offset.to_bytes(4, "little")
+            while length > _MAX_COPY_LEN:
+                append((_MAX_COPY_LEN - 1) << 2 | _TAG_COPY4)
+                out += far
+                length -= _MAX_COPY_LEN
+            append((length - 1) << 2 | _TAG_COPY4)
+            out += far
     return bytes(out)
 
 
