@@ -23,10 +23,10 @@ software compression ratio by 1.1%.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import DefaultDict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -371,17 +371,34 @@ class Lz77Encoder:
 
     def encode(self, data: bytes) -> TokenStream:
         """Produce the token stream for ``data`` (never raises on any input)."""
-        with obs.stage("stage.lz77.encode"):
-            stream = self._encode(data, None)
-            obs.counter_add("stage.lz77.encode.bytes", len(data))
-        return stream
+        window = self.params.window_size
+        return self._match(data, [window])[window][0]
 
     def encode_with_stats(self, data: bytes) -> Tuple[TokenStream, MatcherStats]:
-        stats = MatcherStats()
+        window = self.params.window_size
+        return self._match(data, [window])[window]
+
+    def encode_windows(
+        self, data: bytes, windows: Iterable[int]
+    ) -> Dict[int, Tuple[TokenStream, MatcherStats]]:
+        """One match pass serving every window in ``windows``: each window's
+        tokens and stats, equal to :meth:`encode_with_stats` by an encoder
+        whose ``window_size`` is that window (this encoder's own plays no
+        part). The pass follows the largest window and splits off a run for
+        the smaller ones only where one of them rejects a candidate the
+        larger ones accept."""
+        ordered = sorted(set(windows))
+        if not ordered or ordered[0] < MIN_MATCH:
+            raise ConfigError(f"windows must be non-empty and >= MIN_MATCH, got {ordered}")
+        return self._match(data, ordered)
+
+    def _match(
+        self, data: bytes, windows: List[int]
+    ) -> Dict[int, Tuple[TokenStream, MatcherStats]]:
         with obs.stage("stage.lz77.encode"):
-            stream = self._encode(data, stats)
+            runs = self._encode(data, windows)
             obs.counter_add("stage.lz77.encode.bytes", len(data))
-        return stream, stats
+        return runs
 
     def _hash_positions(
         self, data: bytes, n: int
@@ -423,8 +440,11 @@ class Lz77Encoder:
         tags = [w & 0xFF for w in raw_words] if tagged else None
         return slots, slots_raw, words, tags
 
-    def _encode(self, data: bytes, stats: Optional[MatcherStats]) -> TokenStream:
-        """The match loop over a zlib-style head/chain table.
+    def _encode(
+        self, data: bytes, windows: List[int]
+    ) -> Dict[int, Tuple[TokenStream, MatcherStats]]:
+        """The match loop over a zlib-style head/chain table, for the
+        ascending ``windows``.
 
         Every table insert is an *event*: the probe at ``p`` is event
         ``2p`` and the in-match insert at ``p`` event ``2p + 1`` (a lazy
@@ -432,22 +452,35 @@ class Lz77Encoder:
         slot's newest event and ``chain[event]`` the one before it in the
         same slot. A probe walks at most ``associativity`` events newest
         first and takes a candidate on ``length >= best``: the same set, the
-        same oldest-wins tie-break and the same counts as
-        :meth:`reference_encode`'s LRU buckets, which kept the last
-        ``associativity`` inserts per slot and scanned them oldest first
-        taking ``length > best``. Inserted positions never decrease, so the
-        walk stops at the first candidate past the window.
+        same oldest-wins tie-break and the same counts as the LRU-bucket
+        loop it replaced (``tests/algorithms/lz77_reference.py``), which
+        kept the last ``associativity`` inserts per slot and scanned them
+        oldest first taking ``length > best``. Inserted positions never
+        decrease, so the walk stops at the first candidate past the window.
+
+        A *run* serves the windows that have agreed on every candidate so
+        far and follows the largest. A candidate past the run's smallest
+        window but within its largest splits it: the windows below the
+        candidate's distance would have ended this walk here, so they leave
+        as a new run. That run resumes from a copy of the state at this
+        probe's start (``head`` without the probe's insert, ``chain``, the
+        token lists, the counters less this probe's, and the scalar parse
+        state) and re-walks the probe, which now ends at this candidate.
         """
         params = self.params
         min_match = params.min_match
         n = len(data)
+        results: Dict[int, Tuple[TokenStream, MatcherStats]] = {}
         if n < min_match:
-            if stats is not None:
-                stats.literal_bytes += n
-            return TokenStream([], [], [], bytes(data), n)
+            # A loop, not a comprehension: a comprehension reading ``data``
+            # or ``n`` would make them cell variables in the match loop.
+            for window in windows:
+                results[window] = TokenStream([], [], [], bytes(data), n), MatcherStats(
+                    literal_bytes=n
+                )
+            return results
 
         ways = params.associativity
-        window = params.window_size
         max_match = n if params.max_match_length is None else params.max_match_length
         lazy = params.lazy
         skip_step = 1 if params.use_skipping else 0
@@ -464,239 +497,161 @@ class Lz77Encoder:
             else:
                 slots_raw = slots
             entries = len(dense)
-        head = [-1] * entries
-        chain = [-1] * (2 * n)
-
-        literal_lengths: List[int] = []
-        offsets: List[int] = []
-        match_lengths: List[int] = []
-        literal_runs: List[bytes] = []
-        probes = checked = rejected = 0
-
-        literal_start = 0
-        pos = 0
         limit = n - min_match + 1
-        skip_credit = 32  # Snappy SW heuristic state: bytes between lookups = skip>>5
-        # A lazy parse probes ``pos``, then ``pos + 1`` on the next turn with
-        # the first match pending; the longer of the two is taken.
-        pending_len = pending_off = 0
-        while pos < limit:
-            probes += 1
-            slot = slots[pos]
-            event = head[slot]
-            head[slot] = chain_at = pos + pos
-            chain[chain_at] = event
-            best_len = best_off = 0
-            if event >= 0:
-                word = words[pos]
-                left = ways
-                while True:
-                    cand = event >> 1
-                    dist = pos - cand
-                    if dist > window:
-                        break
-                    if not tagged or tags[cand] == tags[pos]:
-                        # A tag mismatch filters the probe without a history read.
-                        checked += 1
-                        if words[cand] != word:
-                            rejected += 1
-                        else:
-                            # Extend a word (min_match bytes) at a time: the
-                            # lowest differing byte of the XOR is the first
-                            # mismatch. Long matches go a memcmp block at a time.
-                            max_here = n - pos if max_match > n - pos else max_match
-                            word_end = max_here - min_match
-                            length = min_match
-                            while length <= word_end:
-                                diff = words[cand + length] ^ words[pos + length]
-                                if diff:
-                                    length += ((diff & -diff).bit_length() - 1) >> 3
-                                    break
-                                length += min_match
-                                if length > _EXTEND_WORDS:
-                                    while (
-                                        length + _EXTEND_BLOCK <= max_here
-                                        and data[cand + length : cand + length + _EXTEND_BLOCK]
-                                        == data[pos + length : pos + length + _EXTEND_BLOCK]
-                                    ):
-                                        length += _EXTEND_BLOCK
+
+        # A run's windows, then its state: head, chain, the token columns,
+        # the probe/checked/rejected counts, literal_start, pos, the Snappy
+        # skip credit (bytes between lookups = skip_credit >> 5) and a lazy
+        # parse's pending match.
+        runs: List[tuple] = [
+            (windows, [-1] * entries, [-1] * (2 * n), [], [], [], [], 0, 0, 0, 0, 0, 32, 0, 0)
+        ]
+        while runs:
+            (
+                run_windows, head, chain, literal_lengths, offsets, match_lengths, literal_runs,
+                probes, checked, rejected, literal_start, pos, skip_credit, pending_len, pending_off,
+            ) = runs.pop()
+            threshold = run_windows[0]
+            window = run_windows[-1]
+            # A lazy parse probes ``pos``, then ``pos + 1`` on the next turn
+            # with the first match pending; the longer of the two is taken.
+            while pos < limit:
+                probes += 1
+                slot = slots[pos]
+                event = head[slot]
+                head[slot] = chain_at = pos + pos
+                chain[chain_at] = event
+                best_len = best_off = 0
+                if event >= 0:
+                    word = words[pos]
+                    left = ways
+                    while True:
+                        cand = event >> 1
+                        dist = pos - cand
+                        if dist > threshold:
+                            if dist > window:
+                                break
+                            # The windows below ``dist`` end this walk here:
+                            # they leave as a run resumed from this probe's start.
+                            cut = bisect_left(run_windows, dist)
+                            undo_checked, undo_rejected = _walk_counts(
+                                chain, chain[chain_at], ways - left, words, tags, pos
+                            )
+                            resumed_head = head[:]
+                            resumed_head[slot] = chain[chain_at]
+                            runs.append((
+                                run_windows[:cut], resumed_head, chain[:], literal_lengths[:],
+                                offsets[:], match_lengths[:], literal_runs[:], probes - 1,
+                                checked - undo_checked, rejected - undo_rejected,
+                                literal_start, pos, skip_credit, pending_len, pending_off,
+                            ))
+                            run_windows = run_windows[cut:]
+                            threshold = run_windows[0]
+                        if not tagged or tags[cand] == tags[pos]:
+                            # A tag mismatch filters the probe without a history read.
+                            checked += 1
+                            if words[cand] != word:
+                                rejected += 1
                             else:
-                                while length < max_here and data[cand + length] == data[pos + length]:
-                                    length += 1
-                            if length >= best_len:
-                                best_len = length
-                                best_off = dist
-                    left -= 1
-                    if not left:
-                        break
-                    event = chain[event]
-                    if event < 0:
-                        break
-
-            if pending_len:
-                if best_len <= pending_len + 1:
-                    # Keep the match at ``pos - 1``.
-                    pos -= 1
-                    best_len = pending_len
-                    best_off = pending_off
-                pending_len = 0
-            elif lazy and min_match <= best_len < 32 and pos + 1 < limit:
-                pending_len = best_len
-                pending_off = best_off
-                pos += 1
-                continue
-
-            if best_len:
-                literal_lengths.append(pos - literal_start)
-                if literal_start < pos:
-                    literal_runs.append(data[literal_start:pos])
-                offsets.append(best_off)
-                match_lengths.append(best_len)
-                # Index a couple of in-match positions so overlapping repeats
-                # remain findable, then jump past the match (greedy).
-                inner = pos + (best_len >> 1 or 1)
-                if inner < limit:
-                    slot = slots_raw[inner]
-                    chain[inner + inner + 1] = head[slot]
-                    head[slot] = inner + inner + 1
-                pos += best_len
-                literal_start = pos
-                skip_credit = 32
-            else:
-                # Snappy library heuristic: every 32 misses, start skipping
-                # more bytes between hash lookups.
-                pos += skip_credit >> 5
-                skip_credit += skip_step
-
-        trailing = n - literal_start
-        if trailing:
-            literal_runs.append(data[literal_start:])
-        literals = b"".join(literal_runs)
-        if stats is not None:
-            stats.positions_hashed += probes
-            stats.candidates_checked += checked
-            stats.candidates_rejected += rejected
-            stats.matches_found += len(offsets)
-            stats.match_bytes += n - len(literals)
-            stats.literal_bytes += len(literals)
-        return TokenStream(literal_lengths, offsets, match_lengths, literals, trailing)
-
-    def reference_encode(self, data: bytes, stats: Optional[MatcherStats] = None) -> List[Token]:
-        """The LRU-bucket match loop :meth:`encode` is tested and benchmarked
-        against: the same tokens and the same ``stats`` counts."""
-        params = self.params
-        min_match = params.min_match
-        n = len(data)
-        tokens: List[Token] = []
-        if n < min_match:
-            if n:
-                tokens.append(Literal(data))
-                if stats is not None:
-                    stats.literal_bytes += n
-            return tokens
-
-        ways = params.associativity
-        window = params.window_size
-        max_match = n if params.max_match_length is None else params.max_match_length
-        slots_list, slots_raw, words, tags_list = self._hash_positions(data, n)
-        tagged = tags_list is not None
-        table: DefaultDict[int, List[int]] = defaultdict(list)
-
-        literal_start = 0
-        pos = 0
-        limit = n - min_match + 1
-        skip_credit = 32
-        lazy = params.lazy
-
-        def probe(at: int) -> Tuple[int, int]:
-            """Find the best match at ``at`` and insert it into the table."""
-            if stats is not None:
-                stats.positions_hashed += 1
-            best_len = 0
-            best_off = 0
-            bucket = table[slots_list[at]]
-            if bucket:
-                word = words[at]
-                tag = tags_list[at] if tagged else 0
-                max_here = min(max_match, n - at)
-                for cand in bucket:
-                    dist = at - cand
-                    if dist <= 0 or dist > window:
-                        continue
-                    if tagged and tags_list[cand] != tag:
-                        continue
-                    if stats is not None:
-                        stats.candidates_checked += 1
-                    if words[cand] != word:
-                        if stats is not None:
-                            stats.candidates_rejected += 1
-                        continue
-                    length = min_match
-                    while length < max_here:
-                        step = min(_EXTEND_BLOCK, max_here - length)
-                        if (
-                            data[cand + length : cand + length + step]
-                            == data[at + length : at + length + step]
-                        ):
-                            length += step
-                        else:
-                            while (
-                                length < max_here
-                                and data[cand + length] == data[at + length]
-                            ):
-                                length += 1
+                                # Extend a word (min_match bytes) at a time: the
+                                # lowest differing byte of the XOR is the first
+                                # mismatch. Long matches go a memcmp block at a time.
+                                max_here = n - pos if max_match > n - pos else max_match
+                                word_end = max_here - min_match
+                                length = min_match
+                                while length <= word_end:
+                                    diff = words[cand + length] ^ words[pos + length]
+                                    if diff:
+                                        length += ((diff & -diff).bit_length() - 1) >> 3
+                                        break
+                                    length += min_match
+                                    if length > _EXTEND_WORDS:
+                                        while (
+                                            length + _EXTEND_BLOCK <= max_here
+                                            and data[cand + length : cand + length + _EXTEND_BLOCK]
+                                            == data[pos + length : pos + length + _EXTEND_BLOCK]
+                                        ):
+                                            length += _EXTEND_BLOCK
+                                else:
+                                    while length < max_here and data[cand + length] == data[pos + length]:
+                                        length += 1
+                                if length >= best_len:
+                                    best_len = length
+                                    best_off = dist
+                        left -= 1
+                        if not left:
                             break
-                    if length > best_len:
-                        best_len = length
-                        best_off = dist
-            # Insert current position (LRU within the set).
-            if len(bucket) >= ways:
-                bucket.pop(0)
-            bucket.append(at)
-            return best_len, best_off
+                        event = chain[event]
+                        if event < 0:
+                            break
 
-        while pos < limit:
-            best_len, best_off = probe(pos)
-            if lazy and min_match <= best_len < 32 and pos + 1 < limit:
-                next_len, next_off = probe(pos + 1)
-                if next_len > best_len + 1:
+                if pending_len:
+                    if best_len <= pending_len + 1:
+                        # Keep the match at ``pos - 1``.
+                        pos -= 1
+                        best_len = pending_len
+                        best_off = pending_off
+                    pending_len = 0
+                elif lazy and min_match <= best_len < 32 and pos + 1 < limit:
+                    pending_len = best_len
+                    pending_off = best_off
                     pos += 1
-                    best_len, best_off = next_len, next_off
+                    continue
 
-            if best_len >= min_match:
-                if literal_start < pos:
-                    lit = data[literal_start:pos]
-                    tokens.append(Literal(lit))
-                    if stats is not None:
-                        stats.literal_bytes += len(lit)
-                tokens.append(Copy(offset=best_off, length=best_len))
-                if stats is not None:
-                    stats.matches_found += 1
-                    stats.match_bytes += best_len
-                step = max(1, best_len // 2)
-                inner = pos + step
-                if inner < limit:
-                    b2 = table[slots_raw[inner]]
-                    if len(b2) >= ways:
-                        b2.pop(0)
-                    b2.append(inner)
-                pos += best_len
-                literal_start = pos
-                skip_credit = 32
-            else:
-                if params.use_skipping:
-                    advance = skip_credit >> 5
-                    skip_credit += 1
-                    pos += max(1, advance)
+                if best_len:
+                    literal_lengths.append(pos - literal_start)
+                    if literal_start < pos:
+                        literal_runs.append(data[literal_start:pos])
+                    offsets.append(best_off)
+                    match_lengths.append(best_len)
+                    # Index a couple of in-match positions so overlapping repeats
+                    # remain findable, then jump past the match (greedy).
+                    inner = pos + (best_len >> 1 or 1)
+                    if inner < limit:
+                        slot = slots_raw[inner]
+                        chain[inner + inner + 1] = head[slot]
+                        head[slot] = inner + inner + 1
+                    pos += best_len
+                    literal_start = pos
+                    skip_credit = 32
                 else:
-                    pos += 1
+                    # Snappy library heuristic: every 32 misses, start skipping
+                    # more bytes between hash lookups.
+                    pos += skip_credit >> 5
+                    skip_credit += skip_step
 
-        if literal_start < n:
-            lit = data[literal_start:]
-            tokens.append(Literal(lit))
-            if stats is not None:
-                stats.literal_bytes += len(lit)
-        return tokens
+            trailing = n - literal_start
+            if trailing:
+                literal_runs.append(data[literal_start:])
+            literals = b"".join(literal_runs)
+            stream = TokenStream(literal_lengths, offsets, match_lengths, literals, trailing)
+            for run_window in run_windows:
+                results[run_window] = stream, MatcherStats(
+                    positions_hashed=probes,
+                    candidates_checked=checked,
+                    candidates_rejected=rejected,
+                    matches_found=len(offsets),
+                    match_bytes=n - len(literals),
+                    literal_bytes=len(literals),
+                )
+        return results
+
+
+def _walk_counts(
+    chain: List[int], event: int, visited: int, words: List[int], tags: Optional[List[int]], pos: int
+) -> Tuple[int, int]:
+    """``(checked, rejected)`` over the first ``visited`` events of the
+    walk from ``event``: what the probe at ``pos`` counted before the
+    candidate it is at."""
+    word = words[pos]
+    checked = rejected = 0
+    for _ in range(visited):
+        cand = event >> 1
+        if tags is None or tags[cand] == tags[pos]:
+            checked += 1
+            rejected += words[cand] != word
+        event = chain[event]
+    return checked, rejected
 
 
 def copy_match(out: bytearray, offset: int, length: int) -> None:
@@ -705,8 +660,9 @@ def copy_match(out: bytearray, offset: int, length: int) -> None:
 
     A non-overlapping copy is one slice append; an overlapping one repeats
     the last ``offset`` bytes as a pattern — exactly what the byte loop
-    (:func:`reference_copy_match`) produces. Callers check ``1 <= offset
-    <= len(out)`` and bound ``length`` first: the copy is allocated at once.
+    (``reference_copy_match`` in ``tests/algorithms/lz77_reference.py``)
+    produces. Callers check ``1 <= offset <= len(out)`` and bound
+    ``length`` first: the copy is allocated at once.
     """
     start = len(out) - offset
     if length <= offset:
@@ -715,14 +671,6 @@ def copy_match(out: bytearray, offset: int, length: int) -> None:
         reps, rem = divmod(length, offset)
         pattern = out[start:]
         out += pattern * reps + pattern[:rem]
-
-
-def reference_copy_match(out: bytearray, offset: int, length: int) -> None:
-    """Byte-at-a-time match copy: the specification :func:`copy_match` is
-    tested and benchmarked against."""
-    start = len(out) - offset
-    for i in range(length):
-        out.append(out[start + i])
 
 
 def execute_sequences(

@@ -14,7 +14,7 @@ Both blocks consume *real* token streams:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.algorithms.lz77 import Lz77Encoder, MatcherStats, TokenStream
 from repro.core import calibration as cal
@@ -121,8 +121,19 @@ class Lz77EncoderBlock:
     config: CdpuConfig
 
     def tokenize(self, data: bytes) -> Tuple[TokenStream, MatcherStats]:
+        """The matcher run at this block's own history SRAM size."""
+        history = self.config.encoder_history_bytes
+        return self.tokenize_histories(data, (history,))[history]
+
+    def tokenize_histories(
+        self, data: bytes, histories: Iterable[int]
+    ) -> Dict[int, Tuple[TokenStream, MatcherStats]]:
+        """One matcher run for every history SRAM size in ``histories``:
+        each size's tokens and stats, as this block with that SRAM finds
+        them. The SRAM only caps the accepted offset, so the sizes share
+        the run up to the first candidate a smaller one rejects."""
         encoder = Lz77Encoder(self.config.encoder_lz77_params())
-        return encoder.encode_with_stats(data)
+        return encoder.encode_windows(data, histories)
 
     def match_cycles(self, data_length: int, tokens: TokenStream, stats: MatcherStats) -> float:
         """Pipelined matcher time.

@@ -12,6 +12,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Iterable
 
 from repro.algorithms.lz77 import decode_tokens
 from repro.algorithms.snappy import (
@@ -93,15 +94,25 @@ class SnappyCompressorPipeline:
             raise ValueError("config does not enable the snappy algorithm")
 
     def encode(self, data: bytes) -> Encoded:
-        """One matcher run, and the element stream emitted from its tokens.
+        """One matcher run, and the element stream emitted from its tokens."""
+        history = self.config.encoder_history_bytes
+        return self.encode_histories(data, (history,))[history]
+
+    def encode_histories(self, data: bytes, histories: Iterable[int]) -> Dict[int, Encoded]:
+        """:meth:`encode` of ``data`` at each encoder history size in
+        ``histories``, from one matcher run.
 
         The matcher reaches back at most the format's 64 KiB window, the
         furthest offset the decoder accepts, whatever the history SRAM
         holds."""
-        history = min(self.config.encoder_history_bytes, SNAPPY_WINDOW)
-        matcher = Lz77EncoderBlock(self.config.with_(encoder_history_bytes=history))
-        tokens, stats = matcher.tokenize(data)
-        return Encoded(encode_varint(len(data)) + emit_elements(tokens), tokens, stats)
+        windows = {history: min(history, SNAPPY_WINDOW) for history in histories}
+        runs = Lz77EncoderBlock(self.config).tokenize_histories(data, windows.values())
+        size = encode_varint(len(data))
+        encoded = {
+            window: Encoded(size + emit_elements(tokens), tokens, stats)
+            for window, (tokens, stats) in runs.items()
+        }
+        return {history: encoded[window] for history, window in windows.items()}
 
     def run(self, data: bytes, *, verify: bool = False) -> CallResult:
         encoded = self.encode(data)

@@ -15,7 +15,7 @@ container writer to obtain the hardware-achieved size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, Iterable, List, Tuple
 
 from repro.algorithms.lz77 import MatcherStats, TokenStream, decode_tokens
 from repro.algorithms.zstd import FrameStats, ZstdCodec, decode_with_stats
@@ -120,16 +120,36 @@ class ZstdCompressorPipeline:
     def encode(self, data: bytes) -> Encoded:
         """The codec's block loop with one matcher run per matched block;
         the stats sum over those runs."""
+        history = self.config.encoder_history_bytes
+        return self.encode_histories(data, (history,))[history]
+
+    def encode_histories(self, data: bytes, histories: Iterable[int]) -> Dict[int, Encoded]:
+        """:meth:`encode` of ``data`` at each encoder history size in
+        ``histories``. The block loop runs once per size, and each matched
+        block is matched once for all of them: the loop matches the same
+        blocks in the same order at every size (whether a block is RLE
+        depends on its bytes alone), and each size's pass reads its own
+        stream."""
+        histories = sorted(set(histories))
         encoder = Lz77EncoderBlock(self.config)
-        runs: List[MatcherStats] = []
+        codec = self._hw_codec()
+        matched: List[Dict[int, Tuple[TokenStream, MatcherStats]]] = []
+        out: Dict[int, Encoded] = {}
+        for history in histories:
+            runs: List[MatcherStats] = []
 
-        def match(block: bytes) -> TokenStream:
-            stream, stats = encoder.tokenize(block)
-            runs.append(stats)
-            return stream
+            def match(
+                block: bytes, history: int = history, runs: List[MatcherStats] = runs
+            ) -> TokenStream:
+                if len(runs) == len(matched):
+                    matched.append(encoder.tokenize_histories(block, histories))
+                stream, stats = matched[len(runs)][history]
+                runs.append(stats)
+                return stream
 
-        frame, tokens = self._hw_codec().compress_with_tokens(data, match)
-        return Encoded(frame, tokens, sum(runs, MatcherStats()))
+            frame, tokens = codec.compress_with_tokens(data, match)
+            out[history] = Encoded(frame, tokens, sum(runs, MatcherStats()))
+        return out
 
     def run(self, data: bytes, *, verify: bool = False) -> CallResult:
         encoded = self.encode(data)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import Operation
+from repro.core.area import pipeline_area_mm2
 from repro.core.params import CdpuConfig
 from repro.dse.results import FigureResult
 from repro.dse.runner import DesignPointResult, DseRunner
@@ -124,9 +125,7 @@ def fig13_snappy_compression_small_ht(runner: DseRunner) -> FigureResult:
 
     Area stays normalized against the 64K/2^14 design, as in the paper.
     """
-    reference = runner.evaluate(
-        CdpuConfig(), "snappy", Operation.COMPRESS
-    ).area_mm2
+    reference = pipeline_area_mm2("snappy", Operation.COMPRESS, CdpuConfig())
     return _encoder_figure(
         runner,
         "snappy",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.common.parallel import resolve_jobs
@@ -37,9 +37,12 @@ from repro.dse.runner import DesignPoint, DesignPointResult, DseRunner
 _WORKER_RUNNER: Optional[DseRunner] = None
 
 
-def _init_worker(bench, xeon) -> None:
+def _init_worker(bench, xeon, encodes: Dict[Tuple, list]) -> None:
+    """Build the worker's runner and seed its compression memo with
+    ``encodes``, the parent's matcher output for the pool's points."""
     global _WORKER_RUNNER
     _WORKER_RUNNER = DseRunner(bench, xeon)
+    _WORKER_RUNNER._encode_cache.update(encodes)
 
 
 def _evaluate_in_worker(point: DesignPoint) -> Tuple[int, float, DesignPointResult]:
@@ -85,7 +88,11 @@ def evaluate_points(
         missing = [index for index, result in enumerate(results) if result is None]
         obs.gauge_set("dse.queue.depth", len(missing))
         if missing:
-            fresh = _compute(runner, [points[i] for i in missing], jobs)
+            todo = [points[i] for i in missing]
+            # Match each window group once, before any point is evaluated.
+            with obs.span("dse.encode.fill", category="dse"):
+                encodes = runner.fill_encode_memo(todo)
+            fresh = _compute(runner, todo, jobs, encodes)
             for index, result in zip(missing, fresh):
                 results[index] = result
                 if cache is not None and keys is not None:
@@ -97,9 +104,10 @@ def evaluate_points(
 
 
 def _compute(
-    runner: DseRunner, points: Sequence[DesignPoint], jobs: int
+    runner: DseRunner, points: Sequence[DesignPoint], jobs: int, encodes: Dict[Tuple, list]
 ) -> List[DesignPointResult]:
-    """Run the uncached points — serially, or across a process pool."""
+    """Run the uncached points — serially, or across a process pool whose
+    workers start with ``encodes``, the compression memo the points read."""
     if jobs == 1 or len(points) <= 1:
         results = []
         begin = time.perf_counter()
@@ -114,7 +122,7 @@ def _compute(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(runner.bench, runner.xeon),
+        initargs=(runner.bench, runner.xeon, encodes),
     ) as pool:
         with obs.span("dse.pool.compute", category="dse", args={"workers": workers}):
             timed = list(pool.map(_evaluate_in_worker, points))

@@ -13,8 +13,10 @@ The runner memoizes the config-independent part of each evaluation:
 * compression workloads — each pipeline's :meth:`encode` of every file:
   the token stream and matcher stats the emitted frame carries, and the
   frame's size — are keyed by the encoder-relevant parameters only, so all
-  four placements of one SRAM/HT point share one matcher run per file (per
-  128 KiB block for ZStd, accounted block by block as the frame is).
+  four placements of one SRAM/HT point share them. Keys that differ only
+  in the history SRAM size (a window group) are filled together, from one
+  matcher run per file (per matched 128 KiB block for ZStd, accounted
+  block by block as the frame is).
 
 On top of the in-process memos, a sweep is a list of :class:`DesignPoint`
 work units — picklable (algorithm, operation, config) triples — that
@@ -27,11 +29,11 @@ behaviour exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.algorithms.base import Operation
-from repro.algorithms.lz77 import MatcherStats, TokenStream
+from repro.algorithms.lz77 import MIN_MATCH, MatcherStats, TokenStream
 from repro.algorithms.snappy import parse_elements
 from repro.algorithms.zstd import FrameStats, analyze_frame
 from repro.core import calibration as cal
@@ -164,19 +166,50 @@ class DseRunner:
 
     def _encode_workload(self, algorithm: str, config: CdpuConfig) -> List[_EncodeWorkItem]:
         key = self._encoder_key(algorithm, config)
-        cached = self._encode_cache.get(key)
-        if cached is not None:
-            return cached
-        suite = self.bench.suite(algorithm, Operation.COMPRESS)
-        pipeline = self._generator.generate(config).pipeline(algorithm, Operation.COMPRESS)
-        items: List[_EncodeWorkItem] = []
-        for file in suite.files:
-            encoded = pipeline.encode(file.data)
-            items.append(
-                _EncodeWorkItem(len(file.data), encoded.tokens, encoded.stats, len(encoded.frame))
-            )
-        self._encode_cache[key] = items
-        return items
+        if key not in self._encode_cache:
+            self.fill_encode_memo([DesignPoint(algorithm, Operation.COMPRESS, config)])
+        return self._encode_cache[key]
+
+    def fill_encode_memo(
+        self, points: Iterable[DesignPoint]
+    ) -> Dict[Tuple, List[_EncodeWorkItem]]:
+        """Memoize the compression workloads ``points`` read, and return
+        those memo entries.
+
+        Points whose encoder keys differ only in the history size form one
+        *window group*: the history only caps the offset the matcher
+        accepts, so the pipeline's ``encode_histories`` encodes each file
+        of the suite once for the whole group: one matcher run per file
+        (per matched block for ZStd) instead of one per key.
+        """
+        entries: Dict[Tuple, List[_EncodeWorkItem]] = {}
+        groups: Dict[Tuple, Dict[int, Tuple[Tuple, CdpuConfig]]] = {}
+        for point in points:
+            if point.operation is not Operation.COMPRESS:
+                continue
+            key = self._encoder_key(point.algorithm, point.config)
+            if key in self._encode_cache:
+                entries[key] = self._encode_cache[key]
+                continue
+            algorithm, params, accuracy = key
+            group = (algorithm, replace(params, window_size=MIN_MATCH), accuracy)
+            groups.setdefault(group, {})[params.window_size] = (key, point.config)
+        for (algorithm, _params, _accuracy), members in groups.items():
+            histories = sorted(members)
+            config = members[histories[0]][1]
+            suite = self.bench.suite(algorithm, Operation.COMPRESS)
+            pipeline = self._generator.generate(config).pipeline(algorithm, Operation.COMPRESS)
+            items: Dict[int, List[_EncodeWorkItem]] = {history: [] for history in histories}
+            for file in suite.files:
+                for history, encoded in pipeline.encode_histories(file.data, histories).items():
+                    items[history].append(
+                        _EncodeWorkItem(
+                            len(file.data), encoded.tokens, encoded.stats, len(encoded.frame)
+                        )
+                    )
+            for history, (key, _config) in members.items():
+                self._encode_cache[key] = entries[key] = items[history]
+        return entries
 
     def xeon_seconds(self, algorithm: str, operation: Operation) -> float:
         key = (algorithm, operation)

@@ -2,7 +2,7 @@
 streams keep their element count.
 
 ``Lz77Encoder.encode`` walks a zlib-style head/chain table newest first;
-``Lz77Encoder.reference_encode`` is the per-slot LRU bucket loop it
+``lz77_reference.reference_encode`` is the per-slot LRU bucket loop it
 replaced. Both must produce the same tokens and the same ``MatcherStats``
 counts on every parameter point: the golden vectors, the DSE figures and
 the cycle model all read them. ``len(TokenStream)`` is the element count
@@ -26,6 +26,7 @@ from repro.algorithms.lz77 import (
 from repro.algorithms.snappy import parse_elements
 from repro.algorithms.zstd import ZSTD_FRAME, SequenceCoder, _encode_block_body, analyze_frame
 from repro.common.varint import encode_varint
+from tests.algorithms.lz77_reference import reference_encode
 
 HASH_FUNCTIONS = ("multiplicative", "zstd5", "xor_shift")
 
@@ -75,7 +76,7 @@ def _assert_equivalent(params: Lz77Params, data: bytes) -> None:
     encoder = Lz77Encoder(params)
     stream, stats = encoder.encode_with_stats(data)
     expected_stats = MatcherStats()
-    expected = encoder.reference_encode(data, expected_stats)
+    expected = reference_encode(encoder, data, expected_stats)
     assert stream.tokens() == expected
     assert len(stream) == len(expected)
     assert stats == expected_stats
@@ -139,7 +140,7 @@ class TestTokenCount:
         data = b"the rain in spain falls mainly " * 40 + bytes(range(256))
         encoder = Lz77Encoder(Lz77Params())
         stream = encoder.encode(data)
-        expected = encoder.reference_encode(data)
+        expected = reference_encode(encoder, data)
         assert len(stream) == len(expected)
         assert stream.tokens() == expected
         assert TokenStream.from_tokens(expected).tokens() == expected

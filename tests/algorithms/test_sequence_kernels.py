@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.lz77 import copy_match, execute_sequences, reference_copy_match
+from repro.algorithms.lz77 import copy_match, execute_sequences
 from repro.algorithms.zstd import (
     code_to_value,
     decode_code_values,
@@ -21,6 +21,7 @@ from repro.algorithms.zstd import (
 )
 from repro.common.bitio import WINDOW64_MAX_WIDTH, BitReader, BitWriter, read_fields
 from repro.common.errors import CorruptStreamError
+from tests.algorithms.lz77_reference import reference_copy_match
 
 
 def _reference_fields(data: bytes, widths):

@@ -107,17 +107,42 @@ def figures(dse_runner):
     return all_figures(dse_runner)
 
 
+class MatchCalls(list):
+    """Input lengths of the matcher calls, in order; ``windows`` holds each
+    call's window set, in the same order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.windows = []
+
+    def record(self, data, windows) -> None:
+        self.append(len(data))
+        self.windows.append(tuple(sorted(set(windows))))
+
+    def clear(self) -> None:
+        super().clear()
+        self.windows.clear()
+
+
 @pytest.fixture
 def match_calls(monkeypatch):
-    """Input lengths passed to ``Lz77Encoder.encode_with_stats``, in order."""
+    """Every ``Lz77Encoder.encode_with_stats`` and ``encode_windows`` call
+    (see :class:`MatchCalls`)."""
     from repro.algorithms.lz77 import Lz77Encoder
 
-    calls = []
-    original = Lz77Encoder.encode_with_stats
+    calls = MatchCalls()
+    with_stats = Lz77Encoder.encode_with_stats
+    windows = Lz77Encoder.encode_windows
 
-    def counting(self, data):
-        calls.append(len(data))
-        return original(self, data)
+    def counting_with_stats(self, data):
+        calls.record(data, [self.params.window_size])
+        return with_stats(self, data)
 
-    monkeypatch.setattr(Lz77Encoder, "encode_with_stats", counting)
+    def counting_windows(self, data, sizes):
+        sizes = list(sizes)
+        calls.record(data, sizes)
+        return windows(self, data, sizes)
+
+    monkeypatch.setattr(Lz77Encoder, "encode_with_stats", counting_with_stats)
+    monkeypatch.setattr(Lz77Encoder, "encode_windows", counting_windows)
     return calls
